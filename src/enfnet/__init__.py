@@ -67,6 +67,8 @@ from .poenf_consensus import (
     TransactionPool,
     ValidationResult,
     compute_scores,
+    consensus_round,
+    make_transaction,
     parse_behavior,
     run_round,
     select_ground_truth,

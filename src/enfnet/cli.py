@@ -6,6 +6,9 @@ output files. bench prints to stdout only (wall-clock timings are not
 reproducible, so they never land in files).
 
 Exit codes: 0 success, 2 invalid configuration/arguments, 3 pipeline error.
+Structured argument strings (--harmonics, --forge, --k-list, --windows) are
+parsed by argparse, so malformed ones exit 2 before any work starts; main()
+returns the code instead of raising SystemExit.
 """
 
 from __future__ import annotations
@@ -45,6 +48,18 @@ def _dump_json(obj, path):
         fh.write("\n")
 
 
+def _spec(parse, want):
+    """argparse ``type=`` for a structured string: malformed text exits 2 at parse time."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: want {want}") from exc
+
+    return convert
+
+
 def _parse_harmonics(text):
     # "1:1.0,2:0.5" -> [(1, 1.0), (2, 0.5)]
     out = []
@@ -55,14 +70,27 @@ def _parse_harmonics(text):
 
 
 def _parse_forge(text):
-    # "60:90:ReplaceEnf;100:110:StripEnf"
+    # "60:90:ReplaceEnf;100:110:StripEnf"; "" -> no forgery
     jobs = []
-    for part in text.split(";"):
+    for part in text.split(";") if text else []:
         bits = part.split(":")
         if len(bits) != 3:
             raise InvalidArgumentError(f"bad forge spec: {part!r} (want start:end:mode)")
         jobs.append((float(bits[0]), float(bits[1]), ForgeryMode(bits[2])))
     return jobs
+
+
+def _parse_orders(text):
+    # "1,2" -> (1, 2); "" -> None (default for the stream kind)
+    return tuple(int(k) for k in text.split(",")) if text else None
+
+
+def _parse_ints(text):
+    return [int(k) for k in text.split(",")]
+
+
+def _parse_floats(text):
+    return [float(w) for w in text.split(",")]
 
 
 def cmd_generate(args):
@@ -73,7 +101,7 @@ def cmd_generate(args):
     truth = gen_enf_truth(grid, args.duration, args.truth_step)
     if args.kind == "audio":
         stream = embed_audio(
-            truth, args.sample_rate, _parse_harmonics(args.harmonics), args.snr,
+            truth, args.sample_rate, args.harmonics, args.snr,
             seed=args.seed + 1, grid=grid,
         )
     else:
@@ -81,9 +109,8 @@ def cmd_generate(args):
             truth, args.fps, args.height, ShutterType(args.shutter), args.snr,
             seed=args.seed + 1, mod_depth=args.mod_depth, grid=grid,
         )
-    if args.forge:
-        for a, b, mode in _parse_forge(args.forge):
-            stream = forge_segments(stream, [(a, b)], mode, seed=args.seed + 2)
+    for a, b, mode in args.forge:
+        stream = forge_segments(stream, [(a, b)], mode, seed=args.seed + 2)
     stream_io.save_stream(stream, os.path.join(out, "stream.json"))
     stream_io.save_enf_csv(truth, os.path.join(out, "truth.csv"))
     return 0
@@ -92,7 +119,7 @@ def cmd_generate(args):
 def cmd_estimate(args):
     out = _ensure_out(args.out)
     stream = stream_io.load_stream(args.stream)
-    harmonics = tuple(int(k) for k in args.harmonics.split(",")) if args.harmonics else None
+    harmonics = args.harmonics
     if harmonics is None:
         from .enf_estimation import default_config_for
 
@@ -233,8 +260,7 @@ def cmd_scenario(args):
 
 
 def cmd_bench(args):
-    k_list = [int(k) for k in args.k_list.split(",")]
-    res = harness.bench_consensus(k_list, args.dim, args.trials, args.seed)
+    res = harness.bench_consensus(args.k_list, args.dim, args.trials, args.seed)
     payload = {
         "k_list": res.k_list,
         "latencies_s": res.latencies_s,
@@ -259,8 +285,7 @@ def cmd_roc(args):
         snr_db=args.snr,
         seed=args.seed,
     )
-    windows = [float(w) for w in args.windows.split(",")]
-    table = harness.roc_sweep(windows, cc)
+    table = harness.roc_sweep(args.windows, cc)
     _dump_json(
         [
             {"window_s": row["window_s"], "auc": row["auc"],
@@ -290,14 +315,16 @@ def build_parser():
     g.add_argument("--drift", type=float, default=0.005)
     g.add_argument("--max-dev", type=float, default=0.05)
     g.add_argument("--sample-rate", type=float, default=44100.0)
-    g.add_argument("--harmonics", default="1:1.0,2:0.5,3:0.33")
+    g.add_argument("--harmonics", type=_spec(_parse_harmonics, "order[:amp],..."),
+                   default="1:1.0,2:0.5,3:0.33")
     g.add_argument("--snr", type=float, default=20.0)
     g.add_argument("--fps", type=float, default=25.0)
     g.add_argument("--height", type=int, default=360)
     g.add_argument("--shutter", default="RollingCMOS",
                    choices=[s.value for s in ShutterType])
     g.add_argument("--mod-depth", type=float, default=0.1)
-    g.add_argument("--forge", default="", help="start:end:mode[;...] e.g. 60:90:ReplaceEnf")
+    g.add_argument("--forge", type=_spec(_parse_forge, "start:end:mode[;...]"), default="",
+                   help="start:end:mode[;...] e.g. 60:90:ReplaceEnf")
     g.set_defaults(func=cmd_generate)
 
     e = sub.add_parser("estimate", help="recover the ENF series from a stream file")
@@ -305,7 +332,8 @@ def build_parser():
     e.add_argument("--out", required=True)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--nominal", type=float, default=60.0)
-    e.add_argument("--harmonics", default="", help="comma-separated orders; default by stream kind")
+    e.add_argument("--harmonics", type=_spec(_parse_orders, "comma-separated integer orders"),
+                   default="", help="comma-separated orders; default by stream kind")
     e.add_argument("--band-halfwidth", type=float, default=0.5)
     e.add_argument("--window", type=float, default=8.0)
     e.add_argument("--overlap", type=float, default=0.5)
@@ -342,7 +370,8 @@ def build_parser():
     s.set_defaults(func=cmd_scenario)
 
     b = sub.add_parser("bench", help="consensus latency scaling benchmark (stdout only)")
-    b.add_argument("--k-list", default="10,20,50,100,200")
+    b.add_argument("--k-list", type=_spec(_parse_ints, "comma-separated integers"),
+                   default="10,20,50,100,200")
     b.add_argument("--dim", type=int, default=720)
     b.add_argument("--trials", type=int, default=5)
     b.add_argument("--d-ratio-k", type=int, default=0,
@@ -351,7 +380,8 @@ def build_parser():
     b.set_defaults(func=cmd_bench)
 
     r = sub.add_parser("roc", help="ROC/AUC sweep over detector window sizes")
-    r.add_argument("--windows", default="8,16,32")
+    r.add_argument("--windows", type=_spec(_parse_floats, "comma-separated seconds"),
+                   default="8,16,32")
     r.add_argument("--streams", type=int, default=24)
     r.add_argument("--duration", type=float, default=120.0)
     r.add_argument("--snr", type=float, default=10.0)
@@ -363,7 +393,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse already printed usage or help
+        return exc.code
     try:
         return args.func(args)
     except (ConfigurationError, InvalidArgumentError, QuorumError) as exc:

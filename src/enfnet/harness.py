@@ -34,10 +34,10 @@ from .poenf_consensus import (
     OffsetVector,
     RoundResult,
     TransactionPool,
-    _make_transaction,
     compute_scores,
+    consensus_round,
+    make_transaction,
     select_ground_truth,
-    validate_transaction,
 )
 
 DEFAULT_HARMONICS: Tuple[Tuple[int, float], ...] = ((1, 1.0), (2, 0.5), (3, 0.33))
@@ -113,37 +113,21 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 
     rounds: List[RoundResult] = []
     estar_times: List[np.ndarray] = []
-    estar_vals: List[np.ndarray] = []
     for r in range(cfg.rounds):
         t0 = r * com.round_duration_s
         proof_times = t0 + (np.arange(com.d) + 0.5) * (com.round_duration_s / com.d)
-        pool = TransactionPool(round=r)
+        txs = []
         for v in members:
             base = _interp_series(estimates[v], proof_times)
             rng_v = np.random.default_rng([cfg.seed, 3, r, v])
-            tx = _make_transaction(behaviors[v], base, v, r, rng_v, com)
-            if tx is None:
-                continue
-            if validate_transaction(tx, members, pool, r, com).accepted:
-                pool.insert(tx)
-        scores = compute_scores(pool, com)
-        honest_ids = [v for v in members if v not in byz_ids]
-        picks = {select_ground_truth(compute_scores(pool, com), pool)[0] for _ in honest_ids}
-        winner, vec = select_ground_truth(scores, pool)
-        rounds.append(
-            RoundResult(
-                round=r,
-                ground_truth_id=winner,
-                ground_truth_enf=EnfSeries(t0, com.round_duration_s / com.d, vec),
-                scores=scores,
-                honest_agreement=picks == {winner},
-            )
-        )
+            tx = make_transaction(behaviors[v], base, v, r, rng_v, com)
+            if tx is not None:
+                txs.append(tx)
+        rounds.append(consensus_round(txs, com, r, [v for v in members if v not in byz_ids]))
         estar_times.append(proof_times)
-        estar_vals.append(vec)
 
     ref_t = np.concatenate(estar_times)
-    ref_v = np.concatenate(estar_vals)
+    ref_v = np.concatenate([rr.ground_truth_enf.values_hz for rr in rounds])
     reports = {}
     tp = fp = tn = fn = 0
     for p in range(cfg.participants):

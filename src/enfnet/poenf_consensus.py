@@ -9,9 +9,10 @@ deterministic in its seed.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -118,9 +119,12 @@ def validate_transaction(
 
     Checks, in order: sender is a committee member, round is current,
     validator has not already submitted, and the vector is well-formed
-    (length d, finite, within +-1 Hz of nominal).
+    (length d, finite, within +-1 Hz of nominal). Pass the members as a set
+    to check membership in O(1); any other sequence is converted per call.
     """
-    if tx.validator_id not in set(committee_members):
+    if not isinstance(committee_members, AbstractSet):
+        committee_members = set(committee_members)
+    if tx.validator_id not in committee_members:
         return ValidationResult(False, RejectReason.NotMember)
     if tx.round != current_round:
         return ValidationResult(False, RejectReason.StaleRound)
@@ -199,7 +203,7 @@ def _clamp(v: np.ndarray, cfg: CommitteeConfig) -> np.ndarray:
     return np.clip(v, cfg.vector_lo, cfg.vector_hi)
 
 
-def _make_transaction(behavior, truth_vals, validator_id, round_no, rng, cfg):
+def make_transaction(behavior, truth_vals, validator_id, round_no, rng, cfg):
     """Produce (or withhold) one transaction per the validator's behavior."""
     ts = round_no * cfg.round_duration_s
     if isinstance(behavior, Silent):
@@ -239,6 +243,56 @@ def parse_behavior(spec: str):
     raise ConfigurationError(f"unknown behavior spec: {spec!r}")
 
 
+def consensus_round(
+    txs: Iterable[EnfTransaction],
+    cfg: CommitteeConfig,
+    round_no: int,
+    honest_ids: Iterable[int],
+    views: Optional[Mapping[int, TransactionPool]] = None,
+) -> RoundResult:
+    """Admit, score and select one round's proofs; check honest agreement.
+
+    The submitted transactions are validated into the shared pool in
+    validator-id order (submission order within one id), against the
+    committee 0..K-1. The shared pool is scored once and its minimum-score
+    proof is E*. ``views`` maps an honest validator to the pool it received;
+    every honest validator it leaves out received the shared pool. Each
+    distinct view (by identity) is scored once, the shared pool's table is
+    reused, and honest_agreement records whether every honest validator's
+    view selects the same (id, E*) as the shared pool.
+    """
+    members = frozenset(range(cfg.K))
+    pool = TransactionPool(round=round_no)
+    for tx in sorted(txs, key=lambda t: t.validator_id):
+        if validate_transaction(tx, members, pool, round_no, cfg).accepted:
+            pool.insert(tx)
+
+    scores = compute_scores(pool, cfg)
+    winner, vec = select_ground_truth(scores, pool)
+
+    def agrees(view: TransactionPool) -> bool:
+        if view is pool:
+            return True
+        w, e = select_ground_truth(compute_scores(view, cfg), view)
+        return w == winner and np.array_equal(e, vec)
+
+    views = views or {}
+    distinct = {id(view): view for view in (views.get(v, pool) for v in honest_ids)}
+    agreement = bool(distinct) and all(agrees(view) for view in distinct.values())
+    estar = EnfSeries(
+        start_time_s=round_no * cfg.round_duration_s,
+        step_s=cfg.round_duration_s / cfg.d,
+        values_hz=vec,
+    )
+    return RoundResult(
+        round=round_no,
+        ground_truth_id=winner,
+        ground_truth_enf=estar,
+        scores=scores,
+        honest_agreement=agreement,
+    )
+
+
 def run_round(
     grid: GridConfig,
     observers: Sequence,
@@ -249,10 +303,10 @@ def run_round(
     """One full consensus round over freshly generated grid truth.
 
     Honest observers submit noisy d-sample views of the shared truth;
-    byzantines follow their behavior. All transactions are validated into a
-    shared pool in (round, validator_id) order, then every honest validator
-    independently scores and selects; honest_agreement records whether they
-    all landed on the same (id, E*).
+    byzantines follow their behavior. The round is decided by
+    :func:`consensus_round` under full delivery: every honest validator
+    receives the shared pool, so the pool is scored exactly once and
+    honest_agreement compares each honest validator's selection with E*.
     """
     if len(observers) != cfg.K:
         raise ConfigurationError(f"need exactly K={cfg.K} observers, got {len(observers)}")
@@ -265,32 +319,14 @@ def run_round(
     incr = rng_truth.normal(0.0, grid.drift_std_hz * np.sqrt(step), size=cfg.d)
     truth_vals = grid.nominal_hz + np.clip(np.cumsum(incr), -grid.max_dev_hz, grid.max_dev_hz)
 
-    members = list(range(cfg.K))
-    pool = TransactionPool(round=round_no)
-    for v in members:  # deterministic (round, validator_id) ordering
+    txs = []
+    for v in range(cfg.K):
         rng_v = np.random.default_rng([int(seed), int(round_no), v])
-        tx = _make_transaction(observers[v], truth_vals, v, round_no, rng_v, cfg)
-        if tx is None:
-            continue
-        res = validate_transaction(tx, members, pool, round_no, cfg)
-        if res.accepted:
-            pool.insert(tx)
-
-    scores = compute_scores(pool, cfg)
-    honest_ids = [i for i in members if isinstance(observers[i], Honest)]
-    picks = {select_ground_truth(compute_scores(pool, cfg), pool)[0] for _ in honest_ids}
-    winner, vec = select_ground_truth(scores, pool)
-    agreement = picks == {winner}
-    estar = EnfSeries(
-        start_time_s=round_no * cfg.round_duration_s, step_s=step, values_hz=vec
-    )
-    return RoundResult(
-        round=round_no,
-        ground_truth_id=winner,
-        ground_truth_enf=estar,
-        scores=scores,
-        honest_agreement=agreement,
-    )
+        tx = make_transaction(observers[v], truth_vals, v, round_no, rng_v, cfg)
+        if tx is not None:
+            txs.append(tx)
+    honest_ids = [v for v, b in enumerate(observers) if isinstance(b, Honest)]
+    return consensus_round(txs, cfg, round_no, honest_ids)
 
 
 def simulate_rounds(grid, observers, cfg, rounds: int, seed: int):

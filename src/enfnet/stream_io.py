@@ -75,13 +75,29 @@ def save_stream(stream: Union[AudioStream, VideoLumaStream], header_path: str):
 
 
 def load_stream(header_path: str):
+    """Read a stream written by :func:`save_stream`.
+
+    Raises InvalidArgumentError if the payload holds a different number of
+    values than the header declares (a truncated or foreign .f32 file).
+    """
     with open(header_path) as fh:
         header = json.load(fh)
+    kind = header["kind"]
+    if kind == "audio":
+        expected = int(header["n_samples"])
+    elif kind == "video":
+        expected = int(header["n_frames"]) * int(header["frame_height"])
+    else:
+        raise InvalidArgumentError(f"unknown stream kind: {kind!r}")
     raw = np.fromfile(_payload_path(header_path), dtype="<f4").astype(float)
+    if len(raw) != expected:
+        raise InvalidArgumentError(
+            f"{header_path}: payload holds {len(raw)} values, header declares {expected}"
+        )
     truth = _series_from_dict(header["truth"])
     forged = [(float(a), float(b)) for a, b in header.get("forged_intervals", [])]
     meta = header.get("meta", {})
-    if header["kind"] == "audio":
+    if kind == "audio":
         return AudioStream(
             sample_rate_hz=header["sample_rate_hz"],
             samples=raw,
@@ -89,18 +105,16 @@ def load_stream(header_path: str):
             forged_intervals=forged,
             meta=meta,
         )
-    if header["kind"] == "video":
-        h = int(header["frame_height"])
-        return VideoLumaStream(
-            fps=header["fps"],
-            frame_height=h,
-            shutter=ShutterType(header["shutter"]),
-            frames=raw.reshape(-1, h),
-            truth=truth,
-            forged_intervals=forged,
-            meta=meta,
-        )
-    raise InvalidArgumentError(f"unknown stream kind: {header['kind']!r}")
+    h = int(header["frame_height"])
+    return VideoLumaStream(
+        fps=header["fps"],
+        frame_height=h,
+        shutter=ShutterType(header["shutter"]),
+        frames=raw.reshape(-1, h),
+        truth=truth,
+        forged_intervals=forged,
+        meta=meta,
+    )
 
 
 def save_enf_csv(series: EnfSeries, path: str):
@@ -128,6 +142,12 @@ def load_enf_csv(path: str) -> EnfSeries:
     if len(times) < 1:
         raise InvalidArgumentError(f"{path}: empty series")
     step = times[1] - times[0] if len(times) > 1 else 1.0
+    # every step must match the first to 1e-9 relative, beyond the rounding
+    # of the written timestamps themselves
+    t = np.array(times)
+    tol = 1e-9 * abs(step) + 4.0 * np.spacing(np.max(np.abs(t)))
+    if np.any(np.abs(np.diff(t) - step) > tol):
+        raise InvalidArgumentError(f"{path}: time column is not uniformly spaced")
     return EnfSeries(start_time_s=times[0], step_s=step, values_hz=np.array(vals))
 
 

@@ -106,6 +106,25 @@ def test_configuration_errors_exit_2(tmp_path):
                "--out", str(tmp_path / "z")) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--harmonics", "x"),
+        ("generate", "--forge", "1:2:NoSuchMode"),
+        ("estimate", "--stream", "missing.json", "--harmonics", "x"),
+        ("bench", "--k-list", "a,b"),
+        ("roc", "--windows", "8,x"),
+    ],
+)
+def test_malformed_argument_strings_exit_2(tmp_path, argv):
+    """Rejected at parse time: no output directory is made, and the missing
+    stream of the estimate case is never opened (that would exit 3)."""
+    out = tmp_path / "o"
+    argv = argv if argv[0] == "bench" else argv + ("--out", str(out))
+    assert run(*argv) == 2
+    assert not out.exists()
+
+
 def test_missing_input_exits_3(tmp_path):
     assert run("estimate", "--stream", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")) == 3

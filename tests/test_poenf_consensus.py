@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from enfnet import poenf_consensus
 from enfnet import (
     ColludingClone,
     CommitteeConfig,
@@ -20,13 +21,14 @@ from enfnet import (
     Silent,
     TransactionPool,
     compute_scores,
+    consensus_round,
+    make_transaction,
     parse_behavior,
     run_round,
     select_ground_truth,
     simulate_rounds,
     validate_transaction,
 )
-from enfnet.poenf_consensus import _make_transaction
 
 CFG = CommitteeConfig(K=5, f=1, d=4, round_duration_s=60.0)
 
@@ -50,8 +52,9 @@ def tx(vid=0, rnd=0, vec=None, d=4):
 
 def test_validate_accepts_wellformed():
     pool = TransactionPool(round=0)
-    res = validate_transaction(tx(), range(5), pool, 0, CFG)
-    assert res.accepted and res.reason is None
+    for members in (range(5), [0, 1, 2, 3, 4], frozenset(range(5))):
+        res = validate_transaction(tx(), members, pool, 0, CFG)
+        assert res.accepted and res.reason is None
 
 
 def test_validate_rejection_order():
@@ -200,7 +203,7 @@ def test_round_rejects_too_many_byzantines():
 def test_random_vector_is_clamped_and_never_wins():
     cfg = CommitteeConfig(K=5, f=1, d=16, round_duration_s=60.0)
     rng = np.random.default_rng(2)
-    t = _make_transaction(RandomVector(), np.full(16, 60.0), 4, 0, rng, cfg)
+    t = make_transaction(RandomVector(), np.full(16, 60.0), 4, 0, rng, cfg)
     assert np.all(t.enf_vector >= cfg.vector_lo) and np.all(t.enf_vector <= cfg.vector_hi)
     wins = 0
     for seed in range(200):
@@ -222,10 +225,99 @@ def test_colluding_clone_never_selected():
 def test_offset_transaction_is_clamped_not_rejected():
     cfg = CommitteeConfig(K=5, f=1, d=8, round_duration_s=60.0)
     rng = np.random.default_rng(0)
-    t = _make_transaction(OffsetVector(1.0), np.full(8, 60.02), 1, 0, rng, cfg)
+    t = make_transaction(OffsetVector(1.0), np.full(8, 60.02), 1, 0, rng, cfg)
     assert np.all(t.enf_vector <= cfg.vector_hi)
     res = validate_transaction(t, range(5), TransactionPool(round=0), 0, cfg)
     assert res.accepted
+
+
+CFG6 = CommitteeConfig(K=6, f=1, d=4, round_duration_s=60.0)
+
+
+def spread_txs(round_no=0):
+    """Six proofs at distinct distances from 60 Hz, so no two scores tie."""
+    return [tx(vid=v, rnd=round_no, vec=np.full(4, 60.0 + 0.01 * v * v)) for v in range(6)]
+
+
+def test_kernel_full_delivery_matches_manual_round():
+    rr = consensus_round(spread_txs(), CFG6, 0, honest_ids=range(6))
+    pool = pool_from([t.enf_vector for t in spread_txs()])
+    table = compute_scores(pool, CFG6)
+    winner, vec = select_ground_truth(table, pool)
+    assert rr.scores.scores == table.scores
+    assert rr.ground_truth_id == winner
+    np.testing.assert_array_equal(rr.ground_truth_enf.values_hz, vec)
+    assert rr.ground_truth_enf.step_s == CFG6.round_duration_s / CFG6.d
+    assert rr.honest_agreement
+
+
+def test_kernel_admits_in_validator_order_and_rejects():
+    txs = spread_txs(round_no=2)[::-1]
+    txs.append(tx(vid=9, rnd=2))  # not a committee member
+    txs.append(tx(vid=3, rnd=2, vec=np.full(4, 60.5)))  # duplicate of validator 3
+    rr = consensus_round(txs, CFG6, 2, honest_ids=range(6))
+    assert set(rr.scores.scores) == set(range(6))
+    ref = consensus_round(spread_txs(round_no=2), CFG6, 2, honest_ids=range(6))
+    assert rr.scores.scores == ref.scores.scores
+
+
+def test_kernel_agreement_fails_when_views_differ():
+    """An honest validator that never received the winner's proof picks another."""
+    full = consensus_round(spread_txs(), CFG6, 0, honest_ids=range(6))
+    assert full.honest_agreement
+    missing = TransactionPool(round=0)
+    for t in spread_txs():
+        if t.validator_id != full.ground_truth_id:
+            missing.insert(t)
+    rr = consensus_round(spread_txs(), CFG6, 0, honest_ids=range(6), views={5: missing})
+    assert rr.ground_truth_id == full.ground_truth_id
+    assert rr.scores.scores == full.scores.scores
+    assert rr.honest_agreement is False
+
+
+def test_kernel_agreement_fails_on_equivocated_winner():
+    """Same winner id, different E* vector in one view: no agreement."""
+    full = consensus_round(spread_txs(), CFG6, 0, honest_ids=range(6))
+    winner = full.ground_truth_id
+    forked = pool_from([t.enf_vector for t in spread_txs()])
+    forked.entries[winner].enf_vector = forked.entries[winner].enf_vector + 1e-6
+    assert select_ground_truth(compute_scores(forked, CFG6), forked)[0] == winner
+    rr = consensus_round(spread_txs(), CFG6, 0, honest_ids=range(6), views={2: forked})
+    assert rr.ground_truth_id == winner
+    assert rr.honest_agreement is False
+
+
+def counting_compute_scores(monkeypatch):
+    calls = []
+    real = poenf_consensus.compute_scores
+
+    def counted(pool, cfg):
+        calls.append(len(pool))
+        return real(pool, cfg)
+
+    monkeypatch.setattr(poenf_consensus, "compute_scores", counted)
+    return calls
+
+
+def test_kernel_scores_each_distinct_view_once(monkeypatch):
+    calls = counting_compute_scores(monkeypatch)
+    copy = pool_from([t.enf_vector for t in spread_txs()])  # equal content, own object
+    views = {1: copy, 2: copy, 4: copy}
+    rr = consensus_round(spread_txs(), CFG6, 0, honest_ids=range(6), views=views)
+    assert rr.honest_agreement
+    assert calls == [6, 6]  # the shared pool, then the one distinct copy
+
+
+def test_run_round_scores_once_under_full_delivery(monkeypatch):
+    """Regression guard: agreement must not rescore the shared pool per validator."""
+    calls = counting_compute_scores(monkeypatch)
+    cfg = CommitteeConfig(K=11, f=3, d=16, round_duration_s=60.0)
+    obs = [Honest()] * 8 + [OffsetVector(1.0), RandomVector(), Silent()]
+    for r in range(3):
+        calls.clear()
+        rr = run_round(GridConfig(seed=0), obs, cfg, seed=5, round_no=r)
+        assert rr.honest_agreement
+        assert calls == [10]
 
 
 def test_simulate_rounds_summary():
@@ -253,7 +345,7 @@ def test_parse_behavior_specs():
 def test_clone_scalar_target_broadcasts():
     cfg = CommitteeConfig(K=5, f=1, d=8, round_duration_s=60.0)
     rng = np.random.default_rng(0)
-    t = _make_transaction(parse_behavior("clone:60.9"), np.zeros(8), 3, 0, rng, cfg)
+    t = make_transaction(parse_behavior("clone:60.9"), np.zeros(8), 3, 0, rng, cfg)
     np.testing.assert_array_equal(t.enf_vector, np.full(8, 60.9))
 
 

@@ -81,6 +81,52 @@ def test_enf_csv_rejects_garbage(tmp_path):
         load_enf_csv(str(p))
 
 
+def test_load_stream_rejects_truncated_audio_payload(tmp_path):
+    grid = GridConfig(seed=1)
+    truth = gen_enf_truth(grid, 30.0, 1.0)
+    stream = embed_audio(truth, 1000.0, ((1, 1.0),), 20.0, seed=1, grid=grid)
+    path = tmp_path / "a.json"
+    save_stream(stream, str(path))
+    payload = tmp_path / "a.f32"
+    payload.write_bytes(payload.read_bytes()[: 1000 * 4])  # 1000 of 30000 samples
+    with pytest.raises(InvalidArgumentError, match="1000 values"):
+        load_stream(str(path))
+
+
+def test_load_stream_rejects_truncated_video_payload(tmp_path):
+    grid = GridConfig(seed=2)
+    truth = gen_enf_truth(grid, 4.0, 1.0)
+    stream = embed_video(truth, 25.0, 16, ShutterType.RollingCMOS, 25.0, seed=2, grid=grid)
+    path = tmp_path / "v.json"
+    save_stream(stream, str(path))
+    payload = tmp_path / "v.f32"
+    payload.write_bytes(payload.read_bytes()[: 16 * 4 * 10])  # whole frames, but 10 of 100
+    with pytest.raises(InvalidArgumentError):
+        load_stream(str(path))
+
+
+def test_enf_csv_rejects_nonuniform_times(tmp_path):
+    series = EnfSeries(4.0, 0.5, np.full(50, 60.0))
+    path = tmp_path / "e.csv"
+    save_enf_csv(series, str(path))
+    lines = path.read_text().splitlines()
+    t, v = lines[20].split(",")
+    lines[20] = f"{float(t) + 1e-6!r},{v}"  # one timestamp off by 2e-6 of a step
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidArgumentError, match="uniformly"):
+        load_enf_csv(str(path))
+
+
+def test_enf_csv_accepts_rounded_uniform_times(tmp_path):
+    """Steps that are not exact in binary still read as uniform."""
+    series = EnfSeries(1234.567, 0.1, np.full(3000, 60.0))
+    path = tmp_path / "e.csv"
+    save_enf_csv(series, str(path))
+    back = load_enf_csv(str(path))
+    assert len(back) == 3000
+    assert back.step_s == pytest.approx(0.1, rel=1e-12)
+
+
 def test_enf_json_roundtrip(tmp_path):
     series = EnfSeries(0.0, 2.0, np.array([59.99, 60.0, 60.01]))
     path = tmp_path / "e.json"
