@@ -5,7 +5,6 @@ from .detection import (
     DetectorConfig,
     Verdict,
     WindowVerdict,
-    azimuthal_spectrum,
     correlation,
     merge_fake_windows,
     roc_curve,
@@ -25,7 +24,6 @@ from .errors import (
     ConfigurationError,
     EnfNetError,
     InvalidArgumentError,
-    PipelineError,
     QuorumError,
 )
 from .harness import (

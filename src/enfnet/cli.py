@@ -24,7 +24,7 @@ import numpy as np
 from . import harness, stream_io
 from .detection import DetectorConfig, Verdict, sliding_window_detect
 from .enf_estimation import EstimatorConfig, estimate_enf
-from .errors import ConfigurationError, EnfNetError, InvalidArgumentError, PipelineError, QuorumError
+from .errors import ConfigurationError, InvalidArgumentError, QuorumError
 from .media_synth import (
     ForgeryMode,
     GridConfig,
@@ -40,12 +40,6 @@ from .poenf_consensus import CommitteeConfig, Honest, parse_behavior, simulate_r
 def _ensure_out(path):
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def _dump_json(obj, path):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _spec(parse, want):
@@ -134,12 +128,7 @@ def cmd_estimate(args):
         fft_size=args.fft_size,
         audio_target_rate_hz=args.target_rate,
     )
-    try:
-        series = estimate_enf(stream, cfg)
-    except EnfNetError:
-        raise
-    except Exception as exc:  # numerical failure inside the pipeline
-        raise PipelineError(str(exc)) from exc
+    series = estimate_enf(stream, cfg)
     stream_io.save_enf_csv(series, os.path.join(out, "enf.csv"))
     stream_io.save_enf_json(series, os.path.join(out, "enf.json"))
     return 0
@@ -168,7 +157,7 @@ def cmd_consensus_sim(args):
                 )
                 + "\n"
             )
-    _dump_json(summary, os.path.join(out, "summary.json"))
+    stream_io.dump_json(summary, os.path.join(out, "summary.json"))
     return 0
 
 
@@ -193,13 +182,8 @@ def cmd_detect(args):
     local = stream_io.load_enf_csv(args.local)
     truth = stream_io.load_enf_csv(args.truth)
     cfg = DetectorConfig(window_s=args.window, shift_s=args.shift, threshold=args.threshold)
-    try:
-        rep = sliding_window_detect(local, truth, cfg)
-    except EnfNetError:
-        raise
-    except Exception as exc:
-        raise PipelineError(str(exc)) from exc
-    _dump_json(_report_to_dict(rep), os.path.join(out, "report.json"))
+    rep = sliding_window_detect(local, truth, cfg)
+    stream_io.dump_json(_report_to_dict(rep), os.path.join(out, "report.json"))
     with open(os.path.join(out, "windows.csv"), "w") as fh:
         fh.write("start_s,end_s,corr,verdict\n")
         for w in rep.windows:
@@ -238,8 +222,8 @@ def cmd_scenario(args):
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     res = harness.run_scenario(cfg)
-    _dump_json(res["summary"], os.path.join(out, "summary.json"))
-    _dump_json(
+    stream_io.dump_json(res["summary"], os.path.join(out, "summary.json"))
+    stream_io.dump_json(
         {str(p): _report_to_dict(rep) for p, rep in res["reports"].items()},
         os.path.join(out, "reports.json"),
     )
@@ -286,7 +270,7 @@ def cmd_roc(args):
         seed=args.seed,
     )
     table = harness.roc_sweep(args.windows, cc)
-    _dump_json(
+    stream_io.dump_json(
         [
             {"window_s": row["window_s"], "auc": row["auc"],
              "points": [[t if np.isfinite(t) else None, tp, fp] for t, tp, fp in row["points"]]}
@@ -402,11 +386,7 @@ def main(argv=None):
     except (ConfigurationError, InvalidArgumentError, QuorumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PipelineError as exc:
-        print(f"pipeline error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        # unreadable/corrupt inputs are pipeline failures, not usage errors
+    except Exception as exc:  # any other failure, unreadable or corrupt inputs included
         print(f"pipeline error: {exc}", file=sys.stderr)
         return 3
 

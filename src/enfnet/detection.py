@@ -3,8 +3,7 @@
 A participant's local ENF estimate is compared window-by-window against the
 consensus ground truth; windows whose Pearson correlation falls below the
 threshold are flagged Fake and consecutive Fake windows are merged into
-localized forged intervals. Also provides the ROC utility and the
-azimuthal-spectrum baseline analysis.
+localized forged intervals. Also provides the ROC utility.
 """
 
 from __future__ import annotations
@@ -121,8 +120,10 @@ def sliding_window_detect(
             break
         c = correlation(local.values_hz[si : si + w_len], truth.values_hz[si : si + w_len])
         verdict = Verdict.Fake if c < cfg.threshold else Verdict.Genuine
-        t0 = local.start_time_s + m * cfg.shift_s
-        windows.append(WindowVerdict(t0, t0 + cfg.window_s, c, verdict))
+        # report the times of the samples read, not m * shift_s: the two
+        # differ when step does not divide the shift
+        t0 = local.start_time_s + si * step
+        windows.append(WindowVerdict(t0, t0 + w_len * step, c, verdict))
         m += 1
     intervals = merge_fake_windows(windows, cfg, step)
     overall = Verdict.Fake if intervals else Verdict.Genuine
@@ -150,25 +151,3 @@ def roc_curve(genuine_scores, fake_scores):
     fprs = np.array([p[2] for p in points])
     auc = float(np.trapezoid(tprs, fprs))
     return points, auc
-
-
-def azimuthal_spectrum(frame) -> np.ndarray:
-    """Radial average of a frame's centered 2-D magnitude spectrum.
-
-    Profile index r collects bins whose rounded distance from the spectral
-    center is r; everything beyond the largest full annulus folds into the
-    last bin. Profile length is floor(min(H, W) / 2).
-    """
-    fr = np.asarray(frame, dtype=float)
-    if fr.ndim != 2 or fr.shape[0] < 8 or fr.shape[1] < 8:
-        raise InvalidArgumentError("frame must be 2-D with both dimensions >= 8")
-    h, w = fr.shape
-    mag = np.abs(np.fft.fftshift(np.fft.fft2(fr)))
-    cy, cx = h // 2, w // 2
-    yy, xx = np.indices((h, w))
-    r = np.rint(np.hypot(yy - cy, xx - cx)).astype(int)
-    n_bins = min(h, w) // 2
-    r = np.minimum(r, n_bins - 1)
-    sums = np.bincount(r.ravel(), weights=mag.ravel(), minlength=n_bins)
-    counts = np.bincount(r.ravel(), minlength=n_bins)
-    return sums / np.maximum(counts, 1)

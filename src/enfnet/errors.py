@@ -24,7 +24,3 @@ class QuorumError(EnfNetError):
         super().__init__(f"insufficient quorum: pool has {n} entries, need >= {required}")
         self.n = n
         self.required = required
-
-
-class PipelineError(EnfNetError):
-    """Unrecoverable failure while running the detection pipeline."""

@@ -104,6 +104,10 @@ class VideoLumaStream:
     forged_intervals: List[Tuple[float, float]] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # sample_view flattens frames without a copy, which needs C order
+        self.frames = np.ascontiguousarray(self.frames)
+
     @property
     def duration_s(self) -> float:
         return len(self.frames) / self.fps
@@ -293,89 +297,84 @@ def _fresh_grid(meta: dict, seed) -> GridConfig:
     )
 
 
+def sample_view(stream) -> Tuple[np.ndarray, float, int]:
+    """The stream's values as one flat 1-D array: (flat, rate_hz, unit).
+
+    flat is the stream's own array reshaped without a copy, so writes to it
+    land in the stream (video frames are held in C order for this). Each
+    time index covers unit consecutive values at rate_hz indices per second:
+    audio has one sample per index at sample_rate_hz, RollingCMOS one row per
+    index at fps * frame_height, and GlobalCCD one frame (frame_height values)
+    per index at fps, which is why GlobalCCD forgeries snap to whole frames.
+    """
+    if isinstance(stream, AudioStream):
+        return stream.samples, stream.sample_rate_hz, 1
+    if isinstance(stream, VideoLumaStream):
+        flat = stream.frames.reshape(-1)
+        if stream.shutter is ShutterType.RollingCMOS:
+            return flat, stream.fps * stream.frame_height, 1
+        return flat, stream.fps, stream.frame_height
+    raise InvalidArgumentError(f"unsupported stream type: {type(stream).__name__}")
+
+
+def _resynthesize(stream, seed) -> np.ndarray:
+    """Same-kind content embedding an independent ENF truth, flat as in sample_view."""
+    alt_truth = gen_enf_truth(
+        _fresh_grid(stream.meta, seed=[int(seed), 0x5EED]),
+        stream.truth.duration_s,
+        stream.truth.step_s,
+    )
+    snr_db = stream.meta.get("snr_db", np.inf)
+    if isinstance(stream, AudioStream):
+        alt = embed_audio(
+            alt_truth,
+            stream.sample_rate_hz,
+            stream.meta.get("harmonics", [(1, 1.0)]),
+            snr_db,
+            seed=int(seed) + 1,
+        )
+    else:
+        alt = embed_video(
+            alt_truth,
+            stream.fps,
+            stream.frame_height,
+            stream.shutter,
+            snr_db,
+            seed=int(seed) + 1,
+            mod_depth=stream.meta.get("mod_depth", 0.1),
+            base_luma=stream.meta.get("base_luma", 100.0),
+        )
+    return sample_view(alt)[0]
+
+
 def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
     """Inject forgeries over the given (start_s, end_s) segments.
 
     ReplaceEnf re-synthesizes segment content from an independent ENF truth;
-    StripEnf substitutes matched-power white noise. Values outside the
-    segments are untouched, and forged_intervals is extended with the new
-    labels.
+    StripEnf substitutes matched-power white noise around a centre of 0 for
+    audio and the segment mean for video (luma is never zero-mean). Segment
+    bounds are rounded to whole time indices of :func:`sample_view`. Values
+    outside the segments are untouched, and forged_intervals is extended
+    with the new labels.
     """
     segs = _check_segments(segments, stream.duration_s)
     out = copy.deepcopy(stream)
     if not segs:
         return out
-
-    if isinstance(stream, AudioStream):
-        rate = stream.sample_rate_hz
-        replacement = None
+    src, rate, unit = sample_view(stream)
+    flat = sample_view(out)[0]
+    if mode is ForgeryMode.ReplaceEnf:
+        replacement = _resynthesize(stream, seed)
+    elif mode is not ForgeryMode.StripEnf:
+        raise InvalidArgumentError(f"unknown forgery mode: {mode!r}")
+    for si, (a, b) in enumerate(segs):
+        i0, i1 = int(round(a * rate)) * unit, int(round(b * rate)) * unit
         if mode is ForgeryMode.ReplaceEnf:
-            alt_truth = gen_enf_truth(
-                _fresh_grid(stream.meta, seed=[int(seed), 0x5EED]),
-                stream.truth.duration_s,
-                stream.truth.step_s,
-            )
-            replacement = embed_audio(
-                alt_truth,
-                rate,
-                stream.meta.get("harmonics", [(1, 1.0)]),
-                stream.meta.get("snr_db", np.inf),
-                seed=int(seed) + 1,
-            ).samples
-        for si, (a, b) in enumerate(segs):
-            i0, i1 = int(round(a * rate)), int(round(b * rate))
-            if mode is ForgeryMode.ReplaceEnf:
-                out.samples[i0:i1] = replacement[i0:i1]
-            elif mode is ForgeryMode.StripEnf:
-                rng = np.random.default_rng([int(seed), si])
-                power = float(np.mean(stream.samples[i0:i1] ** 2))
-                out.samples[i0:i1] = rng.normal(0.0, np.sqrt(power), size=i1 - i0)
-            else:
-                raise InvalidArgumentError(f"unknown forgery mode: {mode!r}")
-    elif isinstance(stream, VideoLumaStream):
-        h = stream.frame_height
-        flat = out.frames.reshape(-1)
-        src_flat = stream.frames.reshape(-1)
-        if stream.shutter is ShutterType.RollingCMOS:
-            rate = stream.fps * h
+            flat[i0:i1] = replacement[i0:i1]
         else:
-            rate = stream.fps
-        replacement = None
-        if mode is ForgeryMode.ReplaceEnf:
-            alt_truth = gen_enf_truth(
-                _fresh_grid(stream.meta, seed=[int(seed), 0x5EED]),
-                stream.truth.duration_s,
-                stream.truth.step_s,
-            )
-            replacement = embed_video(
-                alt_truth,
-                stream.fps,
-                h,
-                stream.shutter,
-                stream.meta.get("snr_db", np.inf),
-                seed=int(seed) + 1,
-                mod_depth=stream.meta.get("mod_depth", 0.1),
-                base_luma=stream.meta.get("base_luma", 100.0),
-            ).frames.reshape(-1)
-        for si, (a, b) in enumerate(segs):
-            if stream.shutter is ShutterType.RollingCMOS:
-                i0, i1 = int(round(a * rate)), int(round(b * rate))
-            else:
-                # global shutter forgeries snap to whole frames
-                i0 = int(round(a * rate)) * h
-                i1 = int(round(b * rate)) * h
-            if mode is ForgeryMode.ReplaceEnf:
-                flat[i0:i1] = replacement[i0:i1]
-            elif mode is ForgeryMode.StripEnf:
-                rng = np.random.default_rng([int(seed), si])
-                seg = src_flat[i0:i1]
-                ac = seg - np.mean(seg)
-                flat[i0:i1] = np.mean(seg) + rng.normal(0.0, np.sqrt(np.mean(ac**2)), size=i1 - i0)
-            else:
-                raise InvalidArgumentError(f"unknown forgery mode: {mode!r}")
-        out.frames = flat.reshape(stream.frames.shape)
-    else:
-        raise InvalidArgumentError(f"unsupported stream type: {type(stream).__name__}")
-
+            seg = src[i0:i1]
+            centre = 0.0 if isinstance(stream, AudioStream) else np.mean(seg)
+            sigma = np.sqrt(np.mean((seg - centre) ** 2))
+            flat[i0:i1] = np.random.default_rng([int(seed), si]).normal(centre, sigma, size=i1 - i0)
     out.forged_intervals = _merge_intervals(list(stream.forged_intervals) + segs)
     return out

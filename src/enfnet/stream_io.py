@@ -8,14 +8,16 @@ deterministic: keys are sorted and floats use shortest-round-trip repr.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 from typing import Union
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .media_synth import AudioStream, EnfSeries, ShutterType, VideoLumaStream
+from .media_synth import AudioStream, EnfSeries, ShutterType, VideoLumaStream, sample_view
 
 
 def _payload_path(header_path: str) -> str:
@@ -23,7 +25,8 @@ def _payload_path(header_path: str) -> str:
     return stem + ".f32"
 
 
-def _dump_json(obj, path: str):
+def dump_json(obj, path: str):
+    """Write obj as deterministic JSON: sorted keys, 2-space indent, trailing newline."""
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -43,35 +46,30 @@ def _series_from_dict(d: dict) -> EnfSeries:
 
 def save_stream(stream: Union[AudioStream, VideoLumaStream], header_path: str):
     """Write a stream as JSON header + .f32 payload sidecar."""
+    flat = sample_view(stream)[0]
     if isinstance(stream, AudioStream):
         header = {
             "kind": "audio",
             "sample_rate_hz": float(stream.sample_rate_hz),
             "n_samples": int(len(stream.samples)),
-            "forged_intervals": [[float(a), float(b)] for a, b in stream.forged_intervals],
-            "truth": _series_to_dict(stream.truth),
-            "meta": stream.meta,
-            "payload": os.path.basename(_payload_path(header_path)),
         }
-        payload = np.asarray(stream.samples, dtype="<f4")
-    elif isinstance(stream, VideoLumaStream):
+    else:
         header = {
             "kind": "video",
             "fps": float(stream.fps),
             "frame_height": int(stream.frame_height),
             "shutter": stream.shutter.value,
             "n_frames": int(len(stream.frames)),
-            "forged_intervals": [[float(a), float(b)] for a, b in stream.forged_intervals],
-            "truth": _series_to_dict(stream.truth),
-            "meta": stream.meta,
-            "payload": os.path.basename(_payload_path(header_path)),
         }
-        payload = np.asarray(stream.frames, dtype="<f4").reshape(-1)
-    else:
-        raise InvalidArgumentError(f"unsupported stream type: {type(stream).__name__}")
-    _dump_json(header, header_path)
+    header.update(
+        forged_intervals=[[float(a), float(b)] for a, b in stream.forged_intervals],
+        truth=_series_to_dict(stream.truth),
+        meta=stream.meta,
+        payload=os.path.basename(_payload_path(header_path)),
+    )
+    dump_json(header, header_path)
     with open(_payload_path(header_path), "wb") as fh:
-        fh.write(payload.tobytes())
+        fh.write(np.asarray(flat, dtype="<f4").tobytes())
 
 
 def load_stream(header_path: str):
@@ -84,36 +82,25 @@ def load_stream(header_path: str):
         header = json.load(fh)
     kind = header["kind"]
     if kind == "audio":
-        expected = int(header["n_samples"])
+        shape = (int(header["n_samples"]),)
+        make = functools.partial(AudioStream, header["sample_rate_hz"])
     elif kind == "video":
-        expected = int(header["n_frames"]) * int(header["frame_height"])
+        h = int(header["frame_height"])
+        shape = (int(header["n_frames"]), h)
+        make = functools.partial(VideoLumaStream, header["fps"], h, ShutterType(header["shutter"]))
     else:
         raise InvalidArgumentError(f"unknown stream kind: {kind!r}")
     raw = np.fromfile(_payload_path(header_path), dtype="<f4").astype(float)
+    expected = math.prod(shape)
     if len(raw) != expected:
         raise InvalidArgumentError(
             f"{header_path}: payload holds {len(raw)} values, header declares {expected}"
         )
-    truth = _series_from_dict(header["truth"])
-    forged = [(float(a), float(b)) for a, b in header.get("forged_intervals", [])]
-    meta = header.get("meta", {})
-    if kind == "audio":
-        return AudioStream(
-            sample_rate_hz=header["sample_rate_hz"],
-            samples=raw,
-            truth=truth,
-            forged_intervals=forged,
-            meta=meta,
-        )
-    h = int(header["frame_height"])
-    return VideoLumaStream(
-        fps=header["fps"],
-        frame_height=h,
-        shutter=ShutterType(header["shutter"]),
-        frames=raw.reshape(-1, h),
-        truth=truth,
-        forged_intervals=forged,
-        meta=meta,
+    return make(
+        raw.reshape(shape),
+        truth=_series_from_dict(header["truth"]),
+        forged_intervals=[(float(a), float(b)) for a, b in header.get("forged_intervals", [])],
+        meta=header.get("meta", {}),
     )
 
 
@@ -152,25 +139,9 @@ def load_enf_csv(path: str) -> EnfSeries:
 
 
 def save_enf_json(series: EnfSeries, path: str):
-    _dump_json(_series_to_dict(series), path)
+    dump_json(_series_to_dict(series), path)
 
 
 def load_enf_json(path: str) -> EnfSeries:
     with open(path) as fh:
         return _series_from_dict(json.load(fh))
-
-
-def save_samples_csv(samples, path: str):
-    """One-column CSV of raw audio samples."""
-    with open(path, "w") as fh:
-        fh.write("sample\n")
-        for v in np.asarray(samples, dtype=float):
-            fh.write(f"{float(v)!r}\n")
-
-
-def load_samples_csv(path: str) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("sample"):
-            raise InvalidArgumentError(f"{path}: expected 'sample' header")
-        return np.array([float(line) for line in fh if line.strip()], dtype=float)

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from enfnet import cli, harness
 from enfnet.cli import main
 from enfnet.stream_io import load_enf_csv, load_stream
 
@@ -130,18 +131,43 @@ def test_missing_input_exits_3(tmp_path):
                "--out", str(tmp_path / "o")) == 3
 
 
+SCENARIO = {
+    "participants": 5,
+    "deepfaked_participants": [4],
+    "grid": {"drift_std_hz": 0.005, "max_dev_hz": 0.5},
+    "estimator": {"stft_window_s": 8.0, "stft_overlap_frac": 0.875},
+    "committee": {"K": 5, "f": 1, "d": 60, "round_duration_s": 60.0},
+    "rounds": 2,
+    "snr_db": 30.0,
+    "forgery_len_s": 30.0,
+}
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (cli, "estimate_enf", ("estimate", "--stream", "{tmp}/gen/stream.json")),
+        (cli, "simulate_rounds", ("consensus-sim", "--committee", "6", "--byzantine", "1")),
+        (harness, "run_scenario", ("scenario", "--config", "{tmp}/scen.json")),
+    ],
+    ids=["estimate", "consensus-sim", "scenario"],
+)
+def test_unexpected_pipeline_failure_exits_3(tmp_path, monkeypatch, module, name, argv):
+    """Any exception other than a configuration error is a pipeline failure."""
+    run("generate", "--duration", "20", "--sample-rate", "8000", "--out", str(tmp_path / "gen"))
+    (tmp_path / "scen.json").write_text(json.dumps(SCENARIO))
+    monkeypatch.setattr(module, name, _boom)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run(*argv, "--out", str(tmp_path / "o")) == 3
+
+
 def test_scenario_command(tmp_path):
     cfgp = tmp_path / "scen.json"
-    cfgp.write_text(json.dumps({
-        "participants": 5,
-        "deepfaked_participants": [4],
-        "grid": {"drift_std_hz": 0.005, "max_dev_hz": 0.5},
-        "estimator": {"stft_window_s": 8.0, "stft_overlap_frac": 0.875},
-        "committee": {"K": 5, "f": 1, "d": 60, "round_duration_s": 60.0},
-        "rounds": 2,
-        "snr_db": 30.0,
-        "forgery_len_s": 30.0,
-    }))
+    cfgp.write_text(json.dumps(SCENARIO))
     out = tmp_path / "s"
     assert run("scenario", "--config", str(cfgp), "--seed", "4", "--out", str(out)) == 0
     summary = json.loads((out / "summary.json").read_text())

@@ -1,6 +1,5 @@
 """Detector tests: exact correlation identities, window bookkeeping, interval
-merging, ROC arithmetic against hand-computable score sets, and the
-azimuthal-average baseline."""
+merging, and ROC arithmetic against hand-computable score sets."""
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from enfnet import (
     GridConfig,
     InvalidArgumentError,
     Verdict,
-    azimuthal_spectrum,
     correlation,
     embed_audio,
     estimate_enf,
@@ -91,6 +89,20 @@ def test_detect_window_layout():
     assert starts == [5.0 * m for m in range(len(starts))]
     assert all(w.end_s - w.start_s == pytest.approx(16.0) for w in rep.windows)
     assert starts[-1] + 16.0 <= 100.0 < starts[-1] + 5.0 + 16.0
+
+
+def test_detect_window_times_match_their_samples():
+    """Estimate step 4 s (the default estimator) against the default 5 s
+    shift: each window reports the time of the first sample it reads."""
+    rng = np.random.default_rng(2)
+    local = series(60.0 + np.cumsum(rng.normal(0, 0.01, 60)), step=4.0, start=4.0)
+    cfg = DetectorConfig()
+    rep = sliding_window_detect(local, local, cfg)
+    assert len(rep.windows) > 3
+    for m, w in enumerate(rep.windows):
+        si = int(round(m * cfg.shift_s / local.step_s))
+        assert w.start_s == local.times()[si]
+        assert w.end_s == w.start_s + 4 * local.step_s  # 16 s window = 4 samples
 
 
 def test_detect_threshold_floor_never_flags():
@@ -218,38 +230,3 @@ def test_roc_rejects_empty_classes():
         roc_curve([], [0.1])
     with pytest.raises(InvalidArgumentError):
         roc_curve([0.9], [])
-
-
-# ---------------------------------------------------------------------------
-# azimuthal spectrum
-
-
-def test_azimuthal_constant_frame_is_dc_only():
-    prof = azimuthal_spectrum(np.full((32, 32), 7.0))
-    assert prof.shape == (16,)
-    assert prof[0] > 0
-    np.testing.assert_allclose(prof[1:], 0.0, atol=1e-9)
-
-
-def test_azimuthal_white_noise_is_flat():
-    acc = np.zeros(16)
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        acc += azimuthal_spectrum(rng.normal(size=(32, 32)))
-    prof = acc / 100.0
-    mid = prof[1:-1]
-    assert np.all(np.abs(mid / mid.mean() - 1.0) < 0.2)
-
-
-def test_azimuthal_checkerboard_peaks_at_max_radius():
-    yy, xx = np.indices((64, 64))
-    board = ((yy + xx) % 2).astype(float) * 2 - 1
-    prof = azimuthal_spectrum(board)
-    assert np.argmax(prof) == len(prof) - 1
-
-
-def test_azimuthal_rejects_small_frames():
-    with pytest.raises(InvalidArgumentError):
-        azimuthal_spectrum(np.zeros((7, 8)))
-    with pytest.raises(InvalidArgumentError):
-        azimuthal_spectrum(np.zeros(64))

@@ -2,6 +2,8 @@
 (zero-crossing counts, DFT peaks, measured SNR) rather than against their own
 implementation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from enfnet import (
     forge_segments,
     gen_enf_truth,
 )
+from enfnet.media_synth import sample_view
 
 HARMONICS_123 = ((1, 1.0), (2, 0.5), (3, 0.33))
 
@@ -221,6 +224,66 @@ def test_forgery_intervals_merge_and_validate():
     # adjacent-but-disjoint segments merge in the label list
     forged = forge_segments(stream, [(5.0, 10.0), (10.0, 15.0)], ForgeryMode.StripEnf)
     assert forged.forged_intervals == [(5.0, 15.0)]
+
+
+KINDS = ("audio", "RollingCMOS", "GlobalCCD")
+
+
+def _stream_of(kind, seed=3):
+    grid = GridConfig(seed=seed)
+    truth = gen_enf_truth(grid, 20.0, 1.0)
+    if kind == "audio":
+        return embed_audio(truth, 1000.0, HARMONICS_123, 20.0, seed=seed, grid=grid)
+    return embed_video(truth, 10.0, 16, ShutterType(kind), 20.0, seed=seed, grid=grid)
+
+
+def _values(stream):
+    return stream.samples if isinstance(stream, AudioStream) else stream.frames.reshape(-1)
+
+
+@pytest.mark.parametrize(
+    "kind, rate, unit",
+    [("audio", 1000.0, 1), ("RollingCMOS", 10.0 * 16, 1), ("GlobalCCD", 10.0, 16)],
+)
+def test_sample_view_is_the_flat_stream_without_a_copy(kind, rate, unit):
+    stream = _stream_of(kind)
+    flat, got_rate, got_unit = sample_view(stream)
+    assert (got_rate, got_unit) == (rate, unit)
+    np.testing.assert_array_equal(flat, _values(stream))
+    assert np.shares_memory(flat, stream.samples if kind == "audio" else stream.frames)
+    if kind != "audio":  # frames handed over in Fortran order are still viewed
+        f_order = dataclasses.replace(stream, frames=np.asfortranarray(stream.frames))
+        assert np.shares_memory(sample_view(f_order)[0], f_order.frames)
+    with pytest.raises(InvalidArgumentError):
+        sample_view(np.zeros(4))
+
+
+# the forged span 4.26-9.74 s in flat indices: audio samples at 1 kHz, rows at
+# 10 fps x 16 rows, and GlobalCCD frames 43-96 (42.6 and 97.4 snap to frames)
+SPANS = {"audio": (4260, 9740), "RollingCMOS": (682, 1558), "GlobalCCD": (43 * 16, 97 * 16)}
+
+
+@pytest.mark.parametrize("mode", list(ForgeryMode))
+@pytest.mark.parametrize("kind", KINDS)
+def test_forgery_changes_exactly_the_segment(kind, mode):
+    stream = _stream_of(kind)
+    before = _values(stream).copy()
+    forged = forge_segments(stream, [(4.26, 9.74)], mode, seed=1)
+    src, out = _values(stream), _values(forged)
+    i0, i1 = SPANS[kind]
+    assert src.tobytes() == before.tobytes()  # the input is not mutated
+    assert out[:i0].tobytes() == src[:i0].tobytes()
+    assert out[i1:].tobytes() == src[i1:].tobytes()
+    assert np.all(out[i0:i1] != src[i0:i1])
+    assert forged.forged_intervals == [(4.26, 9.74)] and stream.forged_intervals == []
+    if mode is ForgeryMode.StripEnf:
+        # white noise around 0 for audio and the segment mean for video, with
+        # the segment's power about that centre
+        seg = src[i0:i1]
+        centre = 0.0 if kind == "audio" else np.mean(seg)
+        sigma = np.sqrt(np.mean((seg - centre) ** 2))
+        assert np.mean(out[i0:i1]) == pytest.approx(centre, abs=5 * sigma / np.sqrt(i1 - i0))
+        assert np.std(out[i0:i1]) == pytest.approx(sigma, rel=0.1)
 
 
 def test_video_forgery_global_shutter_snaps_to_frames():

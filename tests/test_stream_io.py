@@ -15,11 +15,9 @@ from enfnet import (
 from enfnet.stream_io import (
     load_enf_csv,
     load_enf_json,
-    load_samples_csv,
     load_stream,
     save_enf_csv,
     save_enf_json,
-    save_samples_csv,
     save_stream,
 )
 
@@ -44,15 +42,20 @@ def test_audio_stream_roundtrip(tmp_path):
 def test_video_stream_roundtrip(tmp_path):
     grid = GridConfig(seed=2)
     truth = gen_enf_truth(grid, 10.0, 1.0)
-    stream = embed_video(truth, 25.0, 32, ShutterType.RollingCMOS, 25.0, seed=2, grid=grid)
-    path = tmp_path / "v.json"
-    save_stream(stream, str(path))
-    back = load_stream(str(path))
-    assert back.shutter is ShutterType.RollingCMOS
-    assert back.frames.shape == stream.frames.shape
-    np.testing.assert_array_equal(
-        back.frames, stream.frames.astype("<f4").astype(float)
-    )
+    for shutter in ShutterType:
+        stream = embed_video(truth, 25.0, 32, shutter, 25.0, seed=2, grid=grid)
+        stream = forge_segments(stream, [(2.01, 4.5)], ForgeryMode.StripEnf, seed=3)
+        path = tmp_path / f"{shutter.value}.json"
+        save_stream(stream, str(path))
+        back = load_stream(str(path))
+        assert back.shutter is shutter
+        assert back.fps == 25.0 and back.frame_height == 32
+        assert back.frames.shape == stream.frames.shape
+        np.testing.assert_array_equal(
+            back.frames, stream.frames.astype("<f4").astype(float)
+        )
+        assert back.forged_intervals == [(2.01, 4.5)]
+        assert back.meta == stream.meta
 
 
 def test_save_stream_rejects_unknown(tmp_path):
@@ -134,14 +137,6 @@ def test_enf_json_roundtrip(tmp_path):
     back = load_enf_json(str(path))
     assert back.step_s == 2.0
     np.testing.assert_array_equal(back.values_hz, series.values_hz)
-
-
-def test_samples_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=100)
-    path = tmp_path / "s.csv"
-    save_samples_csv(x, str(path))
-    np.testing.assert_array_equal(load_samples_csv(str(path)), x)
 
 
 def test_save_is_byte_deterministic(tmp_path):
