@@ -72,6 +72,11 @@ class ScenarioConfig:
             raise ConfigurationError("deepfaked_participants outside participant id range")
         if self.rounds < 1:
             raise ConfigurationError("rounds must be >= 1")
+        nominals = {c.nominal_hz for c in (self.grid, self.estimator, self.committee)}
+        if len(nominals) > 1:
+            raise ConfigurationError(
+                f"grid, estimator and committee disagree on nominal_hz: {sorted(nominals)}"
+            )
 
 
 def _interp_series(series: EnfSeries, times: np.ndarray) -> np.ndarray:

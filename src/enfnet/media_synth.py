@@ -12,7 +12,7 @@ identical calls give bit-identical streams.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import List, Sequence, Tuple
 
@@ -144,10 +144,26 @@ def _integrated_phase(truth: EnfSeries, rate_hz: float, n: int) -> np.ndarray:
     return 2.0 * np.pi * np.cumsum(f) / rate_hz
 
 
-def _noise_sigma(signal_power: float, snr_db: float) -> float:
-    if not np.isfinite(snr_db):
-        return 0.0
-    return float(np.sqrt(signal_power / 10.0 ** (snr_db / 10.0)))
+def _add_noise(x: np.ndarray, signal_power: float, snr_db: float, rng) -> np.ndarray:
+    """x plus white noise snr_db below signal_power; x itself at infinite SNR or zero power."""
+    if not np.isfinite(snr_db) or not signal_power > 0.0:
+        return x
+    sigma = np.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
+    return x + rng.normal(0.0, sigma, size=x.shape) if sigma > 0.0 else x
+
+
+# the GridConfig fields a stream's meta records, so forgeries can rebuild the grid
+_GRID_KEYS = tuple(f.name for f in fields(GridConfig) if f.name != "seed")
+
+
+def _provenance(grid: GridConfig | None, snr_db: float, seed, **kind_keys) -> dict:
+    """A stream's meta: the generating grid, snr_db, seed and the kind-specific keys."""
+    g = grid if grid is not None else GridConfig()
+    meta = {k: getattr(g, k) for k in _GRID_KEYS}
+    meta.update(
+        snr_db=float(snr_db), seed=seed if isinstance(seed, int) else list(seed), **kind_keys
+    )
+    return meta
 
 
 def embed_audio(
@@ -179,26 +195,8 @@ def embed_audio(
     for k, amp in harmonics:
         sig += amp * np.sin(k * base_phase + rng.uniform(0.0, 2.0 * np.pi))
     p = float(np.mean(sig**2)) if n else 0.0
-    if p > 0.0:
-        sigma = _noise_sigma(p, snr_db)
-        if sigma > 0.0:
-            sig = sig + rng.normal(0.0, sigma, size=n)
-    g = grid if grid is not None else GridConfig(nominal_hz=60.0)
-    meta = {
-        "nominal_hz": g.nominal_hz,
-        "drift_std_hz": g.drift_std_hz,
-        "max_dev_hz": g.max_dev_hz,
-        "harmonics": [(int(k), float(a)) for k, a in harmonics],
-        "snr_db": float(snr_db),
-        "seed": seed if isinstance(seed, int) else list(seed),
-    }
-    return AudioStream(
-        sample_rate_hz=float(sample_rate_hz),
-        samples=sig,
-        truth=truth,
-        forged_intervals=[],
-        meta=meta,
-    )
+    meta = _provenance(grid, snr_db, seed, harmonics=[(int(k), float(a)) for k, a in harmonics])
+    return AudioStream(float(sample_rate_hz), _add_noise(sig, p, snr_db, rng), truth, meta=meta)
 
 
 def embed_video(
@@ -222,48 +220,20 @@ def embed_video(
         raise InvalidArgumentError("fps must be > 0")
     if frame_height < 1:
         raise InvalidArgumentError("frame_height must be >= 1")
-    rng = np.random.default_rng(seed)
+    if not isinstance(shutter, ShutterType):
+        raise InvalidArgumentError(f"unknown shutter type: {shutter!r}")
+    # rows exposed per frame: every row in turn for RollingCMOS, once per frame for GlobalCCD
+    rows = frame_height if shutter is ShutterType.RollingCMOS else 1
     n_frames = int(round(truth.duration_s * fps))
     ac_amp = 0.5 * mod_depth * base_luma
-
-    if shutter is ShutterType.RollingCMOS:
-        row_rate = fps * frame_height
-        n = n_frames * frame_height
-        phase2 = 2.0 * _integrated_phase(truth, row_rate, n)
-        flat = base_luma + ac_amp * (1.0 - np.cos(phase2))
-        sigma = _noise_sigma(ac_amp**2 / 2.0, snr_db)
-        if sigma > 0.0:
-            flat = flat + rng.normal(0.0, sigma, size=n)
-        frames = flat.reshape(n_frames, frame_height)
-    elif shutter is ShutterType.GlobalCCD:
-        phase2 = 2.0 * _integrated_phase(truth, fps, n_frames)
-        col = base_luma + ac_amp * (1.0 - np.cos(phase2))
-        sigma = _noise_sigma(ac_amp**2 / 2.0, snr_db)
-        if sigma > 0.0:
-            col = col + rng.normal(0.0, sigma, size=n_frames)
-        frames = np.repeat(col[:, None], frame_height, axis=1)
-    else:
-        raise InvalidArgumentError(f"unknown shutter type: {shutter!r}")
-
-    g = grid if grid is not None else GridConfig(nominal_hz=60.0)
-    meta = {
-        "nominal_hz": g.nominal_hz,
-        "drift_std_hz": g.drift_std_hz,
-        "max_dev_hz": g.max_dev_hz,
-        "snr_db": float(snr_db),
-        "seed": seed if isinstance(seed, int) else list(seed),
-        "mod_depth": float(mod_depth),
-        "base_luma": float(base_luma),
-    }
-    return VideoLumaStream(
-        fps=float(fps),
-        frame_height=int(frame_height),
-        shutter=shutter,
-        frames=frames,
-        truth=truth,
-        forged_intervals=[],
-        meta=meta,
-    )
+    phase2 = 2.0 * _integrated_phase(truth, fps * rows, n_frames * rows)
+    flat = base_luma + ac_amp * (1.0 - np.cos(phase2))
+    flat = _add_noise(flat, ac_amp**2 / 2.0, snr_db, np.random.default_rng(seed))
+    frames = flat.reshape(n_frames, rows)
+    if rows < frame_height:  # a global exposure lights every row of its frame alike
+        frames = np.repeat(frames, frame_height, axis=1)
+    meta = _provenance(grid, snr_db, seed, mod_depth=float(mod_depth), base_luma=float(base_luma))
+    return VideoLumaStream(float(fps), int(frame_height), shutter, frames, truth, meta=meta)
 
 
 def _check_segments(segments, duration_s):
@@ -289,12 +259,7 @@ def _merge_intervals(intervals):
 
 
 def _fresh_grid(meta: dict, seed) -> GridConfig:
-    return GridConfig(
-        nominal_hz=meta.get("nominal_hz", 60.0),
-        drift_std_hz=meta.get("drift_std_hz", 0.005),
-        max_dev_hz=meta.get("max_dev_hz", 0.05),
-        seed=seed,
-    )
+    return GridConfig(seed=seed, **{k: meta[k] for k in _GRID_KEYS if k in meta})
 
 
 def sample_view(stream) -> Tuple[np.ndarray, float, int]:
@@ -352,7 +317,8 @@ def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
 
     ReplaceEnf re-synthesizes segment content from an independent ENF truth;
     StripEnf substitutes matched-power white noise around a centre of 0 for
-    audio and the segment mean for video (luma is never zero-mean). Segment
+    audio and the segment mean for video (luma is never zero-mean), one draw
+    per time index, so a GlobalCCD frame stays row-constant. Segment
     bounds are rounded to whole time indices of :func:`sample_view`. Values
     outside the segments are untouched, and forged_intervals is extended
     with the new labels.
@@ -375,6 +341,7 @@ def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
             seg = src[i0:i1]
             centre = 0.0 if isinstance(stream, AudioStream) else np.mean(seg)
             sigma = np.sqrt(np.mean((seg - centre) ** 2))
-            flat[i0:i1] = np.random.default_rng([int(seed), si]).normal(centre, sigma, size=i1 - i0)
+            noise = np.random.default_rng([int(seed), si]).normal(centre, sigma, (i1 - i0) // unit)
+            flat[i0:i1] = np.repeat(noise, unit)
     out.forged_intervals = _merge_intervals(list(stream.forged_intervals) + segs)
     return out

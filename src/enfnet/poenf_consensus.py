@@ -10,7 +10,7 @@ deterministic in its seed.
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, InvalidArgumentError, QuorumError
-from .media_synth import EnfSeries, GridConfig
+from .media_synth import EnfSeries, GridConfig, gen_enf_truth
 
 
 @dataclass
@@ -302,7 +302,8 @@ def run_round(
 ) -> RoundResult:
     """One full consensus round over freshly generated grid truth.
 
-    Honest observers submit noisy d-sample views of the shared truth;
+    The truth is :func:`gen_enf_truth` of grid reseeded with [seed, round_no],
+    d steps over the round. Honest observers submit noisy views of it;
     byzantines follow their behavior. The round is decided by
     :func:`consensus_round` under full delivery: every honest validator
     receives the shared pool, so the pool is scored exactly once and
@@ -314,10 +315,9 @@ def run_round(
     if len(byz) > cfg.f:
         raise ConfigurationError(f"{len(byz)} byzantine observers exceed f={cfg.f}")
 
+    round_grid = replace(grid, seed=[int(seed), int(round_no)])
     step = cfg.round_duration_s / cfg.d
-    rng_truth = np.random.default_rng([int(seed), int(round_no)])
-    incr = rng_truth.normal(0.0, grid.drift_std_hz * np.sqrt(step), size=cfg.d)
-    truth_vals = grid.nominal_hz + np.clip(np.cumsum(incr), -grid.max_dev_hz, grid.max_dev_hz)
+    truth_vals = gen_enf_truth(round_grid, cfg.round_duration_s, step).values_hz
 
     txs = []
     for v in range(cfg.K):

@@ -2,8 +2,9 @@
 
 Streams are stored as a JSON header plus a little-endian float32 sidecar
 (same stem, .f32 extension) holding the raw samples / row means. ENF series
-round-trip through two-column CSV (time_s,freq_hz) or JSON. All writers are
-deterministic: keys are sorted and floats use shortest-round-trip repr.
+round-trip through two-column CSV (time_s,freq_hz) and are also written as
+JSON. All writers are deterministic: keys are sorted and floats use
+shortest-round-trip repr.
 """
 
 from __future__ import annotations
@@ -140,8 +141,3 @@ def load_enf_csv(path: str) -> EnfSeries:
 
 def save_enf_json(series: EnfSeries, path: str):
     dump_json(_series_to_dict(series), path)
-
-
-def load_enf_json(path: str) -> EnfSeries:
-    with open(path) as fh:
-        return _series_from_dict(json.load(fh))

@@ -179,6 +179,12 @@ def test_scenario_command(tmp_path):
     assert run("scenario", "--config", str(cfgp), "--out", str(tmp_path / "s2")) == 2
 
 
+def test_scenario_with_disagreeing_nominal_hz_exits_2(tmp_path):
+    cfgp = tmp_path / "scen.json"
+    cfgp.write_text(json.dumps({**SCENARIO, "grid": {**SCENARIO["grid"], "nominal_hz": 50.0}}))
+    assert run("scenario", "--config", str(cfgp), "--out", str(tmp_path / "s")) == 2
+
+
 def test_bench_prints_json_to_stdout_only(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run("bench", "--k-list", "8,16", "--dim", "32", "--trials", "3") == 0

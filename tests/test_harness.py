@@ -105,6 +105,31 @@ def test_scenario_config_invariants():
         small_scenario(rounds=0)
 
 
+def test_scenario_rejects_disagreeing_nominal_hz():
+    # a 50 Hz grid estimated and voted on around 60 Hz flags every participant
+    with pytest.raises(ConfigurationError, match="nominal_hz"):
+        small_scenario(grid=GridConfig(nominal_hz=50.0, max_dev_hz=0.5))
+    with pytest.raises(ConfigurationError, match="nominal_hz"):
+        small_scenario(committee=CommitteeConfig(K=5, f=1, d=60, nominal_hz=50.0))
+    with pytest.raises(ConfigurationError, match="nominal_hz"):
+        small_scenario(estimator=EstimatorConfig(nominal_hz=50.0))
+
+
+def test_scenario_at_50_hz_flags_only_the_deepfaked_participant():
+    cfg = small_scenario(
+        seed=3,
+        grid=GridConfig(nominal_hz=50.0, drift_std_hz=0.005, max_dev_hz=0.5),
+        estimator=EstimatorConfig(nominal_hz=50.0, stft_window_s=8.0, stft_overlap_frac=0.875),
+        committee=CommitteeConfig(K=5, f=1, d=60, round_duration_s=60.0, nominal_hz=50.0),
+    )
+    out = run_scenario(cfg)
+    s = out["summary"]
+    assert (s["tp"], s["fp"], s["fn"]) == (1, 0, 0)
+    assert out["reports"][4].overall_verdict is Verdict.Fake
+    for rr in out["rounds"]:
+        assert np.all(np.abs(rr.ground_truth_enf.values_hz - 50.0) <= 0.5)
+
+
 # ---------------------------------------------------------------------------
 # benchmarks
 

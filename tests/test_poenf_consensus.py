@@ -2,6 +2,8 @@
 admission-control ordering, quorum bounds, and byzantine-resilience
 properties over seeded rounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from enfnet import (
     TransactionPool,
     compute_scores,
     consensus_round,
+    gen_enf_truth,
     make_transaction,
     parse_behavior,
     run_round,
@@ -168,6 +171,26 @@ def test_round_zero_noise_unanimous():
     assert rr.honest_agreement
     assert all(s == 0.0 for s in rr.scores.scores.values())
     assert np.all(np.abs(rr.ground_truth_enf.values_hz - 60.0) <= 0.05)
+
+
+@pytest.mark.parametrize(
+    "grid, cfg",
+    [
+        (GridConfig(), CFG),
+        (
+            GridConfig(nominal_hz=50.0, drift_std_hz=0.02, max_dev_hz=0.5),
+            CommitteeConfig(K=5, f=1, d=37, round_duration_s=90.0, nominal_hz=50.0),
+        ),
+    ],
+)
+@pytest.mark.parametrize("seed, round_no", [(42, 0), (7, 3), (0, 10**6)])
+def test_round_truth_is_the_grid_walk(grid, cfg, seed, round_no):
+    """A noiseless committee's E* is gen_enf_truth reseeded with [seed, round_no]."""
+    rr = run_round(grid, [Honest(noise_std=0.0)] * cfg.K, cfg, seed=seed, round_no=round_no)
+    round_grid = dataclasses.replace(grid, seed=[seed, round_no])
+    truth = gen_enf_truth(round_grid, cfg.round_duration_s, cfg.round_duration_s / cfg.d)
+    assert rr.ground_truth_enf.values_hz.tobytes() == truth.values_hz.tobytes()
+    assert rr.ground_truth_enf.step_s == truth.step_s
 
 
 def test_round_is_deterministic():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from enfnet import (
 )
 from enfnet.stream_io import (
     load_enf_csv,
-    load_enf_json,
     load_stream,
     save_enf_csv,
     save_enf_json,
@@ -134,9 +135,9 @@ def test_enf_json_roundtrip(tmp_path):
     series = EnfSeries(0.0, 2.0, np.array([59.99, 60.0, 60.01]))
     path = tmp_path / "e.json"
     save_enf_json(series, str(path))
-    back = load_enf_json(str(path))
-    assert back.step_s == 2.0
-    np.testing.assert_array_equal(back.values_hz, series.values_hz)
+    with open(path) as fh:
+        back = json.load(fh)
+    assert back == {"start_time_s": 0.0, "step_s": 2.0, "values_hz": [59.99, 60.0, 60.01]}
 
 
 def test_save_is_byte_deterministic(tmp_path):
