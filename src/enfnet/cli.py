@@ -5,10 +5,19 @@ Every subcommand takes --seed; identical invocations write byte-identical
 output files. bench prints to stdout only (wall-clock timings are not
 reproducible, so they never land in files).
 
+Every flag that sets a field of a library config class (GridConfig,
+EstimatorConfig, DetectorConfig, CommitteeConfig, Honest, CorpusConfig) has
+that field as its ``dest`` and no default of its own: a flag left off the
+command line takes the config class's default. ``estimate`` starts from
+``default_config_for(stream)``, so it reads the nominal frequency from the
+stream header, and an explicit --nominal that disagrees with it exits 2.
+
 Exit codes: 0 success, 2 invalid configuration/arguments, 3 pipeline error.
 Structured argument strings (--harmonics, --forge, --k-list, --windows) are
 parsed by argparse, so malformed ones exit 2 before any work starts; main()
-returns the code instead of raising SystemExit.
+returns the code instead of raising SystemExit. A scenario config whose
+nested configs name unknown fields or miss required ones, or whose top level
+is not a JSON object, also exits 2.
 """
 
 from __future__ import annotations
@@ -22,8 +31,8 @@ import sys
 import numpy as np
 
 from . import harness, stream_io
-from .detection import DetectorConfig, Verdict, sliding_window_detect
-from .enf_estimation import EstimatorConfig, estimate_enf
+from .detection import DetectorConfig, sliding_window_detect
+from .enf_estimation import EstimatorConfig, default_config_for, estimate_enf
 from .errors import ConfigurationError, InvalidArgumentError, QuorumError
 from .media_synth import (
     ForgeryMode,
@@ -35,11 +44,6 @@ from .media_synth import (
     gen_enf_truth,
 )
 from .poenf_consensus import CommitteeConfig, Honest, parse_behavior, simulate_rounds
-
-
-def _ensure_out(path):
-    os.makedirs(path, exist_ok=True)
-    return path
 
 
 def _spec(parse, want):
@@ -74,11 +78,6 @@ def _parse_forge(text):
     return jobs
 
 
-def _parse_orders(text):
-    # "1,2" -> (1, 2); "" -> None (default for the stream kind)
-    return tuple(int(k) for k in text.split(",")) if text else None
-
-
 def _parse_ints(text):
     return [int(k) for k in text.split(",")]
 
@@ -87,11 +86,23 @@ def _parse_floats(text):
     return [float(w) for w in text.split(",")]
 
 
+def _given(args, cls):
+    """The fields of config class ``cls`` set on the command line."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name in args}
+
+
+def _write_jsonl(records, path):
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+
+
+def _round_record(rr, **extra):
+    return {"round": rr.round, "ground_truth_id": rr.ground_truth_id,
+            "honest_agreement": rr.honest_agreement, **extra}
+
+
 def cmd_generate(args):
-    out = _ensure_out(args.out)
-    grid = GridConfig(
-        nominal_hz=args.nominal, drift_std_hz=args.drift, max_dev_hz=args.max_dev, seed=args.seed
-    )
+    grid = GridConfig(**_given(args, GridConfig))
     truth = gen_enf_truth(grid, args.duration, args.truth_step)
     if args.kind == "audio":
         stream = embed_audio(
@@ -105,59 +116,38 @@ def cmd_generate(args):
         )
     for a, b, mode in args.forge:
         stream = forge_segments(stream, [(a, b)], mode, seed=args.seed + 2)
-    stream_io.save_stream(stream, os.path.join(out, "stream.json"))
-    stream_io.save_enf_csv(truth, os.path.join(out, "truth.csv"))
+    stream_io.save_stream(stream, os.path.join(args.out, "stream.json"))
+    stream_io.save_enf_csv(truth, os.path.join(args.out, "truth.csv"))
     return 0
 
 
 def cmd_estimate(args):
-    out = _ensure_out(args.out)
     stream = stream_io.load_stream(args.stream)
-    harmonics = args.harmonics
-    if harmonics is None:
-        from .enf_estimation import default_config_for
-
-        cfg = default_config_for(stream)
-        harmonics = cfg.harmonics
-    cfg = EstimatorConfig(
-        nominal_hz=args.nominal,
-        harmonics=harmonics,
-        band_halfwidth_hz=args.band_halfwidth,
-        stft_window_s=args.window,
-        stft_overlap_frac=args.overlap,
-        fft_size=args.fft_size,
-        audio_target_rate_hz=args.target_rate,
-    )
+    cfg = dataclasses.replace(default_config_for(stream), **_given(args, EstimatorConfig))
+    recorded = stream.meta.get("nominal_hz", cfg.nominal_hz)
+    if cfg.nominal_hz != recorded:
+        raise ConfigurationError(
+            f"--nominal {cfg.nominal_hz} disagrees with the stream's recorded {recorded} Hz"
+        )
     series = estimate_enf(stream, cfg)
-    stream_io.save_enf_csv(series, os.path.join(out, "enf.csv"))
-    stream_io.save_enf_json(series, os.path.join(out, "enf.json"))
+    stream_io.save_enf_csv(series, os.path.join(args.out, "enf.csv"))
+    stream_io.save_enf_json(series, os.path.join(args.out, "enf.json"))
     return 0
 
 
 def cmd_consensus_sim(args):
-    out = _ensure_out(args.out)
-    cfg = CommitteeConfig(K=args.committee, f=args.byzantine, d=args.dim,
-                          round_duration_s=args.round_duration)
+    cfg = CommitteeConfig(**_given(args, CommitteeConfig))
     behavior = parse_behavior(args.behavior)
-    observers = [Honest(noise_std=args.noise) for _ in range(cfg.K - args.byzantine)]
-    observers += [dataclasses.replace(behavior) for _ in range(args.byzantine)]
+    observers = [Honest(**_given(args, Honest)) for _ in range(cfg.K - cfg.f)]
+    observers += [dataclasses.replace(behavior) for _ in range(cfg.f)]
     grid = GridConfig(seed=args.seed)
     results, summary = simulate_rounds(grid, observers, cfg, rounds=args.rounds, seed=args.seed)
-    with open(os.path.join(out, "rounds.jsonl"), "w") as fh:
-        for rr in results:
-            fh.write(
-                json.dumps(
-                    {
-                        "round": rr.round,
-                        "ground_truth_id": rr.ground_truth_id,
-                        "honest_agreement": rr.honest_agreement,
-                        "scores": {str(k): v for k, v in rr.scores.scores.items()},
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    stream_io.dump_json(summary, os.path.join(out, "summary.json"))
+    _write_jsonl(
+        (_round_record(rr, scores={str(k): v for k, v in rr.scores.scores.items()})
+         for rr in results),
+        os.path.join(args.out, "rounds.jsonl"),
+    )
+    stream_io.dump_json(summary, os.path.join(args.out, "summary.json"))
     return 0
 
 
@@ -178,79 +168,54 @@ def _report_to_dict(rep):
 
 
 def cmd_detect(args):
-    out = _ensure_out(args.out)
     local = stream_io.load_enf_csv(args.local)
     truth = stream_io.load_enf_csv(args.truth)
-    cfg = DetectorConfig(window_s=args.window, shift_s=args.shift, threshold=args.threshold)
-    rep = sliding_window_detect(local, truth, cfg)
-    stream_io.dump_json(_report_to_dict(rep), os.path.join(out, "report.json"))
-    with open(os.path.join(out, "windows.csv"), "w") as fh:
+    rep = sliding_window_detect(local, truth, DetectorConfig(**_given(args, DetectorConfig)))
+    stream_io.dump_json(_report_to_dict(rep), os.path.join(args.out, "report.json"))
+    with open(os.path.join(args.out, "windows.csv"), "w") as fh:
         fh.write("start_s,end_s,corr,verdict\n")
         for w in rep.windows:
             fh.write(f"{w.start_s!r},{w.end_s!r},{w.corr!r},{w.verdict.value}\n")
     return 0
 
 
+_NESTED_CONFIGS = {
+    "grid": GridConfig,
+    "estimator": EstimatorConfig,
+    "detector": DetectorConfig,
+    "committee": CommitteeConfig,
+}
+
+
 def _scenario_from_json(path):
     with open(path) as fh:
         raw = json.load(fh)
-    kw = dict(raw)
-    if "grid" in kw:
-        kw["grid"] = GridConfig(**kw["grid"])
-    if "estimator" in kw:
-        est = dict(kw["estimator"])
-        if "harmonics" in est:
-            est["harmonics"] = tuple(est["harmonics"])
-        kw["estimator"] = EstimatorConfig(**est)
-    if "detector" in kw:
-        kw["detector"] = DetectorConfig(**kw["detector"])
-    if "committee" in kw:
-        kw["committee"] = CommitteeConfig(**kw["committee"])
-    if "deepfaked_participants" in kw:
-        kw["deepfaked_participants"] = set(kw["deepfaked_participants"])
-    if "harmonics" in kw:
-        kw["harmonics"] = tuple((int(k), float(a)) for k, a in kw["harmonics"])
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"bad scenario config: want an object, got {type(raw).__name__}")
     try:
+        kw = {k: _NESTED_CONFIGS[k](**v) if k in _NESTED_CONFIGS else v for k, v in raw.items()}
         return harness.ScenarioConfig(**kw)
     except TypeError as exc:
         raise ConfigurationError(f"bad scenario config: {exc}") from exc
 
 
 def cmd_scenario(args):
-    out = _ensure_out(args.out)
     cfg = _scenario_from_json(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     res = harness.run_scenario(cfg)
-    stream_io.dump_json(res["summary"], os.path.join(out, "summary.json"))
+    stream_io.dump_json(res["summary"], os.path.join(args.out, "summary.json"))
     stream_io.dump_json(
         {str(p): _report_to_dict(rep) for p, rep in res["reports"].items()},
-        os.path.join(out, "reports.json"),
+        os.path.join(args.out, "reports.json"),
     )
-    with open(os.path.join(out, "rounds.jsonl"), "w") as fh:
-        for rr in res["rounds"]:
-            fh.write(
-                json.dumps(
-                    {
-                        "round": rr.round,
-                        "ground_truth_id": rr.ground_truth_id,
-                        "honest_agreement": rr.honest_agreement,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    _write_jsonl(map(_round_record, res["rounds"]), os.path.join(args.out, "rounds.jsonl"))
     return 0
 
 
 def cmd_bench(args):
     res = harness.bench_consensus(args.k_list, args.dim, args.trials, args.seed)
-    payload = {
-        "k_list": res.k_list,
-        "latencies_s": res.latencies_s,
-        "slope": res.slope,
-        "d": res.d,
-    }
+    payload = dataclasses.asdict(res)
     if args.d_ratio_k:
         payload["d_doubling_ratio"] = harness.bench_d_ratio(
             args.d_ratio_k, args.dim, args.trials, args.seed
@@ -262,13 +227,7 @@ def cmd_bench(args):
 
 
 def cmd_roc(args):
-    out = _ensure_out(args.out)
-    cc = harness.CorpusConfig(
-        n_streams=args.streams,
-        duration_s=args.duration,
-        snr_db=args.snr,
-        seed=args.seed,
-    )
+    cc = harness.CorpusConfig(**_given(args, harness.CorpusConfig))
     table = harness.roc_sweep(args.windows, cc)
     stream_io.dump_json(
         [
@@ -276,9 +235,9 @@ def cmd_roc(args):
              "points": [[t if np.isfinite(t) else None, tp, fp] for t, tp, fp in row["points"]]}
             for row in table
         ],
-        os.path.join(out, "roc.json"),
+        os.path.join(args.out, "roc.json"),
     )
-    with open(os.path.join(out, "auc.csv"), "w") as fh:
+    with open(os.path.join(args.out, "auc.csv"), "w") as fh:
         fh.write("window_s,auc\n")
         for row in table:
             fh.write(f"{row['window_s']!r},{row['auc']!r}\n")
@@ -288,19 +247,22 @@ def cmd_roc(args):
 def build_parser():
     p = argparse.ArgumentParser(prog="enfnet", description="ENF deepfake detection toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    # a flag whose dest names a config field has no default: an absent flag leaves
+    # the field out of _given(args, cls), so the config class supplies it
+    configured = {"argument_default": argparse.SUPPRESS}
 
-    g = sub.add_parser("generate", help="synthesize an ENF-bearing stream")
+    g = sub.add_parser("generate", help="synthesize an ENF-bearing stream", **configured)
     g.add_argument("--kind", choices=["audio", "video"], default="audio")
     g.add_argument("--duration", type=float, default=120.0)
     g.add_argument("--truth-step", type=float, default=1.0)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.add_argument("--nominal", type=float, default=60.0)
-    g.add_argument("--drift", type=float, default=0.005)
-    g.add_argument("--max-dev", type=float, default=0.05)
+    g.add_argument("--nominal", dest="nominal_hz", type=float)
+    g.add_argument("--drift", dest="drift_std_hz", type=float)
+    g.add_argument("--max-dev", dest="max_dev_hz", type=float)
     g.add_argument("--sample-rate", type=float, default=44100.0)
     g.add_argument("--harmonics", type=_spec(_parse_harmonics, "order[:amp],..."),
-                   default="1:1.0,2:0.5,3:0.33")
+                   default=harness.DEFAULT_HARMONICS)
     g.add_argument("--snr", type=float, default=20.0)
     g.add_argument("--fps", type=float, default=25.0)
     g.add_argument("--height", type=int, default=360)
@@ -311,38 +273,39 @@ def build_parser():
                    help="start:end:mode[;...] e.g. 60:90:ReplaceEnf")
     g.set_defaults(func=cmd_generate)
 
-    e = sub.add_parser("estimate", help="recover the ENF series from a stream file")
+    e = sub.add_parser("estimate", help="recover the ENF series from a stream file", **configured)
     e.add_argument("--stream", required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--nominal", type=float, default=60.0)
-    e.add_argument("--harmonics", type=_spec(_parse_orders, "comma-separated integer orders"),
-                   default="", help="comma-separated orders; default by stream kind")
-    e.add_argument("--band-halfwidth", type=float, default=0.5)
-    e.add_argument("--window", type=float, default=8.0)
-    e.add_argument("--overlap", type=float, default=0.5)
-    e.add_argument("--fft-size", type=int, default=None)
-    e.add_argument("--target-rate", type=float, default=1000.0)
+    e.add_argument("--nominal", dest="nominal_hz", type=float,
+                   help="default: the stream header's nominal_hz")
+    e.add_argument("--harmonics", type=_spec(_parse_ints, "comma-separated integer orders"),
+                   help="comma-separated orders; default by stream kind")
+    e.add_argument("--band-halfwidth", dest="band_halfwidth_hz", type=float)
+    e.add_argument("--window", dest="stft_window_s", type=float)
+    e.add_argument("--overlap", dest="stft_overlap_frac", type=float)
+    e.add_argument("--fft-size", dest="fft_size", type=int)
+    e.add_argument("--target-rate", dest="audio_target_rate_hz", type=float)
     e.set_defaults(func=cmd_estimate)
 
-    c = sub.add_parser("consensus-sim", help="run seeded PoENF consensus rounds")
-    c.add_argument("--committee", type=int, default=10)
-    c.add_argument("--byzantine", type=int, default=3)
-    c.add_argument("--dim", type=int, default=720)
+    c = sub.add_parser("consensus-sim", help="run seeded PoENF consensus rounds", **configured)
+    c.add_argument("--committee", dest="K", type=int, default=10)
+    c.add_argument("--byzantine", dest="f", type=int, default=3)
+    c.add_argument("--dim", dest="d", type=int, default=720)
     c.add_argument("--rounds", type=int, default=100)
-    c.add_argument("--round-duration", type=float, default=360.0)
+    c.add_argument("--round-duration", dest="round_duration_s", type=float)
     c.add_argument("--behavior", default="offset:1.0")
-    c.add_argument("--noise", type=float, default=0.005)
+    c.add_argument("--noise", dest="noise_std", type=float)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_consensus_sim)
 
-    d = sub.add_parser("detect", help="sliding-window comparison of two ENF CSVs")
+    d = sub.add_parser("detect", help="sliding-window comparison of two ENF CSVs", **configured)
     d.add_argument("--local", required=True)
     d.add_argument("--truth", required=True)
-    d.add_argument("--window", type=float, default=16.0)
-    d.add_argument("--shift", type=float, default=5.0)
-    d.add_argument("--threshold", type=float, default=0.8)
+    d.add_argument("--window", dest="window_s", type=float)
+    d.add_argument("--shift", dest="shift_s", type=float)
+    d.add_argument("--threshold", type=float)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_detect)
@@ -363,13 +326,13 @@ def build_parser():
     b.add_argument("--seed", type=int, default=0)
     b.set_defaults(func=cmd_bench)
 
-    r = sub.add_parser("roc", help="ROC/AUC sweep over detector window sizes")
+    r = sub.add_parser("roc", help="ROC/AUC sweep over detector window sizes", **configured)
     r.add_argument("--windows", type=_spec(_parse_floats, "comma-separated seconds"),
                    default="8,16,32")
-    r.add_argument("--streams", type=int, default=24)
-    r.add_argument("--duration", type=float, default=120.0)
-    r.add_argument("--snr", type=float, default=10.0)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--streams", dest="n_streams", type=int)
+    r.add_argument("--duration", dest="duration_s", type=float)
+    r.add_argument("--snr", dest="snr_db", type=float)
+    r.add_argument("--seed", type=int)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_roc)
 
@@ -382,6 +345,8 @@ def main(argv=None):
     except SystemExit as exc:  # argparse already printed usage or help
         return exc.code
     try:
+        if "out" in args:
+            os.makedirs(args.out, exist_ok=True)
         return args.func(args)
     except (ConfigurationError, InvalidArgumentError, QuorumError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -211,9 +211,12 @@ def combine_and_track(psm: PowerSpectrumMatrix, weights, cfg: EstimatorConfig) -
 
 
 def default_config_for(stream) -> EstimatorConfig:
-    if isinstance(stream, VideoLumaStream):
-        return EstimatorConfig(harmonics=(2,))
-    return EstimatorConfig()
+    """Defaults for the stream's kind, at the nominal_hz its meta records (if any)."""
+    kw = {"harmonics": (2,)} if isinstance(stream, VideoLumaStream) else {}
+    nominal = getattr(stream, "meta", {}).get("nominal_hz")
+    if nominal is not None:
+        kw["nominal_hz"] = nominal
+    return EstimatorConfig(**kw)
 
 
 def estimate_enf(stream, cfg: Optional[EstimatorConfig] = None) -> EnfSeries:

@@ -231,9 +231,9 @@ def parse_behavior(spec: str):
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
     if name == "honest":
-        return Honest(noise_std=float(arg) if arg else 0.005)
+        return Honest(noise_std=float(arg)) if arg else Honest()
     if name == "offset":
-        return OffsetVector(delta_hz=float(arg) if arg else 1.0)
+        return OffsetVector(delta_hz=float(arg)) if arg else OffsetVector()
     if name == "random":
         return RandomVector()
     if name == "clone":

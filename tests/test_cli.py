@@ -2,6 +2,7 @@
 2 bad configuration, 3 pipeline failure. Byte-level determinism of the
 output files is exercised in the acceptance suite."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from enfnet import cli, harness
 from enfnet.cli import main
-from enfnet.stream_io import load_enf_csv, load_stream
+from enfnet.enf_estimation import estimate_enf
+from enfnet.stream_io import load_enf_csv, load_stream, save_stream
 
 
 def run(*argv):
@@ -126,6 +128,35 @@ def test_malformed_argument_strings_exit_2(tmp_path, argv):
     assert not out.exists()
 
 
+def _assert_within_truth(series, truth):
+    lo, hi = truth.values_hz.min(), truth.values_hz.max()
+    assert lo <= series.values_hz.min() and series.values_hz.max() <= hi
+
+
+def test_estimate_reads_the_streams_nominal(tmp_path):
+    gen = tmp_path / "gen"
+    assert run("generate", "--nominal", "50", "--sample-rate", "1000", "--seed", "1",
+               "--out", str(gen)) == 0
+    truth = load_enf_csv(str(gen / "truth.csv"))
+    assert run("estimate", "--stream", str(gen / "stream.json"), "--out", str(tmp_path / "e")) == 0
+    _assert_within_truth(load_enf_csv(str(tmp_path / "e" / "enf.csv")), truth)
+    _assert_within_truth(estimate_enf(load_stream(str(gen / "stream.json"))), truth)
+    # an explicit nominal that contradicts the header is a configuration error
+    assert run("estimate", "--stream", str(gen / "stream.json"), "--nominal", "60",
+               "--out", str(tmp_path / "e60")) == 2
+
+
+def test_estimate_takes_nominal_flag_when_header_has_none(tmp_path):
+    gen = tmp_path / "gen"
+    run("generate", "--nominal", "50", "--sample-rate", "1000", "--seed", "1", "--out", str(gen))
+    bare = dataclasses.replace(load_stream(str(gen / "stream.json")), meta={})
+    save_stream(bare, str(tmp_path / "bare.json"))
+    assert run("estimate", "--stream", str(tmp_path / "bare.json"), "--nominal", "50",
+               "--out", str(tmp_path / "e")) == 0
+    _assert_within_truth(load_enf_csv(str(tmp_path / "e" / "enf.csv")),
+                         load_enf_csv(str(gen / "truth.csv")))
+
+
 def test_missing_input_exits_3(tmp_path):
     assert run("estimate", "--stream", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")) == 3
@@ -141,6 +172,76 @@ SCENARIO = {
     "snr_db": 30.0,
     "forgery_len_s": 30.0,
 }
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """A header-less 1 kHz stream and a truth CSV, for commands that load inputs first."""
+    root = tmp_path_factory.mktemp("inputs")
+    run("generate", "--duration", "20", "--sample-rate", "1000", "--out", str(root))
+    stream = load_stream(str(root / "stream.json"))
+    save_stream(dataclasses.replace(stream, meta={}), str(root / "bare.json"))
+    return root
+
+
+# command -> (module, callee that receives the configs, leading arguments)
+_CONFIG_CALLEES = {
+    "generate": (cli, "gen_enf_truth", ()),
+    "estimate": (cli, "estimate_enf", ("--stream", "{inputs}/bare.json")),
+    "detect": (cli, "sliding_window_detect",
+               ("--local", "{inputs}/truth.csv", "--truth", "{inputs}/truth.csv")),
+    "consensus-sim": (cli, "simulate_rounds", ()),
+    "roc": (harness, "roc_sweep", ()),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, field, expected",
+    [
+        ("generate", "--nominal", "50", "nominal_hz", 50.0),
+        ("generate", "--drift", "0.01", "drift_std_hz", 0.01),
+        ("generate", "--max-dev", "0.5", "max_dev_hz", 0.5),
+        ("generate", "--seed", "7", "seed", 7),
+        ("estimate", "--nominal", "50", "nominal_hz", 50.0),
+        ("estimate", "--harmonics", "1,2", "harmonics", (1, 2)),
+        ("estimate", "--band-halfwidth", "0.4", "band_halfwidth_hz", 0.4),
+        ("estimate", "--window", "12", "stft_window_s", 12.0),
+        ("estimate", "--overlap", "0.75", "stft_overlap_frac", 0.75),
+        ("estimate", "--fft-size", "65536", "fft_size", 65536),
+        ("estimate", "--target-rate", "500", "audio_target_rate_hz", 500.0),
+        ("detect", "--window", "12", "window_s", 12.0),
+        ("detect", "--shift", "4", "shift_s", 4.0),
+        ("detect", "--threshold", "0.7", "threshold", 0.7),
+        ("consensus-sim", "--committee", "12", "K", 12),
+        ("consensus-sim", "--byzantine", "2", "f", 2),
+        ("consensus-sim", "--dim", "60", "d", 60),
+        ("consensus-sim", "--round-duration", "120", "round_duration_s", 120.0),
+        ("consensus-sim", "--noise", "0.01", "noise_std", 0.01),
+        ("roc", "--streams", "6", "n_streams", 6),
+        ("roc", "--duration", "90", "duration_s", 90.0),
+        ("roc", "--snr", "15", "snr_db", 15.0),
+        ("roc", "--seed", "7", "seed", 7),
+    ],
+)
+def test_config_flag_reaches_its_field(
+    tmp_path, monkeypatch, small_inputs, command, flag, value, field, expected
+):
+    """Each flag named after a config field sets that field on the object the
+    command passes on (a dest that names no field would be dropped silently)."""
+    module, callee, lead = _CONFIG_CALLEES[command]
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.extend(args)
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(module, callee, capture)
+    lead = [a.format(inputs=small_inputs) for a in lead]
+    run(command, *lead, flag, value, "--out", str(tmp_path / "o"))
+    # the configs are the dataclass arguments, and the observers consensus-sim passes
+    objs = [o for a in seen for o in (a if isinstance(a, list) else [a])]
+    values = [getattr(o, field) for o in objs if dataclasses.is_dataclass(o) and hasattr(o, field)]
+    assert values and all(v == expected for v in values)
 
 
 def _boom(*args, **kwargs):
@@ -177,6 +278,17 @@ def test_scenario_command(tmp_path):
 
     cfgp.write_text(json.dumps({"participants": 5, "no_such_knob": 1}))
     assert run("scenario", "--config", str(cfgp), "--out", str(tmp_path / "s2")) == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"grid": {"bogus": 1}}, {"committee": {"K": 5}}, [1, 2]],
+    ids=["unknown-nested-field", "missing-nested-field", "not-an-object"],
+)
+def test_malformed_scenario_config_exits_2(tmp_path, config):
+    cfgp = tmp_path / "scen.json"
+    cfgp.write_text(json.dumps(config))
+    assert run("scenario", "--config", str(cfgp), "--out", str(tmp_path / "s")) == 2
 
 
 def test_scenario_with_disagreeing_nominal_hz_exits_2(tmp_path):
