@@ -68,6 +68,7 @@ from .poenf_consensus import (
     consensus_round,
     make_transaction,
     parse_behavior,
+    play_round,
     run_round,
     select_ground_truth,
     simulate_rounds,

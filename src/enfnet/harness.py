@@ -35,8 +35,8 @@ from .poenf_consensus import (
     RoundResult,
     TransactionPool,
     compute_scores,
-    consensus_round,
-    make_transaction,
+    play_round,
+    round_rates,
     select_ground_truth,
 )
 
@@ -72,15 +72,29 @@ class ScenarioConfig:
             raise ConfigurationError("deepfaked_participants outside participant id range")
         if self.rounds < 1:
             raise ConfigurationError("rounds must be >= 1")
+        # a forgery starts at least 5 s into the conference and ends 5 s before its end
+        room = self.duration_s - 10.0
+        if self.deepfaked_participants and not 0.0 < self.forgery_span_s <= room:
+            raise ConfigurationError(
+                f"forgery length {self.forgery_span_s} s outside (0, {room}] for a "
+                f"{self.duration_s} s conference"
+            )
         nominals = {c.nominal_hz for c in (self.grid, self.estimator, self.committee)}
         if len(nominals) > 1:
             raise ConfigurationError(
                 f"grid, estimator and committee disagree on nominal_hz: {sorted(nominals)}"
             )
 
+    @property
+    def duration_s(self) -> float:
+        return self.rounds * self.committee.round_duration_s
 
-def _interp_series(series: EnfSeries, times: np.ndarray) -> np.ndarray:
-    return np.interp(times, series.times(), series.values_hz)
+    @property
+    def forgery_span_s(self) -> float:
+        """forgery_len_s, defaulting to a quarter of the conference up to 45 s."""
+        if self.forgery_len_s is None:
+            return min(45.0, self.duration_s / 4.0)
+        return self.forgery_len_s
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
@@ -91,9 +105,8 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     "summary": {...}} with a stream-level confusion count in the summary.
     """
     com = cfg.committee
-    duration = cfg.rounds * com.round_duration_s
     grid = dataclasses.replace(cfg.grid, seed=[cfg.seed, 0])
-    truth = gen_enf_truth(grid, duration, step_s=1.0)
+    truth = gen_enf_truth(grid, cfg.duration_s, step_s=1.0)
 
     forged_at: Dict[int, Tuple[float, float]] = {}
     estimates: Dict[int, EnfSeries] = {}
@@ -103,8 +116,8 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         )
         if p in cfg.deepfaked_participants:
             rng = np.random.default_rng([cfg.seed, 2, p])
-            flen = cfg.forgery_len_s or min(45.0, duration / 4.0)
-            lo, hi = 5.0, duration - 5.0 - flen
+            flen = cfg.forgery_span_s
+            lo, hi = 5.0, cfg.duration_s - 5.0 - flen
             a = float(lo + (hi - lo) * rng.random())
             stream = forge_segments(
                 stream, [(a, a + flen)], ForgeryMode.ReplaceEnf, seed=cfg.seed * 1000 + p
@@ -112,32 +125,21 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
             forged_at[p] = (a, a + flen)
         estimates[p] = estimate_enf(stream, cfg.estimator)
 
-    members = list(range(com.K))
-    byz_ids = set(members[-cfg.byzantine :]) if cfg.byzantine else set()
-    behaviors = {v: (OffsetVector(1.0) if v in byz_ids else Honest(0.0)) for v in members}
-
+    n_honest = com.K - cfg.byzantine
+    observers = [Honest(0.0)] * n_honest + [OffsetVector(1.0)] * cfg.byzantine
+    step = com.round_duration_s / com.d
     rounds: List[RoundResult] = []
-    estar_times: List[np.ndarray] = []
     for r in range(cfg.rounds):
-        t0 = r * com.round_duration_s
-        proof_times = t0 + (np.arange(com.d) + 0.5) * (com.round_duration_s / com.d)
-        txs = []
-        for v in members:
-            base = _interp_series(estimates[v], proof_times)
-            rng_v = np.random.default_rng([cfg.seed, 3, r, v])
-            tx = make_transaction(behaviors[v], base, v, r, rng_v, com)
-            if tx is not None:
-                txs.append(tx)
-        rounds.append(consensus_round(txs, com, r, [v for v in members if v not in byz_ids]))
-        estar_times.append(proof_times)
+        proof_times = r * com.round_duration_s + step * np.arange(com.d)  # E*'s own clock
+        bases = [estimates[v].at(proof_times) for v in range(com.K)]
+        rounds.append(play_round(observers, bases, com, r, [cfg.seed, 3, r]))
 
-    ref_t = np.concatenate(estar_times)
-    ref_v = np.concatenate([rr.ground_truth_enf.values_hz for rr in rounds])
+    estar = EnfSeries(0.0, step, np.concatenate([rr.ground_truth_enf.values_hz for rr in rounds]))
     reports = {}
     tp = fp = tn = fn = 0
     for p in range(cfg.participants):
         est = estimates[p]
-        ref = EnfSeries(est.start_time_s, est.step_s, np.interp(est.times(), ref_t, ref_v))
+        ref = EnfSeries(est.start_time_s, est.step_s, estar.at(est.times()))
         rep = sliding_window_detect(est, ref, cfg.detector)
         reports[p] = rep
         flagged = rep.overall_verdict is Verdict.Fake
@@ -147,15 +149,14 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         tn += int(not flagged and not faked)
         fn += int(not flagged and faked)
 
-    honest_committee = [v for v in members if v not in byz_ids and v not in cfg.deepfaked_participants]
+    honest_committee = set(range(n_honest)) - cfg.deepfaked_participants
     summary = {
         "tp": tp,
         "fp": fp,
         "tn": tn,
         "fn": fn,
         "participants": cfg.participants,
-        "agreement_rate": float(np.mean([r.honest_agreement for r in rounds])),
-        "honest_win_rate": float(np.mean([r.ground_truth_id not in byz_ids for r in rounds])),
+        **round_rates(rounds, range(n_honest)),
         "quorum_of_fakes_warning": len(honest_committee) < 2 * com.f + 3,
         "forged_intervals_truth": {str(p): list(iv) for p, iv in forged_at.items()},
     }
@@ -244,6 +245,17 @@ class CorpusConfig:
     forgery_len_bounds_s: Tuple[float, float] = (30.0, 45.0)
     seed: int = 0
 
+    def __post_init__(self):
+        lo, hi = self.forgery_len_bounds_s
+        if not 0.0 < lo <= hi:
+            raise ConfigurationError(f"forgery_len_bounds_s needs 0 < lo <= hi, got ({lo}, {hi})")
+        # make_detection_corpus draws a forgery's whole-second start from [20, D - 20 - len)
+        if self.duration_s < hi + 41.0:
+            raise ConfigurationError(
+                f"duration_s={self.duration_s} too short for forgeries up to {hi} s: "
+                f"need >= {hi + 41.0}"
+            )
+
 
 @dataclass
 class CorpusEntry:
@@ -274,7 +286,7 @@ def make_detection_corpus(cc: CorpusConfig) -> List[CorpusEntry]:
                 stream, [injected], ForgeryMode.ReplaceEnf, seed=cc.seed * 100003 + i
             )
         est = estimate_enf(stream, cc.estimator)
-        ref = EnfSeries(est.start_time_s, est.step_s, _interp_series(truth, est.times()))
+        ref = EnfSeries(est.start_time_s, est.step_s, truth.at(est.times()))
         entries.append(CorpusEntry(local=est, reference=ref, forged=forged, injected=injected))
     return entries
 

@@ -62,6 +62,10 @@ class EnfSeries:
     def times(self) -> np.ndarray:
         return self.start_time_s + self.step_s * np.arange(len(self.values_hz))
 
+    def at(self, times) -> np.ndarray:
+        """The series read at ``times``: linear between samples, end values held outside."""
+        return np.interp(times, self.times(), self.values_hz)
+
     @property
     def duration_s(self) -> float:
         return self.step_s * len(self.values_hz)
@@ -132,15 +136,9 @@ def gen_enf_truth(cfg: GridConfig, duration_s: float, step_s: float) -> EnfSerie
     return EnfSeries(start_time_s=0.0, step_s=step_s, values_hz=cfg.nominal_hz + dev)
 
 
-def _instantaneous_freq(truth: EnfSeries, rate_hz: float, n: int) -> np.ndarray:
-    # piecewise-linear interpolation of the truth onto the sample clock
-    t = np.arange(n) / rate_hz
-    return np.interp(t, truth.times(), truth.values_hz)
-
-
 def _integrated_phase(truth: EnfSeries, rate_hz: float, n: int) -> np.ndarray:
     """2*pi * cumulative integral of f(t), sampled at rate_hz."""
-    f = _instantaneous_freq(truth, rate_hz, n)
+    f = truth.at(np.arange(n) / rate_hz)
     return 2.0 * np.pi * np.cumsum(f) / rate_hz
 
 

@@ -9,10 +9,10 @@ deterministic in its seed.
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
+from collections.abc import Container, Set as AbstractSet
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -293,6 +293,34 @@ def consensus_round(
     )
 
 
+def play_round(
+    observers: Sequence,
+    bases: Sequence[np.ndarray],
+    cfg: CommitteeConfig,
+    round_no: int,
+    seed: Sequence[int],
+) -> RoundResult:
+    """One round in which validator v's proof is built from its own view bases[v].
+
+    observers[v] is validator v's behavior; bases[v] is the d-vector it
+    measured for the round, read on the round's own clock (the times E*
+    reports). v's transaction draws from default_rng([*seed, v]). The honest
+    validators are those whose behavior is :class:`Honest`, and the round is
+    decided by :func:`consensus_round` under full delivery.
+    """
+    if len(observers) != cfg.K:
+        raise ConfigurationError(f"need exactly K={cfg.K} observers, got {len(observers)}")
+    honest_ids = [v for v, b in enumerate(observers) if isinstance(b, Honest)]
+    n_byz = cfg.K - len(honest_ids)
+    if n_byz > cfg.f:
+        raise ConfigurationError(f"{n_byz} byzantine observers exceed f={cfg.f}")
+    txs = [
+        make_transaction(b, bases[v], v, round_no, np.random.default_rng([*seed, v]), cfg)
+        for v, b in enumerate(observers)
+    ]
+    return consensus_round([t for t in txs if t is not None], cfg, round_no, honest_ids)
+
+
 def run_round(
     grid: GridConfig,
     observers: Sequence,
@@ -303,30 +331,24 @@ def run_round(
     """One full consensus round over freshly generated grid truth.
 
     The truth is :func:`gen_enf_truth` of grid reseeded with [seed, round_no],
-    d steps over the round. Honest observers submit noisy views of it;
-    byzantines follow their behavior. The round is decided by
-    :func:`consensus_round` under full delivery: every honest validator
-    receives the shared pool, so the pool is scored exactly once and
-    honest_agreement compares each honest validator's selection with E*.
+    d steps over the round, and every validator's view of it is that truth:
+    :func:`play_round` with seed [seed, round_no]. Under full delivery every
+    honest validator receives the shared pool, so the pool is scored exactly
+    once and honest_agreement compares each honest selection with E*.
     """
-    if len(observers) != cfg.K:
-        raise ConfigurationError(f"need exactly K={cfg.K} observers, got {len(observers)}")
-    byz = [i for i, b in enumerate(observers) if not isinstance(b, Honest)]
-    if len(byz) > cfg.f:
-        raise ConfigurationError(f"{len(byz)} byzantine observers exceed f={cfg.f}")
-
-    round_grid = replace(grid, seed=[int(seed), int(round_no)])
+    round_seed = [int(seed), int(round_no)]
     step = cfg.round_duration_s / cfg.d
-    truth_vals = gen_enf_truth(round_grid, cfg.round_duration_s, step).values_hz
+    truth = gen_enf_truth(replace(grid, seed=round_seed), cfg.round_duration_s, step)
+    return play_round(observers, [truth.values_hz] * cfg.K, cfg, round_no, round_seed)
 
-    txs = []
-    for v in range(cfg.K):
-        rng_v = np.random.default_rng([int(seed), int(round_no), v])
-        tx = make_transaction(observers[v], truth_vals, v, round_no, rng_v, cfg)
-        if tx is not None:
-            txs.append(tx)
-    honest_ids = [v for v, b in enumerate(observers) if isinstance(b, Honest)]
-    return consensus_round(txs, cfg, round_no, honest_ids)
+
+def round_rates(results: Sequence[RoundResult], honest_ids: Container[int]) -> dict:
+    """The share of rounds whose honest validators agreed, and whose E* an honest one sent."""
+    n = len(results)
+    return {
+        "agreement_rate": sum(rr.honest_agreement for rr in results) / n,
+        "honest_win_rate": sum(rr.ground_truth_id in honest_ids for rr in results) / n,
+    }
 
 
 def simulate_rounds(grid, observers, cfg, rounds: int, seed: int):
@@ -334,17 +356,5 @@ def simulate_rounds(grid, observers, cfg, rounds: int, seed: int):
     if rounds < 1:
         raise InvalidArgumentError("rounds must be >= 1")
     honest_ids = {i for i, b in enumerate(observers) if isinstance(b, Honest)}
-    results: List[RoundResult] = []
-    agree = 0
-    honest_win = 0
-    for r in range(rounds):
-        rr = run_round(grid, observers, cfg, seed=seed, round_no=r)
-        results.append(rr)
-        agree += int(rr.honest_agreement)
-        honest_win += int(rr.ground_truth_id in honest_ids)
-    summary = {
-        "agreement_rate": agree / rounds,
-        "honest_win_rate": honest_win / rounds,
-        "rounds": rounds,
-    }
-    return results, summary
+    results = [run_round(grid, observers, cfg, seed=seed, round_no=r) for r in range(rounds)]
+    return results, {**round_rates(results, honest_ids), "rounds": rounds}

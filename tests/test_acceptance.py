@@ -49,7 +49,7 @@ from enfnet import (
     validate_transaction,
     video_row_signal,
 )
-from enfnet.harness import DEFAULT_HARMONICS, _interp_series
+from enfnet.harness import DEFAULT_HARMONICS
 
 WIDE_GRID = GridConfig(drift_std_hz=0.005, max_dev_hz=0.5)
 
@@ -105,7 +105,7 @@ def _localization_corpus(n=200, seed0=777):
         a = float(rng.integers(20, int(300 - 20 - flen)))
         stream = forge_segments(stream, [(a, a + flen)], ForgeryMode.ReplaceEnf, seed=seed0 * 100003 + i)
         est = estimate_enf(stream, est_cfg)
-        ref = EnfSeries(est.start_time_s, est.step_s, _interp_series(truth, est.times()))
+        ref = EnfSeries(est.start_time_s, est.step_s, truth.at(est.times()))
         entries.append(CorpusEntry(local=est, reference=ref, forged=True, injected=(a, a + flen)))
     return entries
 

@@ -107,6 +107,9 @@ def test_configuration_errors_exit_2(tmp_path):
         "--out", str(gen))
     assert run("estimate", "--stream", str(gen / "stream.json"), "--overlap", "1.5",
                "--out", str(tmp_path / "z")) == 2
+    # a corpus too short to place its 45 s forgeries
+    assert run("roc", "--streams", "2", "--duration", "60", "--windows", "8",
+               "--out", str(tmp_path / "r")) == 2
 
 
 @pytest.mark.parametrize(
@@ -282,8 +285,13 @@ def test_scenario_command(tmp_path):
 
 @pytest.mark.parametrize(
     "config",
-    [{"grid": {"bogus": 1}}, {"committee": {"K": 5}}, [1, 2]],
-    ids=["unknown-nested-field", "missing-nested-field", "not-an-object"],
+    [
+        {"grid": {"bogus": 1}},
+        {"committee": {"K": 5}},
+        [1, 2],
+        {**SCENARIO, "rounds": 1, "forgery_len_s": 56.0},
+    ],
+    ids=["unknown-nested-field", "missing-nested-field", "not-an-object", "unplaceable-forgery"],
 )
 def test_malformed_scenario_config_exits_2(tmp_path, config):
     cfgp = tmp_path / "scen.json"

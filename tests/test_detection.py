@@ -22,7 +22,7 @@ from enfnet import (
     sliding_window_detect,
 )
 from enfnet.enf_estimation import EstimatorConfig
-from enfnet.harness import DEFAULT_HARMONICS, _interp_series
+from enfnet.harness import DEFAULT_HARMONICS
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def test_localize_replace_enf_within_one_shift():
     stream = forge_segments(stream, [(60.0, 90.0)], ForgeryMode.ReplaceEnf, seed=77)
     est_cfg = EstimatorConfig(stft_window_s=4.0, stft_overlap_frac=0.75)
     est = estimate_enf(stream, est_cfg)
-    ref = EnfSeries(est.start_time_s, est.step_s, _interp_series(truth, est.times()))
+    ref = EnfSeries(est.start_time_s, est.step_s, truth.at(est.times()))
     rep = sliding_window_detect(est, ref, DetectorConfig(window_s=16.0, shift_s=5.0))
     assert rep.overall_verdict is Verdict.Fake
     cands = [(s, t) for s, t in rep.forged_intervals if t > 55.0 and s < 95.0]

@@ -18,6 +18,9 @@ from enfnet import (
     Verdict,
     bench_consensus,
     bench_d_ratio,
+    embed_audio,
+    estimate_enf,
+    gen_enf_truth,
     localization_accuracy,
     make_detection_corpus,
     roc_sweep,
@@ -103,6 +106,28 @@ def test_scenario_config_invariants():
         small_scenario(deepfaked_participants={9})
     with pytest.raises(ConfigurationError):
         small_scenario(rounds=0)
+    # a forgery keeps 5 s clear of both ends, so a 60 s conference fits at most 50 s
+    for flen in (56.0, -5.0, 0.0):
+        with pytest.raises(ConfigurationError, match="forgery length"):
+            small_scenario(rounds=1, forgery_len_s=flen)
+        small_scenario(rounds=1, forgery_len_s=flen, deepfaked_participants=set())
+    small_scenario(rounds=1, forgery_len_s=50.0)
+
+
+def test_scenario_estar_is_the_winners_estimate_on_its_own_clock():
+    """Proof i of round r is the ENF at r*D + i*D/d, the times E* reports: a
+    noiseless honest committee's E* is the winner's estimate read there, bit for bit."""
+    cfg = small_scenario(seed=3, deepfaked_participants=set())
+    grid = dataclasses.replace(cfg.grid, seed=[cfg.seed, 0])
+    truth = gen_enf_truth(grid, cfg.rounds * cfg.committee.round_duration_s, step_s=1.0)
+    for rr in run_scenario(cfg)["rounds"]:
+        stream = embed_audio(
+            truth, cfg.sample_rate_hz, cfg.harmonics, cfg.snr_db,
+            seed=[cfg.seed, 1, rr.ground_truth_id], grid=grid,
+        )
+        est = estimate_enf(stream, cfg.estimator)
+        estar = rr.ground_truth_enf
+        assert estar.values_hz.tobytes() == est.at(estar.times()).tobytes()
 
 
 def test_scenario_rejects_disagreeing_nominal_hz():
@@ -167,6 +192,20 @@ def corpus_cfg(**kw):
     )
     base.update(kw)
     return CorpusConfig(**base)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(duration_s=85.0),  # forgeries up to 45 s need 86 s
+        dict(forgery_len_bounds_s=(0.0, 30.0)),
+        dict(forgery_len_bounds_s=(40.0, 30.0)),
+    ],
+)
+def test_corpus_rejects_forgery_bounds_it_cannot_place(kw):
+    with pytest.raises(ConfigurationError):
+        corpus_cfg(**kw)
+    corpus_cfg(duration_s=86.0)
 
 
 def test_corpus_labels_and_alignment():

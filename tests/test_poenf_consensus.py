@@ -27,6 +27,7 @@ from enfnet import (
     gen_enf_truth,
     make_transaction,
     parse_behavior,
+    play_round,
     run_round,
     select_ground_truth,
     simulate_rounds,
@@ -191,6 +192,19 @@ def test_round_truth_is_the_grid_walk(grid, cfg, seed, round_no):
     truth = gen_enf_truth(round_grid, cfg.round_duration_s, cfg.round_duration_s / cfg.d)
     assert rr.ground_truth_enf.values_hz.tobytes() == truth.values_hz.tobytes()
     assert rr.ground_truth_enf.step_s == truth.step_s
+
+
+def test_play_round_selects_the_central_view():
+    """Each validator proves its own base; with zero noise the Krum-central base is E*."""
+    offsets = [0.04, -0.01, 0.01, -0.04, 0.0]  # validator 4 sits in the middle
+    bases = [np.full(CFG.d, 60.0 + o) for o in offsets]
+    rr = play_round([Honest(0.0)] * CFG.K, bases, CFG, round_no=2, seed=[9, 2])
+    assert rr.ground_truth_id == 4
+    assert rr.ground_truth_enf.values_hz.tobytes() == bases[4].tobytes()
+    assert rr.ground_truth_enf.start_time_s == 2 * CFG.round_duration_s
+    assert rr.honest_agreement
+    others = [s for v, s in rr.scores.scores.items() if v != 4]
+    assert rr.scores.scores[4] < min(others)  # a strict winner, not a tie broken by id
 
 
 def test_round_is_deterministic():
