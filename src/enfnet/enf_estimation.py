@@ -3,12 +3,22 @@
 Three-step pipeline: (i) Hann-window power spectrogram, (ii) per-harmonic
 SNR weights, (iii) weighted combination of frequency-rescaled spectrum
 slices with parabolic peak refinement. Audio is decimated to a low working
-rate first; video is flattened to the row-sample stream with static scene
-content removed.
+rate first (500 Hz by default); video is flattened to the row-sample stream
+with static scene content removed, and decimated to the same rate when it
+is faster.
+
+``estimate_enf`` computes only the spectrum it reads: the STFT runs a few
+windows at a time and keeps the columns within +-4 band halfwidths of each
+harmonic (``spectrogram(..., bands_only=True)``), each equal bit for bit to
+its column of the full matrix. At 500 Hz the 60 Hz harmonics 1-3 are read up
+to 186 Hz; a configuration whose top read edge k * (f0 + 4 * halfwidth)
+exceeds about 200 Hz, such as harmonic 4 at 60 Hz, needs a 1 kHz working
+rate (``audio_target_rate_hz=1000.0``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -21,6 +31,11 @@ from .media_synth import AudioStream, EnfSeries, ShutterType, VideoLumaStream
 
 _LOG_EPS = 1e-300
 _MAX_SNR_RATIO = 1e12
+# harmonic_weights' noise surround spans +-4 band halfwidths around each
+# harmonic; these are also the only columns the band-only spectrogram keeps
+_SURROUND_HALFWIDTHS = 4.0
+# complex values per rfft block: 8 windows at nfft 65536, 16 at 32768
+_STFT_BLOCK_VALUES = 2**19
 
 
 @dataclass
@@ -31,7 +46,7 @@ class EstimatorConfig:
     stft_window_s: float = 8.0
     stft_overlap_frac: float = 0.5
     fft_size: Optional[int] = None  # None -> 4 x next power of two over the window
-    audio_target_rate_hz: float = 1000.0
+    audio_target_rate_hz: float = 500.0
 
     def __post_init__(self):
         if not (0.0 <= self.stft_overlap_frac < 1.0):
@@ -39,10 +54,10 @@ class EstimatorConfig:
         if not self.harmonics or any(int(k) <= 0 for k in self.harmonics):
             raise InvalidArgumentError("harmonics must be non-empty positive integers")
         self.harmonics = tuple(int(k) for k in self.harmonics)
-        if self.stft_window_s <= 0:
-            raise InvalidArgumentError("stft_window_s must be > 0")
-        if self.band_halfwidth_hz <= 0:
-            raise InvalidArgumentError("band_halfwidth_hz must be > 0")
+        for name in ("stft_window_s", "band_halfwidth_hz", "audio_target_rate_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidArgumentError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass
@@ -96,11 +111,16 @@ def video_row_signal(v: VideoLumaStream) -> Tuple[np.ndarray, float]:
     return frames.mean(axis=1), v.fps
 
 
-def spectrogram(samples, rate_hz: float, cfg: EstimatorConfig) -> PowerSpectrumMatrix:
+def spectrogram(
+    samples, rate_hz: float, cfg: EstimatorConfig, *, bands_only: bool = False
+) -> PowerSpectrumMatrix:
     """Hann-windowed magnitude-squared STFT.
 
     Power is scaled so that the sum over one time column equals the energy of
-    that windowed segment (Parseval-consistent).
+    that windowed segment (Parseval-consistent). With ``bands_only`` only the
+    columns within the surround of each configured harmonic are kept: the
+    bins ``harmonic_weights`` and ``combine_and_track`` read, each equal bit
+    for bit to its column of the full matrix.
     """
     x = np.asarray(samples, dtype=float)
     w_len = int(round(cfg.stft_window_s * rate_hz))
@@ -113,22 +133,54 @@ def spectrogram(samples, rate_hz: float, cfg: EstimatorConfig) -> PowerSpectrumM
     if nfft < w_len or (nfft & (nfft - 1)) != 0:
         raise InvalidArgumentError("fft_size must be a power of two >= window sample count")
     n_seg = (len(x) - w_len) // hop + 1
+    freqs = np.fft.rfftfreq(nfft, 1.0 / rate_hz)
+    cols = _read_columns(freqs, cfg) if bands_only else slice(None)
+    # fold negative frequencies so column sums obey Parseval; nfft is a
+    # power of two, so DC and Nyquist are the only unpaired bins
+    fold = np.full(len(freqs), 2.0)
+    fold[[0, -1]] = 1.0
+    fold = fold[cols]
     win = np.hanning(w_len)
     segs = np.lib.stride_tricks.sliding_window_view(x, w_len)[::hop][:n_seg]
-    spec = np.fft.rfft(segs * win, n=nfft, axis=1)
-    power = np.abs(spec) ** 2
-    # fold negative frequencies so column sums obey Parseval
-    power[:, 1:-1] *= 2.0
-    if nfft % 2 != 0:
-        power[:, -1] *= 2.0
-    power /= nfft
+    power = np.empty((n_seg, len(fold)))
+    # rfft transforms each row on its own, so blocking changes no bit
+    rows = max(1, _STFT_BLOCK_VALUES // nfft)
+    for r in range(0, n_seg, rows):
+        spec = np.fft.rfft(segs[r : r + rows] * win, n=nfft, axis=1)[:, cols]
+        power[r : r + rows] = np.abs(spec) ** 2 * fold / nfft
     times = (np.arange(n_seg) * hop + w_len / 2.0) / rate_hz
-    freqs = np.fft.rfftfreq(nfft, 1.0 / rate_hz)
-    return PowerSpectrumMatrix(time_bins=times, freq_bins=freqs, power=power)
+    return PowerSpectrumMatrix(time_bins=times, freq_bins=freqs[cols], power=power)
 
 
 def _band_indices(freqs, lo, hi):
     return int(np.searchsorted(freqs, lo, side="left")), int(np.searchsorted(freqs, hi, side="right"))
+
+
+def _band_hz(k: int, cfg: EstimatorConfig, halfwidths: float = 1.0) -> Tuple[float, float]:
+    """Edges of harmonic k's band, or of its surround at _SURROUND_HALFWIDTHS."""
+    hw = k * cfg.band_halfwidth_hz
+    return k * cfg.nominal_hz - halfwidths * hw, k * cfg.nominal_hz + halfwidths * hw
+
+
+def _check_band(k: int, cfg: EstimatorConfig, f_lo: float, f_hi: float) -> None:
+    lo_hz, hi_hz = _band_hz(k, cfg)
+    if lo_hz < f_lo or hi_hz > f_hi:
+        raise InvalidArgumentError(
+            f"harmonic order {k}: band [{lo_hz:.1f}, {hi_hz:.1f}] Hz outside spectrum"
+        )
+
+
+def _read_columns(freqs: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
+    """Indices of the bins within the surround of any configured harmonic."""
+    keep = np.zeros(len(freqs), dtype=bool)
+    for k in cfg.harmonics:
+        # against the whole spectrum, as harmonic_weights checks a full matrix
+        _check_band(k, cfg, freqs[0], freqs[-1])
+        lo, hi = _band_indices(freqs, *_band_hz(k, cfg, _SURROUND_HALFWIDTHS))
+        keep[lo:hi] = True
+    if not keep.any():
+        raise InvalidArgumentError("no spectrum bin lies near a configured harmonic; increase fft_size")
+    return np.flatnonzero(keep)
 
 
 def harmonic_weights(psm: PowerSpectrumMatrix, cfg: EstimatorConfig) -> np.ndarray:
@@ -141,17 +193,10 @@ def harmonic_weights(psm: PowerSpectrumMatrix, cfg: EstimatorConfig) -> np.ndarr
     freqs = psm.freq_bins
     raw = np.zeros(len(cfg.harmonics))
     for idx, k in enumerate(cfg.harmonics):
-        hw = k * cfg.band_halfwidth_hz
-        lo_hz, hi_hz = k * cfg.nominal_hz - hw, k * cfg.nominal_hz + hw
-        if lo_hz < freqs[0] or hi_hz > freqs[-1]:
-            raise InvalidArgumentError(
-                f"harmonic order {k}: band [{lo_hz:.1f}, {hi_hz:.1f}] Hz outside spectrum"
-            )
-        lo, hi = _band_indices(freqs, lo_hz, hi_hz)
-        # surround: +-4 halfwidths around the harmonic, minus the band itself
-        s_lo, s_hi = _band_indices(freqs, k * cfg.nominal_hz - 4.0 * hw, k * cfg.nominal_hz + 4.0 * hw)
-        s_lo = max(s_lo, 0)
-        s_hi = min(s_hi, len(freqs))
+        _check_band(k, cfg, freqs[0], freqs[-1])
+        lo, hi = _band_indices(freqs, *_band_hz(k, cfg))
+        # surround: the band's neighbourhood, minus the band itself
+        s_lo, s_hi = _band_indices(freqs, *_band_hz(k, cfg, _SURROUND_HALFWIDTHS))
         surround = np.concatenate([psm.power[:, s_lo:lo], psm.power[:, hi:s_hi]], axis=1)
         peak = psm.power[:, lo:hi].max(axis=1)
         med = np.median(surround, axis=1) if surround.shape[1] else np.zeros(len(peak))
@@ -165,6 +210,18 @@ def harmonic_weights(psm: PowerSpectrumMatrix, cfg: EstimatorConfig) -> np.ndarr
     if total <= 0.0:
         return np.full(len(cfg.harmonics), 1.0 / len(cfg.harmonics))
     return raw / total
+
+
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, row)`` for every row of fp, by np.interp's own formula."""
+    j = np.searchsorted(xp, x, side="right") - 1  # xp[j] <= x < xp[j + 1]
+    out = fp[:, np.clip(j, 0, len(xp) - 1)]  # ends clamp; exact hits are fp[j]
+    inner = (j >= 0) & (j < len(xp) - 1)
+    inner[inner] = xp[j[inner]] != x[inner]
+    j, xi = j[inner], x[inner]
+    slope = (fp[:, j + 1] - fp[:, j]) / (xp[j + 1] - xp[j])
+    out[:, inner] = slope * (xi - xp[j]) + fp[:, j]
+    return out
 
 
 def combine_and_track(psm: PowerSpectrumMatrix, weights, cfg: EstimatorConfig) -> EnfSeries:
@@ -188,21 +245,15 @@ def combine_and_track(psm: PowerSpectrumMatrix, weights, cfg: EstimatorConfig) -
     combined = np.zeros((psm.power.shape[0], len(grid)))
     for w, k in zip(weights, cfg.harmonics):
         lo, hi = _band_indices(freqs, k * (cfg.nominal_hz - hw), k * (cfg.nominal_hz + hw))
-        base_freqs = freqs[lo:hi] / k
-        sl = psm.power[:, lo:hi]
-        for ti in range(sl.shape[0]):
-            combined[ti] += w * np.interp(grid, base_freqs, sl[ti])
-    dg = grid[1] - grid[0]
-    est = np.empty(combined.shape[0])
-    for ti in range(combined.shape[0]):
-        i = int(np.argmax(combined[ti]))
-        delta = 0.0
-        if 0 < i < len(grid) - 1:
-            left, center, right = np.log(combined[ti, i - 1 : i + 2] + _LOG_EPS)
-            den = left - 2.0 * center + right
-            if den < 0 and np.isfinite(den):
-                delta = float(np.clip(0.5 * (left - right) / den, -0.5, 0.5))
-        est[ti] = grid[i] + delta * dg
+        combined += w * _interp_rows(grid, freqs[lo:hi] / k, psm.power[:, lo:hi])
+    i = np.argmax(combined, axis=1)
+    delta = np.zeros(len(i))
+    rows = np.flatnonzero((i > 0) & (i < len(grid) - 1))
+    left, center, right = (np.log(combined[rows, i[rows] + d] + _LOG_EPS) for d in (-1, 0, 1))
+    den = left - 2.0 * center + right
+    ok = (den < 0) & np.isfinite(den)
+    delta[rows[ok]] = np.clip(0.5 * (left[ok] - right[ok]) / den[ok], -0.5, 0.5)
+    est = grid[i] + delta * (grid[1] - grid[0])
     if len(psm.time_bins) > 1:
         step = float(psm.time_bins[1] - psm.time_bins[0])
     else:
@@ -233,6 +284,6 @@ def estimate_enf(stream, cfg: Optional[EstimatorConfig] = None) -> EnfSeries:
             rate = cfg.audio_target_rate_hz
     else:
         raise InvalidArgumentError(f"unsupported stream type: {type(stream).__name__}")
-    psm = spectrogram(x, rate, cfg)
+    psm = spectrogram(x, rate, cfg, bands_only=True)
     weights = harmonic_weights(psm, cfg)
     return combine_and_track(psm, weights, cfg)

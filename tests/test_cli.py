@@ -160,6 +160,31 @@ def test_estimate_takes_nominal_flag_when_header_has_none(tmp_path):
                          load_enf_csv(str(gen / "truth.csv")))
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--target-rate", "0"),
+        ("--target-rate", "-5"),
+        ("--target-rate", "nan"),
+        ("--window", "nan"),
+        ("--window", "inf"),
+        ("--band-halfwidth", "nan"),
+    ],
+)
+def test_estimator_values_not_finite_and_positive_exit_2(tmp_path, small_inputs, flag, value):
+    assert run("estimate", "--stream", str(small_inputs / "stream.json"), flag, value,
+               "--out", str(tmp_path / "o")) == 2
+
+
+def test_estimate_of_a_band_above_nyquist_exits_2(tmp_path):
+    # a GlobalCCD stream has one sample per frame: 12.5 Hz Nyquist at 25 fps
+    gen = tmp_path / "ccd"
+    assert run("generate", "--kind", "video", "--shutter", "GlobalCCD", "--fps", "25",
+               "--height", "16", "--duration", "30", "--out", str(gen)) == 0
+    assert run("estimate", "--stream", str(gen / "stream.json"), "--harmonics", "2",
+               "--out", str(tmp_path / "e")) == 2
+
+
 def test_missing_input_exits_3(tmp_path):
     assert run("estimate", "--stream", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")) == 3
@@ -212,6 +237,8 @@ _CONFIG_CALLEES = {
         ("estimate", "--overlap", "0.75", "stft_overlap_frac", 0.75),
         ("estimate", "--fft-size", "65536", "fft_size", 65536),
         ("estimate", "--target-rate", "500", "audio_target_rate_hz", 500.0),
+        # 500 Hz is the default, so only a different value shows the flag reach its field
+        ("estimate", "--target-rate", "1000", "audio_target_rate_hz", 1000.0),
         ("detect", "--window", "12", "window_s", 12.0),
         ("detect", "--shift", "4", "shift_s", 4.0),
         ("detect", "--threshold", "0.7", "threshold", 0.7),

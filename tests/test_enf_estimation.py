@@ -34,24 +34,37 @@ def const_truth(f_hz=60.0, duration_s=60.0):
 
 
 def test_preprocess_noop_at_target_rate():
-    a = embed_audio(const_truth(duration_s=10), 1000.0, ((1, 1.0),), 20.0, seed=1)
+    a = embed_audio(const_truth(duration_s=10), 500.0, ((1, 1.0),), 20.0, seed=1)
     out = preprocess_audio(a, EstimatorConfig())
+    np.testing.assert_array_equal(out, a.samples)
+
+
+def test_preprocess_noop_at_an_explicit_1khz_target():
+    a = embed_audio(const_truth(duration_s=10), 1000.0, ((1, 1.0),), 20.0, seed=1)
+    out = preprocess_audio(a, EstimatorConfig(audio_target_rate_hz=1000.0))
     np.testing.assert_array_equal(out, a.samples)
 
 
 def test_preprocess_decimates_and_keeps_tone():
     a = embed_audio(const_truth(duration_s=10), 44_100.0, ((1, 1.0),), np.inf, seed=1)
     out = preprocess_audio(a, EstimatorConfig())
-    assert abs(len(out) - 10_000) <= 1
+    assert abs(len(out) - 5000) <= 1
     spec = np.abs(np.fft.rfft(out))
-    freqs = np.fft.rfftfreq(len(out), 1e-3)
+    freqs = np.fft.rfftfreq(len(out), 1.0 / 500.0)
     assert abs(freqs[np.argmax(spec)] - 60.0) < 0.15
 
 
 def test_preprocess_rejects_upsampling():
-    a = embed_audio(const_truth(duration_s=10), 500.0, ((1, 1.0),), 20.0, seed=1)
+    a = embed_audio(const_truth(duration_s=10), 250.0, ((1, 1.0),), 20.0, seed=1)
     with pytest.raises(InvalidArgumentError):
         preprocess_audio(a, EstimatorConfig())
+
+
+@pytest.mark.parametrize("field", ["audio_target_rate_hz", "stft_window_s", "band_halfwidth_hz"])
+@pytest.mark.parametrize("value", [0.0, -5.0, np.nan, np.inf])
+def test_config_rejects_non_finite_or_non_positive(field, value):
+    with pytest.raises(InvalidArgumentError):
+        EstimatorConfig(**{field: value})
 
 
 def test_row_signal_shapes():
@@ -122,6 +135,101 @@ def test_spectrogram_rejects_bad_fft_size():
         spectrogram(np.zeros(4000), 1000.0, EstimatorConfig(stft_window_s=2.0, fft_size=1000))
     with pytest.raises(InvalidArgumentError):
         spectrogram(np.zeros(4000), 1000.0, EstimatorConfig(stft_window_s=2.0, fft_size=3000))
+
+
+# band-only spectrogram: the columns the estimator reads, equal bit for bit
+# to the full matrix's
+
+CORPUS = dict(stft_window_s=16.0, stft_overlap_frac=0.9375)
+
+
+def _hum(rate_hz, duration_s, nominal_hz=60.0, seed=0):
+    t = np.arange(int(rate_hz * duration_s)) / rate_hz
+    x = np.random.default_rng(seed).normal(size=len(t))
+    return x + sum(np.sin(2 * np.pi * k * nominal_hz * t + k) / k for k in (1, 2, 3, 4))
+
+
+def _assert_band_columns_match(x, rate_hz, cfg):
+    full = spectrogram(x, rate_hz, cfg)
+    band = spectrogram(x, rate_hz, cfg, bands_only=True)
+    assert np.all(np.diff(band.freq_bins) > 0)
+    cols = np.searchsorted(full.freq_bins, band.freq_bins)
+    np.testing.assert_array_equal(full.freq_bins[cols], band.freq_bins)
+    np.testing.assert_array_equal(full.time_bins, band.time_bins)
+    assert band.power.tobytes() == full.power[:, cols].tobytes()
+    # nothing outside the harmonic surrounds is kept
+    dist = np.min([np.abs(band.freq_bins - k * cfg.nominal_hz) / (k * cfg.band_halfwidth_hz)
+                   for k in cfg.harmonics], axis=0)
+    assert np.all(dist <= 4.0 + 1e-9)
+    return full, band
+
+
+@pytest.mark.parametrize(
+    "kw, rate_hz, duration_s",
+    [
+        (CORPUS, 1000.0, 64),
+        (CORPUS, 500.0, 64),
+        (dict(stft_window_s=8.0, stft_overlap_frac=0.875, harmonics=(2,)), 500.0, 60),
+        (dict(nominal_hz=50.0, harmonics=(1, 2, 3, 4)), 500.0, 60),
+        # surrounds of harmonics 2 and 3 overlap: [88, 152] and [132, 228] Hz
+        (dict(band_halfwidth_hz=4.0), 1000.0, 30),
+    ],
+    ids=["corpus-1k", "corpus-500", "cmos-8s", "50hz-h1234", "overlapping-surrounds"],
+)
+def test_band_only_columns_equal_full_columns(kw, rate_hz, duration_s):
+    cfg = EstimatorConfig(**kw)
+    full, band = _assert_band_columns_match(_hum(rate_hz, duration_s, cfg.nominal_hz), rate_hz, cfg)
+    assert band.power.shape[1] < full.power.shape[1]
+    w = harmonic_weights(full, cfg)
+    assert harmonic_weights(band, cfg).tobytes() == w.tobytes()
+    e_full = combine_and_track(full, w, cfg).values_hz
+    assert combine_and_track(band, w, cfg).values_hz.tobytes() == e_full.tobytes()
+
+
+@pytest.mark.parametrize("n_seg", [1, 5, 19])  # 16 s at 1 kHz: 8 windows per rfft block
+def test_spectrogram_block_edges(n_seg):
+    cfg = EstimatorConfig(stft_window_s=16.0, stft_overlap_frac=0.5)
+    x = _hum(1000.0, 16 + 8 * (n_seg - 1))
+    full, _ = _assert_band_columns_match(x, 1000.0, cfg)
+    assert full.power.shape == (n_seg, 32769)
+    # every row equals a one-window transform of its own segment
+    win = np.hanning(16_000)
+    for i in (0, n_seg // 2, n_seg - 1):
+        p = np.abs(np.fft.rfft(x[i * 8000 : i * 8000 + 16_000] * win, n=65536)) ** 2
+        p[1:-1] *= 2.0
+        p /= 65536
+        assert full.power[i].tobytes() == p.tobytes()
+
+
+def test_estimate_equals_full_matrix_pipeline():
+    grid = GridConfig(seed=17)
+    truth = gen_enf_truth(grid, 120.0, 1.0)
+    a = embed_audio(truth, 1000.0, HARMONICS_123, 10.0, seed=17, grid=grid)
+    cfg = EstimatorConfig(**CORPUS)
+    cases = [(a, cfg, preprocess_audio(a, cfg))]
+    # 25 fps x 20 rows: the row signal is already at the 500 Hz working rate
+    v = embed_video(truth, 25.0, 20, ShutterType.RollingCMOS, 20.0, seed=17, grid=grid)
+    cases.append((v, EstimatorConfig(harmonics=(2,)), video_row_signal(v)[0]))
+    for stream, cfg, x in cases:
+        full = spectrogram(x, 500.0, cfg)
+        expected = combine_and_track(full, harmonic_weights(full, cfg), cfg)
+        got = estimate_enf(stream, cfg)
+        assert got.values_hz.tobytes() == expected.values_hz.tobytes()
+        assert (got.start_time_s, got.step_s) == (expected.start_time_s, expected.step_s)
+
+
+def test_empty_read_set_is_an_invalid_argument():
+    # one frame mean per frame: a 12.5 Hz Nyquist, far below the 120 Hz band
+    v = embed_video(const_truth(duration_s=30), 25.0, 16, ShutterType.GlobalCCD, 20.0, seed=1)
+    cfg = EstimatorConfig(harmonics=(2,))
+    with pytest.raises(InvalidArgumentError):
+        estimate_enf(v, cfg)
+    with pytest.raises(InvalidArgumentError):
+        spectrogram(np.zeros(1000), 25.0, cfg, bands_only=True)
+    # bins 15.6 Hz apart: no bin falls in any +-2k Hz surround
+    with pytest.raises(InvalidArgumentError):
+        spectrogram(np.zeros(1000), 1000.0, EstimatorConfig(stft_window_s=0.05, fft_size=64),
+                    bands_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +322,50 @@ def test_track_output_clock():
     assert len(est) == n
     assert est.start_time_s == pytest.approx(4.0)
     assert est.step_s == pytest.approx(4.0)
+
+
+def _combine_per_bin_loop(psm, weights, cfg):
+    """Reference: np.interp, argmax and parabolic refinement one time bin at a time."""
+    freqs, hw, k0 = psm.freq_bins, cfg.band_halfwidth_hz, min(cfg.harmonics)
+
+    def band(k):
+        lo_hz, hi_hz = k * (cfg.nominal_hz - hw), k * (cfg.nominal_hz + hw)
+        return slice(np.searchsorted(freqs, lo_hz, "left"), np.searchsorted(freqs, hi_hz, "right"))
+
+    grid = freqs[band(k0)] / k0
+    combined = np.zeros((psm.power.shape[0], len(grid)))
+    for w, k in zip(weights, cfg.harmonics):
+        for ti, row in enumerate(psm.power[:, band(k)]):
+            combined[ti] += w * np.interp(grid, freqs[band(k)] / k, row)
+    est = np.empty(len(combined))
+    for ti, row in enumerate(combined):
+        i, delta = int(np.argmax(row)), 0.0
+        if 0 < i < len(grid) - 1:
+            left, center, right = np.log(row[i - 1 : i + 2] + 1e-300)
+            den = left - 2.0 * center + right
+            if den < 0 and np.isfinite(den):
+                delta = float(np.clip(0.5 * (left - right) / den, -0.5, 0.5))
+        est[ti] = grid[i] + delta * (grid[1] - grid[0])
+    return est
+
+
+@pytest.mark.parametrize(
+    "kw, seed",
+    [
+        (dict(), 0),
+        (CORPUS, 1),
+        (dict(harmonics=(2, 3)), 2),  # base grid from order 2; order 3 reaches past its ends
+        (dict(nominal_hz=50.0, harmonics=(1, 2, 3, 4)), 3),
+    ],
+)
+def test_combine_matches_per_bin_loop(kw, seed):
+    cfg = EstimatorConfig(**kw)
+    x = _hum(500.0, 64, cfg.nominal_hz, seed)
+    for bands_only in (False, True):
+        psm = spectrogram(x, 500.0, cfg, bands_only=bands_only)
+        w = harmonic_weights(psm, cfg)
+        expected = _combine_per_bin_loop(psm, w, cfg)
+        assert combine_and_track(psm, w, cfg).values_hz.tobytes() == expected.tobytes()
 
 
 def test_combine_rejects_mismatched_weights():
