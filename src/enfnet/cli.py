@@ -13,11 +13,12 @@ command line takes the config class's default. ``estimate`` starts from
 stream header, and an explicit --nominal that disagrees with it exits 2.
 
 Exit codes: 0 success, 2 invalid configuration/arguments, 3 pipeline error.
-Structured argument strings (--harmonics, --forge, --k-list, --windows) are
-parsed by argparse, so malformed ones exit 2 before any work starts; main()
-returns the code instead of raising SystemExit. A scenario config whose
-nested configs name unknown fields or miss required ones, or whose top level
-is not a JSON object, also exits 2.
+Structured argument strings (--harmonics, --forge, --behavior, --k-list,
+--windows) are parsed by argparse, so malformed ones exit 2 before any work
+starts; main() returns the code instead of raising SystemExit. A scenario
+config whose nested configs name unknown fields or miss required ones, or
+whose top level is not a JSON object, also exits 2, as does a duration,
+rate, time step or frame rate that is not finite.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _spec(parse, want):
     def convert(text):
         try:
             return parse(text)
-        except ValueError as exc:
+        except (ValueError, ConfigurationError) as exc:
             raise argparse.ArgumentTypeError(f"{text!r}: want {want}") from exc
 
     return convert
@@ -137,9 +138,8 @@ def cmd_estimate(args):
 
 def cmd_consensus_sim(args):
     cfg = CommitteeConfig(**_given(args, CommitteeConfig))
-    behavior = parse_behavior(args.behavior)
     observers = [Honest(**_given(args, Honest)) for _ in range(cfg.K - cfg.f)]
-    observers += [dataclasses.replace(behavior) for _ in range(cfg.f)]
+    observers += [dataclasses.replace(args.behavior) for _ in range(cfg.f)]
     grid = GridConfig(seed=args.seed)
     results, summary = simulate_rounds(grid, observers, cfg, rounds=args.rounds, seed=args.seed)
     _write_jsonl(
@@ -296,7 +296,8 @@ def build_parser():
     c.add_argument("--dim", dest="d", type=int, default=720)
     c.add_argument("--rounds", type=int, default=100)
     c.add_argument("--round-duration", dest="round_duration_s", type=float)
-    c.add_argument("--behavior", default="offset:1.0")
+    c.add_argument("--behavior", default="offset:1.0", type=_spec(
+        parse_behavior, "honest[:noise], offset[:hz], random, clone[:hz] or silent"))
     c.add_argument("--noise", dest="noise_std", type=float)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)

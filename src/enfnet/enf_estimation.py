@@ -7,13 +7,14 @@ rate first (500 Hz by default); video is flattened to the row-sample stream
 with static scene content removed, and decimated to the same rate when it
 is faster.
 
-``estimate_enf`` computes only the spectrum it reads: the STFT runs a few
-windows at a time and keeps the columns within +-4 band halfwidths of each
-harmonic (``spectrogram(..., bands_only=True)``), each equal bit for bit to
-its column of the full matrix. At 500 Hz the 60 Hz harmonics 1-3 are read up
-to 186 Hz; a configuration whose top read edge k * (f0 + 4 * halfwidth)
-exceeds about 200 Hz, such as harmonic 4 at 60 Hz, needs a 1 kHz working
-rate (``audio_target_rate_hz=1000.0``).
+One band table gives each harmonic k its band, k * (nominal_hz +-
+band_halfwidth_hz), and a surround 4 times as wide; it rejects a band
+outside the spectrum or without a bin, and a base band under the 3 bins the
+peak fit needs. ``estimate_enf`` checks it before any STFT work and keeps
+only the surround columns (``spectrogram(..., bands_only=True)``), each
+equal bit for bit to its column of the full matrix. At 500 Hz the 60 Hz
+harmonics 1-3 are read up to 186 Hz; a read edge k * (f0 + 4 * halfwidth)
+above about 200 Hz, such as harmonic 4 at 60 Hz, needs a 1 kHz working rate.
 """
 
 from __future__ import annotations
@@ -111,6 +112,34 @@ def video_row_signal(v: VideoLumaStream) -> Tuple[np.ndarray, float]:
     return frames.mean(axis=1), v.fps
 
 
+def _band_table(freqs: np.ndarray, cfg: EstimatorConfig) -> dict:
+    """Harmonic k -> (lo, hi, s_lo, s_hi), index ranges into freqs.
+
+    freqs[lo:hi] is harmonic k's band, k * nominal_hz +- k * band_halfwidth_hz,
+    and freqs[s_lo:s_hi] its surround, _SURROUND_HALFWIDTHS times as wide.
+    Every band must lie inside freqs and hold a bin; the lowest-order band,
+    where combine_and_track fits its parabola, must hold 3.
+    """
+    table = {}
+    k0 = min(cfg.harmonics)
+    for k in cfg.harmonics:
+        center, half = k * cfg.nominal_hz, k * cfg.band_halfwidth_hz
+        band = f"harmonic order {k}: band [{center - half:.1f}, {center + half:.1f}] Hz"
+        if center - half < freqs[0] or center + half > freqs[-1]:
+            raise InvalidArgumentError(f"{band} outside spectrum")
+        lo, s_lo = (int(np.searchsorted(freqs, center - h * half, side="left"))
+                    for h in (1.0, _SURROUND_HALFWIDTHS))
+        hi, s_hi = (int(np.searchsorted(freqs, center + h * half, side="right"))
+                    for h in (1.0, _SURROUND_HALFWIDTHS))
+        need = 3 if k == k0 else 1
+        if hi - lo < need:
+            raise InvalidArgumentError(
+                f"{band} holds {hi - lo} bins, fewer than {need}; increase fft_size"
+            )
+        table[k] = (lo, hi, s_lo, s_hi)
+    return table
+
+
 def spectrogram(
     samples, rate_hz: float, cfg: EstimatorConfig, *, bands_only: bool = False
 ) -> PowerSpectrumMatrix:
@@ -134,7 +163,11 @@ def spectrogram(
         raise InvalidArgumentError("fft_size must be a power of two >= window sample count")
     n_seg = (len(x) - w_len) // hop + 1
     freqs = np.fft.rfftfreq(nfft, 1.0 / rate_hz)
-    cols = _read_columns(freqs, cfg) if bands_only else slice(None)
+    if bands_only:  # every harmonic's surround; the band table fails before any rfft
+        surrounds = [np.arange(s_lo, s_hi) for _, _, s_lo, s_hi in _band_table(freqs, cfg).values()]
+        cols = np.unique(np.concatenate(surrounds))
+    else:
+        cols = slice(None)
     # fold negative frequencies so column sums obey Parseval; nfft is a
     # power of two, so DC and Nyquist are the only unpaired bins
     fold = np.full(len(freqs), 2.0)
@@ -152,37 +185,6 @@ def spectrogram(
     return PowerSpectrumMatrix(time_bins=times, freq_bins=freqs[cols], power=power)
 
 
-def _band_indices(freqs, lo, hi):
-    return int(np.searchsorted(freqs, lo, side="left")), int(np.searchsorted(freqs, hi, side="right"))
-
-
-def _band_hz(k: int, cfg: EstimatorConfig, halfwidths: float = 1.0) -> Tuple[float, float]:
-    """Edges of harmonic k's band, or of its surround at _SURROUND_HALFWIDTHS."""
-    hw = k * cfg.band_halfwidth_hz
-    return k * cfg.nominal_hz - halfwidths * hw, k * cfg.nominal_hz + halfwidths * hw
-
-
-def _check_band(k: int, cfg: EstimatorConfig, f_lo: float, f_hi: float) -> None:
-    lo_hz, hi_hz = _band_hz(k, cfg)
-    if lo_hz < f_lo or hi_hz > f_hi:
-        raise InvalidArgumentError(
-            f"harmonic order {k}: band [{lo_hz:.1f}, {hi_hz:.1f}] Hz outside spectrum"
-        )
-
-
-def _read_columns(freqs: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
-    """Indices of the bins within the surround of any configured harmonic."""
-    keep = np.zeros(len(freqs), dtype=bool)
-    for k in cfg.harmonics:
-        # against the whole spectrum, as harmonic_weights checks a full matrix
-        _check_band(k, cfg, freqs[0], freqs[-1])
-        lo, hi = _band_indices(freqs, *_band_hz(k, cfg, _SURROUND_HALFWIDTHS))
-        keep[lo:hi] = True
-    if not keep.any():
-        raise InvalidArgumentError("no spectrum bin lies near a configured harmonic; increase fft_size")
-    return np.flatnonzero(keep)
-
-
 def harmonic_weights(psm: PowerSpectrumMatrix, cfg: EstimatorConfig) -> np.ndarray:
     """Weight per configured harmonic, proportional to time-averaged in-band SNR.
 
@@ -190,13 +192,11 @@ def harmonic_weights(psm: PowerSpectrumMatrix, cfg: EstimatorConfig) -> np.ndarr
     out-of-band power) - 1, clamped below at zero. Degenerate all-zero input
     falls back to uniform weights.
     """
-    freqs = psm.freq_bins
+    table = _band_table(psm.freq_bins, cfg)
     raw = np.zeros(len(cfg.harmonics))
     for idx, k in enumerate(cfg.harmonics):
-        _check_band(k, cfg, freqs[0], freqs[-1])
-        lo, hi = _band_indices(freqs, *_band_hz(k, cfg))
+        lo, hi, s_lo, s_hi = table[k]
         # surround: the band's neighbourhood, minus the band itself
-        s_lo, s_hi = _band_indices(freqs, *_band_hz(k, cfg, _SURROUND_HALFWIDTHS))
         surround = np.concatenate([psm.power[:, s_lo:lo], psm.power[:, hi:s_hi]], axis=1)
         peak = psm.power[:, lo:hi].max(axis=1)
         med = np.median(surround, axis=1) if surround.shape[1] else np.zeros(len(peak))
@@ -236,15 +236,13 @@ def combine_and_track(psm: PowerSpectrumMatrix, weights, cfg: EstimatorConfig) -
     if len(weights) != len(cfg.harmonics):
         raise InvalidArgumentError("weights length must match cfg.harmonics")
     freqs = psm.freq_bins
+    table = _band_table(freqs, cfg)
     k0 = min(cfg.harmonics)
-    hw = cfg.band_halfwidth_hz
-    lo0, hi0 = _band_indices(freqs, k0 * (cfg.nominal_hz - hw), k0 * (cfg.nominal_hz + hw))
+    lo0, hi0, _, _ = table[k0]
     grid = freqs[lo0:hi0] / k0
-    if len(grid) < 3:
-        raise InvalidArgumentError("base band resolves to fewer than 3 bins; increase fft_size")
     combined = np.zeros((psm.power.shape[0], len(grid)))
     for w, k in zip(weights, cfg.harmonics):
-        lo, hi = _band_indices(freqs, k * (cfg.nominal_hz - hw), k * (cfg.nominal_hz + hw))
+        lo, hi, _, _ = table[k]
         combined += w * _interp_rows(grid, freqs[lo:hi] / k, psm.power[:, lo:hi])
     i = np.argmax(combined, axis=1)
     delta = np.zeros(len(i))

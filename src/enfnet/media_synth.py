@@ -123,10 +123,9 @@ def gen_enf_truth(cfg: GridConfig, duration_s: float, step_s: float) -> EnfSerie
     Per-step increments are N(0, drift_std_hz^2 * step_s); the accumulated
     deviation is clipped to +-max_dev_hz at every step.
     """
-    if duration_s <= 0:
-        raise InvalidArgumentError("duration_s must be > 0")
-    if step_s <= 0:
-        raise InvalidArgumentError("step_s must be > 0")
+    for name, value in (("duration_s", duration_s), ("step_s", step_s)):
+        if not (np.isfinite(value) and value > 0):
+            raise InvalidArgumentError(f"{name} must be finite and > 0, got {value}")
     n = int(round(duration_s / step_s))
     if n < 1:
         raise InvalidArgumentError("duration_s must cover at least one step")
@@ -182,6 +181,8 @@ def embed_audio(
     if not harmonics:
         raise InvalidArgumentError("harmonics must be non-empty")
     max_order = max(int(k) for k, _ in harmonics)
+    if not np.isfinite(sample_rate_hz):
+        raise InvalidArgumentError(f"sample_rate_hz must be finite, got {sample_rate_hz}")
     if sample_rate_hz <= 2.0 * max_order * float(np.max(truth.values_hz)):
         raise InvalidArgumentError(
             f"sample_rate_hz={sample_rate_hz} violates Nyquist for harmonic order {max_order}"
@@ -214,8 +215,8 @@ def embed_video(
     sits at twice the grid frequency. RollingCMOS exposes rows sequentially
     at rate fps*frame_height; GlobalCCD exposes whole frames at rate fps.
     """
-    if fps <= 0:
-        raise InvalidArgumentError("fps must be > 0")
+    if not (np.isfinite(fps) and fps > 0):
+        raise InvalidArgumentError(f"fps must be finite and > 0, got {fps}")
     if frame_height < 1:
         raise InvalidArgumentError("frame_height must be >= 1")
     if not isinstance(shutter, ShutterType):

@@ -38,8 +38,10 @@ class CommitteeConfig:
             raise ConfigurationError(
                 f"K={self.K} violates quorum bound K >= 2f+3 (f={self.f})"
             )
-        if self.round_duration_s <= 0:
-            raise ConfigurationError("round_duration_s must be > 0")
+        if not (np.isfinite(self.round_duration_s) and self.round_duration_s > 0):
+            raise ConfigurationError(
+                f"round_duration_s must be finite and > 0, got {self.round_duration_s}"
+            )
 
     @property
     def vector_lo(self) -> float:
@@ -178,6 +180,10 @@ def select_ground_truth(scores: ScoreTable, pool: TransactionPool) -> Tuple[int,
 class Honest:
     noise_std: float = 0.005
 
+    def __post_init__(self):
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ConfigurationError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+
 
 @dataclass
 class RandomVector:
@@ -230,6 +236,8 @@ def parse_behavior(spec: str):
     """Parse a CLI behavior spec like 'offset:1.0', 'random', 'clone:60.9', 'silent'."""
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
+    if name in ("random", "silent") and arg:
+        raise ConfigurationError(f"behavior {name!r} takes no argument, got {spec!r}")
     if name == "honest":
         return Honest(noise_std=float(arg)) if arg else Honest()
     if name == "offset":

@@ -120,6 +120,12 @@ def test_configuration_errors_exit_2(tmp_path):
         ("estimate", "--stream", "missing.json", "--harmonics", "x"),
         ("bench", "--k-list", "a,b"),
         ("roc", "--windows", "8,x"),
+        ("consensus-sim", "--behavior", "offset:abc"),
+        ("consensus-sim", "--behavior", "clone:zz"),
+        ("consensus-sim", "--behavior", "random:5"),
+        ("consensus-sim", "--behavior", "silent:x"),
+        ("consensus-sim", "--behavior", "honest:-1"),
+        ("consensus-sim", "--behavior", "mystery"),
     ],
 )
 def test_malformed_argument_strings_exit_2(tmp_path, argv):
@@ -169,11 +175,42 @@ def test_estimate_takes_nominal_flag_when_header_has_none(tmp_path):
         ("--window", "nan"),
         ("--window", "inf"),
         ("--band-halfwidth", "nan"),
+        ("--window", "0.05"),  # bins 3.9 Hz apart: the 59.5-60.5 Hz band holds none
     ],
 )
 def test_estimator_values_not_finite_and_positive_exit_2(tmp_path, small_inputs, flag, value):
     assert run("estimate", "--stream", str(small_inputs / "stream.json"), flag, value,
                "--out", str(tmp_path / "o")) == 2
+
+
+def test_estimate_names_the_band_fault(tmp_path, small_inputs, capsys):
+    # bins 7.8 Hz apart at the 500 Hz working rate: the band lies inside the
+    # spectrum but holds no bin
+    assert run("estimate", "--stream", str(small_inputs / "stream.json"), "--window", "0.05",
+               "--fft-size", "64", "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "harmonic order 1" in err and "holds 0 bins" in err
+    assert "outside spectrum" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--duration", "nan"),
+        ("generate", "--duration", "inf"),
+        ("generate", "--truth-step", "nan"),
+        ("generate", "--sample-rate", "nan"),
+        ("generate", "--sample-rate", "inf"),
+        ("generate", "--kind", "video", "--fps", "nan"),
+        ("generate", "--kind", "video", "--fps", "inf"),
+        ("consensus-sim", "--round-duration", "nan"),
+        ("consensus-sim", "--round-duration", "inf"),
+        ("consensus-sim", "--noise", "-1"),
+        ("consensus-sim", "--noise", "nan"),
+    ],
+)
+def test_non_finite_times_and_rates_exit_2(tmp_path, argv):
+    assert run(*argv, "--out", str(tmp_path / "o")) == 2
 
 
 def test_estimate_of_a_band_above_nyquist_exits_2(tmp_path):

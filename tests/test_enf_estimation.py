@@ -227,9 +227,20 @@ def test_empty_read_set_is_an_invalid_argument():
     with pytest.raises(InvalidArgumentError):
         spectrogram(np.zeros(1000), 25.0, cfg, bands_only=True)
     # bins 15.6 Hz apart: no bin falls in any +-2k Hz surround
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="holds 0 bins"):
         spectrogram(np.zeros(1000), 1000.0, EstimatorConfig(stft_window_s=0.05, fft_size=64),
                     bands_only=True)
+
+
+def test_band_only_checks_every_band_before_any_rfft(monkeypatch):
+    def no_rfft(*args, **kwargs):
+        raise AssertionError("rfft called before the band checks")
+
+    monkeypatch.setattr(np.fft, "rfft", no_rfft)
+    # bins 0.49 Hz apart: the 59.5-60.5 Hz base band holds 59.57 and 60.06 Hz only
+    cfg = EstimatorConfig(stft_window_s=2.0, fft_size=1024)
+    with pytest.raises(InvalidArgumentError, match="order 1: .* holds 2 bins, fewer than 3"):
+        spectrogram(np.zeros(4000), 500.0, cfg, bands_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +281,14 @@ def test_weights_band_outside_spectrum():
     # 100 Hz sampling -> spectrum tops out at 50 Hz, below the 60 Hz band
     psm = spectrogram(np.zeros(1000), 100.0, cfg)
     with pytest.raises(InvalidArgumentError):
+        harmonic_weights(psm, cfg)
+
+
+def test_weights_band_without_a_bin():
+    cfg = EstimatorConfig(stft_window_s=0.05)
+    # bins 3.9 Hz apart: 58.6 and 62.5 Hz straddle the 59.5-60.5 Hz band
+    psm = spectrogram(np.zeros(1000), 1000.0, cfg)
+    with pytest.raises(InvalidArgumentError, match="order 1: .* holds 0 bins"):
         harmonic_weights(psm, cfg)
 
 

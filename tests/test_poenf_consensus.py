@@ -377,6 +377,9 @@ def test_parse_behavior_specs():
     assert isinstance(clone, ColludingClone)
     with pytest.raises(ConfigurationError):
         parse_behavior("mystery")
+    for spec in ("random:5", "silent:x", "honest:-1", "honest:nan"):
+        with pytest.raises(ConfigurationError):
+            parse_behavior(spec)
 
 
 def test_clone_scalar_target_broadcasts():
