@@ -285,9 +285,6 @@ def build_parser():
     e.add_argument("--window", dest="stft_window_s", type=float)
     e.add_argument("--overlap", dest="stft_overlap_frac", type=float)
     e.add_argument("--fft-size", dest="fft_size", type=int)
-    e.add_argument("--target-rate", dest="audio_target_rate_hz", type=float,
-                   help="working rate in Hz (default 500); use 1000 when a band's "
-                        "surround k*(f0 + 4*halfwidth) exceeds about 200 Hz")
     e.set_defaults(func=cmd_estimate)
 
     c = sub.add_parser("consensus-sim", help="run seeded PoENF consensus rounds", **configured)

@@ -2,19 +2,18 @@
 
 Three-step pipeline: (i) Hann-window power spectrogram, (ii) per-harmonic
 SNR weights, (iii) weighted combination of frequency-rescaled spectrum
-slices with parabolic peak refinement. Audio is decimated to a low working
-rate first (500 Hz by default); video is flattened to the row-sample stream
-with static scene content removed, and decimated to the same rate when it
-is faster.
+slices with parabolic peak refinement. Audio, or video flattened to rows
+with static scene content removed, is read at the working rate: the lowest
+500 * 2**j Hz whose Nyquist holds every band edge k * (nominal_hz +
+band_halfwidth_hz), or at its own rate when that is slower.
 
 One band table gives each harmonic k its band, k * (nominal_hz +-
 band_halfwidth_hz), and a surround 4 times as wide; it rejects a band
 outside the spectrum or without a bin, and a base band under the 3 bins the
 peak fit needs. ``estimate_enf`` checks it before any STFT work and keeps
 only the surround columns (``spectrogram(..., bands_only=True)``), each
-equal bit for bit to its column of the full matrix. At 500 Hz the 60 Hz
-harmonics 1-3 are read up to 186 Hz; a read edge k * (f0 + 4 * halfwidth)
-above about 200 Hz, such as harmonic 4 at 60 Hz, needs a 1 kHz working rate.
+equal bit for bit to its column of the full matrix. At 60 Hz harmonics 1-4
+are read at 500 Hz and harmonic 5 (band edge 302.5 Hz) at 1 kHz.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.signal import resample_poly
@@ -47,7 +46,6 @@ class EstimatorConfig:
     stft_window_s: float = 8.0
     stft_overlap_frac: float = 0.5
     fft_size: Optional[int] = None  # None -> 4 x next power of two over the window
-    audio_target_rate_hz: float = 500.0
 
     def __post_init__(self):
         if not (0.0 <= self.stft_overlap_frac < 1.0):
@@ -55,7 +53,7 @@ class EstimatorConfig:
         if not self.harmonics or any(int(k) <= 0 for k in self.harmonics):
             raise InvalidArgumentError("harmonics must be non-empty positive integers")
         self.harmonics = tuple(int(k) for k in self.harmonics)
-        for name in ("stft_window_s", "band_halfwidth_hz", "audio_target_rate_hz"):
+        for name in ("nominal_hz", "stft_window_s", "band_halfwidth_hz"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise InvalidArgumentError(f"{name} must be finite and > 0, got {value}")
@@ -79,21 +77,22 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def _decimate(x: np.ndarray, rate_hz: float, target_hz: float) -> np.ndarray:
-    """Polyphase anti-aliased rate reduction."""
-    if abs(rate_hz - target_hz) < 1e-9:
-        return x
-    if rate_hz < target_hz:
-        raise InvalidArgumentError(
-            f"cannot upsample: stream at {rate_hz} Hz below target {target_hz} Hz"
-        )
-    frac = Fraction(target_hz / rate_hz).limit_denominator(1_000_000)
-    return resample_poly(x, frac.numerator, frac.denominator)
+def _at_working_rate(x: np.ndarray, rate_hz: float, cfg: EstimatorConfig):
+    """(x, rate_hz) brought down to the working rate when faster, else as given;
+    band edges are computed as in _band_table, so the two agree at a tie."""
+    edge = max(k * cfg.nominal_hz + k * cfg.band_halfwidth_hz for k in cfg.harmonics)
+    target = 500.0
+    while target / 2.0 < edge:
+        target *= 2.0
+    if rate_hz <= target:
+        return x, rate_hz
+    frac = Fraction(target / rate_hz).limit_denominator(1_000_000)
+    return resample_poly(x, frac.numerator, frac.denominator), target
 
 
-def preprocess_audio(a: AudioStream, cfg: EstimatorConfig) -> np.ndarray:
-    """Anti-alias and decimate to cfg.audio_target_rate_hz."""
-    return _decimate(np.asarray(a.samples, dtype=float), a.sample_rate_hz, cfg.audio_target_rate_hz)
+def preprocess_audio(a: AudioStream, cfg: EstimatorConfig) -> Tuple[np.ndarray, float]:
+    """The samples at the working rate: (samples, rate_hz)."""
+    return _at_working_rate(np.asarray(a.samples, dtype=float), a.sample_rate_hz, cfg)
 
 
 def video_row_signal(v: VideoLumaStream) -> Tuple[np.ndarray, float]:
@@ -273,15 +272,12 @@ def estimate_enf(stream, cfg: Optional[EstimatorConfig] = None) -> EnfSeries:
     if cfg is None:
         cfg = default_config_for(stream)
     if isinstance(stream, AudioStream):
-        x = preprocess_audio(stream, cfg)
-        rate = cfg.audio_target_rate_hz
+        x, rate = preprocess_audio(stream, cfg)
     elif isinstance(stream, VideoLumaStream):
-        x, rate = video_row_signal(stream)
-        if rate > cfg.audio_target_rate_hz:
-            x = _decimate(x, rate, cfg.audio_target_rate_hz)
-            rate = cfg.audio_target_rate_hz
+        x, rate = _at_working_rate(*video_row_signal(stream), cfg)
     else:
         raise InvalidArgumentError(f"unsupported stream type: {type(stream).__name__}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidArgumentError("stream holds non-finite samples")
     psm = spectrogram(x, rate, cfg, bands_only=True)
-    weights = harmonic_weights(psm, cfg)
-    return combine_and_track(psm, weights, cfg)
+    return combine_and_track(psm, harmonic_weights(psm, cfg), cfg)

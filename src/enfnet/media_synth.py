@@ -142,8 +142,10 @@ def _integrated_phase(truth: EnfSeries, rate_hz: float, n: int) -> np.ndarray:
 
 
 def _add_noise(x: np.ndarray, signal_power: float, snr_db: float, rng) -> np.ndarray:
-    """x plus white noise snr_db below signal_power; x itself at infinite SNR or zero power."""
-    if not np.isfinite(snr_db) or not signal_power > 0.0:
+    """x plus white noise snr_db below signal_power; x itself at +inf SNR or zero power."""
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise InvalidArgumentError(f"snr_db must be finite or +inf, got {snr_db}")
+    if snr_db == np.inf or not signal_power > 0.0:
         return x
     sigma = np.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
     return x + rng.normal(0.0, sigma, size=x.shape) if sigma > 0.0 else x
@@ -178,8 +180,10 @@ def embed_audio(
     truth. grid (optional) records the generating process so forgeries can
     re-synthesize matching content.
     """
-    if not harmonics:
-        raise InvalidArgumentError("harmonics must be non-empty")
+    if not harmonics or any(int(k) < 1 or not np.isfinite(amp) for k, amp in harmonics):
+        raise InvalidArgumentError(
+            f"harmonics must be (order >= 1, finite amplitude) pairs, got {harmonics}"
+        )
     max_order = max(int(k) for k, _ in harmonics)
     if not np.isfinite(sample_rate_hz):
         raise InvalidArgumentError(f"sample_rate_hz must be finite, got {sample_rate_hz}")
@@ -221,6 +225,10 @@ def embed_video(
         raise InvalidArgumentError("frame_height must be >= 1")
     if not isinstance(shutter, ShutterType):
         raise InvalidArgumentError(f"unknown shutter type: {shutter!r}")
+    if not (np.isfinite(mod_depth) and np.isfinite(base_luma)):
+        raise InvalidArgumentError(
+            f"mod_depth and base_luma must be finite, got {mod_depth} and {base_luma}"
+        )
     # rows exposed per frame: every row in turn for RollingCMOS, once per frame for GlobalCCD
     rows = frame_height if shutter is ShutterType.RollingCMOS else 1
     n_frames = int(round(truth.duration_s * fps))

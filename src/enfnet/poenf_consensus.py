@@ -10,7 +10,7 @@ deterministic in its seed.
 from __future__ import annotations
 
 from collections.abc import Container, Set as AbstractSet
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -197,7 +197,7 @@ class OffsetVector:
 
 @dataclass
 class ColludingClone:
-    target_vector: Optional[np.ndarray] = None
+    target_hz: Optional[float] = None  # None -> nominal_hz + 0.9
 
 
 @dataclass
@@ -221,34 +221,32 @@ def make_transaction(behavior, truth_vals, validator_id, round_no, rng, cfg):
     elif isinstance(behavior, RandomVector):
         vec = rng.uniform(cfg.vector_lo, cfg.vector_hi, size=cfg.d)
     elif isinstance(behavior, ColludingClone):
-        if behavior.target_vector is not None:
-            vec = np.asarray(behavior.target_vector, dtype=float)
-            if vec.size == 1:  # scalar target broadcasts to a full proof
-                vec = np.full(cfg.d, float(vec.reshape(-1)[0]))
-        else:
-            vec = np.full(cfg.d, cfg.nominal_hz + 0.9)
+        target = behavior.target_hz
+        vec = np.full(cfg.d, cfg.nominal_hz + 0.9 if target is None else float(target))
     else:
         raise ConfigurationError(f"unknown behavior: {behavior!r}")
     return EnfTransaction(validator_id, round_no, _clamp(vec, cfg), timestamp_s=ts)
 
 
+# CLI behavior spec name -> class; a class with a field takes one finite argument
+_BEHAVIORS = {"honest": Honest, "offset": OffsetVector, "random": RandomVector,
+              "clone": ColludingClone, "silent": Silent}
+
+
 def parse_behavior(spec: str):
     """Parse a CLI behavior spec like 'offset:1.0', 'random', 'clone:60.9', 'silent'."""
     name, _, arg = spec.partition(":")
-    name = name.strip().lower()
-    if name in ("random", "silent") and arg:
+    cls = _BEHAVIORS.get(name.strip().lower())
+    if cls is None:
+        raise ConfigurationError(f"unknown behavior spec: {spec!r}")
+    if not arg:
+        return cls()
+    if not fields(cls):
         raise ConfigurationError(f"behavior {name!r} takes no argument, got {spec!r}")
-    if name == "honest":
-        return Honest(noise_std=float(arg)) if arg else Honest()
-    if name == "offset":
-        return OffsetVector(delta_hz=float(arg)) if arg else OffsetVector()
-    if name == "random":
-        return RandomVector()
-    if name == "clone":
-        return ColludingClone(target_vector=None if not arg else np.full(1, float(arg)))
-    if name == "silent":
-        return Silent()
-    raise ConfigurationError(f"unknown behavior spec: {spec!r}")
+    value = float(arg)
+    if not np.isfinite(value):
+        raise ConfigurationError(f"behavior argument must be finite, got {spec!r}")
+    return cls(value)
 
 
 def consensus_round(

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from enfnet import cli, harness
+from enfnet import ShutterType, cli, embed_video, harness
 from enfnet.cli import main
 from enfnet.enf_estimation import estimate_enf
 from enfnet.stream_io import load_enf_csv, load_stream, save_stream
@@ -126,6 +126,11 @@ def test_configuration_errors_exit_2(tmp_path):
         ("consensus-sim", "--behavior", "silent:x"),
         ("consensus-sim", "--behavior", "honest:-1"),
         ("consensus-sim", "--behavior", "mystery"),
+        ("consensus-sim", "--behavior", "offset:nan"),
+        ("consensus-sim", "--behavior", "offset:inf"),
+        ("consensus-sim", "--behavior", "offset:-inf"),
+        ("consensus-sim", "--behavior", "clone:inf"),
+        ("consensus-sim", "--behavior", "clone:nan"),
     ],
 )
 def test_malformed_argument_strings_exit_2(tmp_path, argv):
@@ -169,9 +174,6 @@ def test_estimate_takes_nominal_flag_when_header_has_none(tmp_path):
 @pytest.mark.parametrize(
     "flag, value",
     [
-        ("--target-rate", "0"),
-        ("--target-rate", "-5"),
-        ("--target-rate", "nan"),
         ("--window", "nan"),
         ("--window", "inf"),
         ("--band-halfwidth", "nan"),
@@ -207,9 +209,17 @@ def test_estimate_names_the_band_fault(tmp_path, small_inputs, capsys):
         ("consensus-sim", "--round-duration", "inf"),
         ("consensus-sim", "--noise", "-1"),
         ("consensus-sim", "--noise", "nan"),
+        ("generate", "--snr", "nan"),
+        ("generate", "--snr=-inf"),
+        ("generate", "--harmonics", "1:nan"),
+        ("generate", "--harmonics", "0:1"),
+        ("generate", "--kind", "video", "--mod-depth", "nan"),
+        ("estimate", "--stream", "{inputs}/nan_audio.json"),
+        ("estimate", "--stream", "{inputs}/nan_video.json"),
     ],
 )
-def test_non_finite_times_and_rates_exit_2(tmp_path, argv):
+def test_non_finite_times_and_rates_exit_2(tmp_path, small_inputs, argv):
+    argv = [a.format(inputs=small_inputs) for a in argv]
     assert run(*argv, "--out", str(tmp_path / "o")) == 2
 
 
@@ -220,6 +230,19 @@ def test_estimate_of_a_band_above_nyquist_exits_2(tmp_path):
                "--height", "16", "--duration", "30", "--out", str(gen)) == 0
     assert run("estimate", "--stream", str(gen / "stream.json"), "--harmonics", "2",
                "--out", str(tmp_path / "e")) == 2
+
+
+def test_harmonics_1_to_5_generate_and_estimate(tmp_path):
+    gen = tmp_path / "gen"
+    assert run("generate", "--harmonics", "1:1.0,2:0.5,3:0.3,4:0.2,5:0.2", "--sample-rate",
+               "1000", "--duration", "60", "--seed", "3", "--out", str(gen)) == 0
+    meta = json.loads((gen / "stream.json").read_text())["meta"]
+    assert meta["harmonics"] == [[1, 1.0], [2, 0.5], [3, 0.3], [4, 0.2], [5, 0.2]]
+    # harmonic 5's band ends at 302.5 Hz, so the estimator reads it at 1 kHz
+    assert run("estimate", "--stream", str(gen / "stream.json"), "--harmonics", "1,2,3,4,5",
+               "--out", str(tmp_path / "e")) == 0
+    _assert_within_truth(load_enf_csv(str(tmp_path / "e" / "enf.csv")),
+                         load_enf_csv(str(gen / "truth.csv")))
 
 
 def test_missing_input_exits_3(tmp_path):
@@ -246,6 +269,12 @@ def small_inputs(tmp_path_factory):
     run("generate", "--duration", "20", "--sample-rate", "1000", "--out", str(root))
     stream = load_stream(str(root / "stream.json"))
     save_stream(dataclasses.replace(stream, meta={}), str(root / "bare.json"))
+    # non-finite payloads, as a foreign .f32 file may hold
+    stream.samples[100] = np.nan
+    save_stream(stream, str(root / "nan_audio.json"))
+    video = embed_video(stream.truth, 25.0, 20, ShutterType.RollingCMOS, 20.0)
+    video.frames[:] = np.nan
+    save_stream(video, str(root / "nan_video.json"))
     return root
 
 
@@ -273,9 +302,6 @@ _CONFIG_CALLEES = {
         ("estimate", "--window", "12", "stft_window_s", 12.0),
         ("estimate", "--overlap", "0.75", "stft_overlap_frac", 0.75),
         ("estimate", "--fft-size", "65536", "fft_size", 65536),
-        ("estimate", "--target-rate", "500", "audio_target_rate_hz", 500.0),
-        # 500 Hz is the default, so only a different value shows the flag reach its field
-        ("estimate", "--target-rate", "1000", "audio_target_rate_hz", 1000.0),
         ("detect", "--window", "12", "window_s", 12.0),
         ("detect", "--shift", "4", "shift_s", 4.0),
         ("detect", "--threshold", "0.7", "threshold", 0.7),
@@ -375,6 +401,11 @@ def test_bench_prints_json_to_stdout_only(tmp_path, capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert payload["k_list"] == [8, 16]
     assert "slope" in payload and len(payload["latencies_s"]) == 2
+    assert "d_doubling_ratio" not in payload
+    assert run("bench", "--k-list", "8,16", "--dim", "32", "--trials", "3",
+               "--d-ratio-k", "8") == 0
+    ratio = json.loads(capsys.readouterr().out)["d_doubling_ratio"]
+    assert np.isfinite(ratio) and ratio > 0
     assert list(tmp_path.iterdir()) == []  # no files, timings are not reproducible
 
 

@@ -2,9 +2,12 @@
 position, known-tone weights) come first; the end-to-end accuracy bounds are
 checked against truths the estimator never sees directly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from enfnet import enf_estimation
 from enfnet import (
     EnfSeries,
     EstimatorConfig,
@@ -35,32 +38,81 @@ def const_truth(f_hz=60.0, duration_s=60.0):
 
 def test_preprocess_noop_at_target_rate():
     a = embed_audio(const_truth(duration_s=10), 500.0, ((1, 1.0),), 20.0, seed=1)
-    out = preprocess_audio(a, EstimatorConfig())
+    out, rate = preprocess_audio(a, EstimatorConfig())
     np.testing.assert_array_equal(out, a.samples)
+    assert rate == 500.0
 
 
-def test_preprocess_noop_at_an_explicit_1khz_target():
+def test_harmonics_1_to_5_read_a_1khz_stream_unchanged():
     a = embed_audio(const_truth(duration_s=10), 1000.0, ((1, 1.0),), 20.0, seed=1)
-    out = preprocess_audio(a, EstimatorConfig(audio_target_rate_hz=1000.0))
+    out, rate = preprocess_audio(a, EstimatorConfig(harmonics=(1, 2, 3, 4, 5)))
     np.testing.assert_array_equal(out, a.samples)
+    assert rate == 1000.0
 
 
 def test_preprocess_decimates_and_keeps_tone():
     a = embed_audio(const_truth(duration_s=10), 44_100.0, ((1, 1.0),), np.inf, seed=1)
-    out = preprocess_audio(a, EstimatorConfig())
+    out, rate = preprocess_audio(a, EstimatorConfig())
+    assert rate == 500.0
     assert abs(len(out) - 5000) <= 1
     spec = np.abs(np.fft.rfft(out))
     freqs = np.fft.rfftfreq(len(out), 1.0 / 500.0)
     assert abs(freqs[np.argmax(spec)] - 60.0) < 0.15
 
 
-def test_preprocess_rejects_upsampling():
+def test_slower_stream_is_read_at_its_own_rate():
     a = embed_audio(const_truth(duration_s=10), 250.0, ((1, 1.0),), 20.0, seed=1)
-    with pytest.raises(InvalidArgumentError):
-        preprocess_audio(a, EstimatorConfig())
+    out, rate = preprocess_audio(a, EstimatorConfig())
+    np.testing.assert_array_equal(out, a.samples)
+    assert rate == 250.0
+    # its 125 Hz Nyquist holds harmonic 2 but not harmonic 3's 181.5 Hz band edge
+    with pytest.raises(InvalidArgumentError, match=r"harmonic order 3.*181\.5\] Hz outside"):
+        estimate_enf(a, EstimatorConfig())
 
 
-@pytest.mark.parametrize("field", ["audio_target_rate_hz", "stft_window_s", "band_halfwidth_hz"])
+@pytest.mark.parametrize(
+    "kind, rate, harmonics, nominal_hz, expected",
+    [
+        ("audio", 44_100.0, None, 60.0, 500.0),
+        ("audio", 1000.0, (1, 2, 3, 4), 50.0, 500.0),
+        ("audio", 1000.0, (1, 2, 3, 4), 60.0, 500.0),
+        ("audio", 1000.0, (1, 2, 3, 4, 5), 60.0, 1000.0),
+        ("audio", 44_100.0, (1, 2, 3, 4, 5), 60.0, 1000.0),
+        ("audio", 400.0, None, 60.0, 400.0),
+        # harmonic 4 of 62 Hz ends at 4 * 62 + 4 * 0.5 = 250 Hz, the 500 Hz Nyquist:
+        # the rule and the band table agree at the tie
+        ("audio", 1000.0, (4,), 62.0, 500.0),
+        ("RollingCMOS", 360, None, 60.0, 500.0),  # 25 fps x 360 rows
+        ("GlobalCCD", 360, None, 60.0, 25.0),  # one sample per frame
+    ],
+)
+def test_working_rate(monkeypatch, kind, rate, harmonics, nominal_hz, expected):
+    """estimate_enf reads the lowest 500 * 2**j Hz whose Nyquist holds every
+    band edge, or the stream's own rate when that is slower."""
+    grid, truth = GridConfig(nominal_hz=nominal_hz), const_truth(nominal_hz, duration_s=20)
+    if kind == "audio":
+        orders = [(k, 1.0) for k in harmonics or (1, 2, 3)]
+        stream = embed_audio(truth, rate, orders, 20.0, seed=1, grid=grid)
+    else:
+        stream = embed_video(truth, 25.0, rate, ShutterType(kind), 20.0, seed=1, grid=grid)
+    cfg = enf_estimation.default_config_for(stream)
+    if harmonics:
+        cfg = dataclasses.replace(cfg, harmonics=harmonics)
+    seen = []
+
+    def spy(x, rate_hz, *args, **kwargs):
+        seen.append(rate_hz)
+        return spectrogram(x, rate_hz, *args, **kwargs)
+
+    monkeypatch.setattr(enf_estimation, "spectrogram", spy)
+    try:
+        estimate_enf(stream, cfg)
+    except InvalidArgumentError:
+        assert kind == "GlobalCCD"  # a 12.5 Hz Nyquist holds no 120 Hz band
+    assert seen == [expected]
+
+
+@pytest.mark.parametrize("field", ["nominal_hz", "stft_window_s", "band_halfwidth_hz"])
 @pytest.mark.parametrize("value", [0.0, -5.0, np.nan, np.inf])
 def test_config_rejects_non_finite_or_non_positive(field, value):
     with pytest.raises(InvalidArgumentError):
@@ -206,7 +258,9 @@ def test_estimate_equals_full_matrix_pipeline():
     truth = gen_enf_truth(grid, 120.0, 1.0)
     a = embed_audio(truth, 1000.0, HARMONICS_123, 10.0, seed=17, grid=grid)
     cfg = EstimatorConfig(**CORPUS)
-    cases = [(a, cfg, preprocess_audio(a, cfg))]
+    x, rate = preprocess_audio(a, cfg)
+    assert rate == 500.0
+    cases = [(a, cfg, x)]
     # 25 fps x 20 rows: the row signal is already at the 500 Hz working rate
     v = embed_video(truth, 25.0, 20, ShutterType.RollingCMOS, 20.0, seed=17, grid=grid)
     cases.append((v, EstimatorConfig(harmonics=(2,)), video_row_signal(v)[0]))

@@ -251,8 +251,7 @@ def test_random_vector_is_clamped_and_never_wins():
 
 def test_colluding_clone_never_selected():
     cfg = CommitteeConfig(K=5, f=1, d=16, round_duration_s=60.0)
-    target = np.full(16, 60.9)
-    obs = [Honest()] * 4 + [ColludingClone(target)]
+    obs = [Honest()] * 4 + [ColludingClone(60.9)]
     for seed in range(1000):
         rr = run_round(GridConfig(seed=0), obs, cfg, seed=seed)
         assert rr.ground_truth_id != 4
@@ -373,11 +372,12 @@ def test_parse_behavior_specs():
     assert parse_behavior("offset:0.5") == OffsetVector(0.5)
     assert isinstance(parse_behavior("random"), RandomVector)
     assert isinstance(parse_behavior("silent"), Silent)
-    clone = parse_behavior("clone:60.9")
-    assert isinstance(clone, ColludingClone)
+    assert parse_behavior("clone:60.9") == ColludingClone(60.9)
+    assert parse_behavior("clone") == ColludingClone()
     with pytest.raises(ConfigurationError):
         parse_behavior("mystery")
-    for spec in ("random:5", "silent:x", "honest:-1", "honest:nan"):
+    for spec in ("random:5", "silent:x", "honest:-1", "honest:nan", "offset:nan", "offset:inf",
+                 "offset:-inf", "clone:inf", "clone:nan"):
         with pytest.raises(ConfigurationError):
             parse_behavior(spec)
 
