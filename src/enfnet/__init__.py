@@ -60,7 +60,6 @@ from .poenf_consensus import (
     RandomVector,
     RejectReason,
     RoundResult,
-    ScoreTable,
     Silent,
     TransactionPool,
     ValidationResult,

@@ -143,7 +143,7 @@ def cmd_consensus_sim(args):
     grid = GridConfig(seed=args.seed)
     results, summary = simulate_rounds(grid, observers, cfg, rounds=args.rounds, seed=args.seed)
     _write_jsonl(
-        (_round_record(rr, scores={str(k): v for k, v in rr.scores.scores.items()})
+        (_round_record(rr, scores={str(k): v for k, v in rr.scores.items()})
          for rr in results),
         os.path.join(args.out, "rounds.jsonl"),
     )

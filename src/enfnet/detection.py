@@ -48,7 +48,10 @@ class WindowVerdict:
 class DetectionReport:
     windows: List[WindowVerdict]
     forged_intervals: List[Tuple[float, float]]
-    overall_verdict: Verdict
+
+    @property
+    def overall_verdict(self) -> Verdict:
+        return Verdict.Fake if self.forged_intervals else Verdict.Genuine
 
 
 def correlation(a, b) -> float:
@@ -125,9 +128,7 @@ def sliding_window_detect(
         t0 = local.start_time_s + si * step
         windows.append(WindowVerdict(t0, t0 + w_len * step, c, verdict))
         m += 1
-    intervals = merge_fake_windows(windows, cfg, step)
-    overall = Verdict.Fake if intervals else Verdict.Genuine
-    return DetectionReport(windows=windows, forged_intervals=intervals, overall_verdict=overall)
+    return DetectionReport(windows, merge_fake_windows(windows, cfg, step))
 
 
 def roc_curve(genuine_scores, fake_scores):

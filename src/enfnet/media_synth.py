@@ -101,7 +101,6 @@ class VideoLumaStream:
     """Per-row mean luminance stream; frames has shape (n_frames, frame_height)."""
 
     fps: float
-    frame_height: int
     shutter: ShutterType
     frames: np.ndarray
     truth: EnfSeries
@@ -111,6 +110,12 @@ class VideoLumaStream:
     def __post_init__(self):
         # sample_view flattens frames without a copy, which needs C order
         self.frames = np.ascontiguousarray(self.frames)
+        if self.frames.ndim != 2:
+            raise InvalidArgumentError(f"frames must be 2-D, got shape {self.frames.shape}")
+
+    @property
+    def frame_height(self) -> int:
+        return self.frames.shape[1]
 
     @property
     def duration_s(self) -> float:
@@ -142,12 +147,17 @@ def _integrated_phase(truth: EnfSeries, rate_hz: float, n: int) -> np.ndarray:
 
 
 def _add_noise(x: np.ndarray, signal_power: float, snr_db: float, rng) -> np.ndarray:
-    """x plus white noise snr_db below signal_power; x itself at +inf SNR or zero power."""
+    """x plus white noise snr_db below signal_power; x itself at +inf SNR, zero power or
+    zero sigma. An snr_db whose 10^(snr_db/10) or sigma overflows float64 is rejected."""
     if np.isnan(snr_db) or snr_db == -np.inf:
         raise InvalidArgumentError(f"snr_db must be finite or +inf, got {snr_db}")
     if snr_db == np.inf or not signal_power > 0.0:
         return x
-    sigma = np.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = np.float64(10.0) ** (snr_db / 10.0)
+        sigma = np.sqrt(signal_power / ratio)
+    if ratio == np.inf or not np.isfinite(sigma):
+        raise InvalidArgumentError(f"snr_db={snr_db} puts the noise power out of float64 range")
     return x + rng.normal(0.0, sigma, size=x.shape) if sigma > 0.0 else x
 
 
@@ -240,7 +250,7 @@ def embed_video(
     if rows < frame_height:  # a global exposure lights every row of its frame alike
         frames = np.repeat(frames, frame_height, axis=1)
     meta = _provenance(grid, snr_db, seed, mod_depth=float(mod_depth), base_luma=float(base_luma))
-    return VideoLumaStream(float(fps), int(frame_height), shutter, frames, truth, meta=meta)
+    return VideoLumaStream(float(fps), shutter, frames, truth, meta=meta)
 
 
 def _check_segments(segments, duration_s):

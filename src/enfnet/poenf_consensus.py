@@ -1,15 +1,15 @@
 """Proof-of-ENF committee consensus.
 
-Validators broadcast fixed-length ENF vectors each round; every validator
-scores the pooled proofs with a Krum-style multi-neighbor squared-distance
-rule and adopts the minimum-score proof as the round's ground truth E*.
-Byzantine behaviors are pluggable and the whole round driver is
-deterministic in its seed.
+Validators 0..K-1 broadcast (id, round, ENF vector) proofs each round;
+every validator scores the pooled proofs, one score per id, with a
+Krum-style multi-neighbor squared-distance rule and adopts the
+minimum-score proof as the round's ground truth E*. Byzantine behaviors are pluggable and the
+whole round driver is deterministic in its seed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container, Set as AbstractSet
+from collections.abc import Container
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
@@ -57,13 +57,9 @@ class EnfTransaction:
     validator_id: int
     round: int
     enf_vector: np.ndarray
-    timestamp_s: float
-    sig: int = -1  # placeholder signature: echoes validator_id
 
     def __post_init__(self):
         self.enf_vector = np.asarray(self.enf_vector, dtype=float)
-        if self.sig == -1:
-            self.sig = self.validator_id
 
 
 @dataclass
@@ -83,17 +79,11 @@ class TransactionPool:
 
 
 @dataclass
-class ScoreTable:
-    round: int
-    scores: Dict[int, float]
-
-
-@dataclass
 class RoundResult:
     round: int
     ground_truth_id: int
     ground_truth_enf: EnfSeries
-    scores: ScoreTable
+    scores: Dict[int, float]
     honest_agreement: bool
 
 
@@ -106,32 +96,29 @@ class RejectReason(Enum):
 
 @dataclass
 class ValidationResult:
-    accepted: bool
     reason: Optional[RejectReason] = None
+
+    @property
+    def accepted(self) -> bool:
+        return self.reason is None
 
 
 def validate_transaction(
-    tx: EnfTransaction,
-    committee_members: Sequence[int],
-    pool: TransactionPool,
-    current_round: int,
-    cfg: CommitteeConfig,
+    tx: EnfTransaction, pool: TransactionPool, cfg: CommitteeConfig
 ) -> ValidationResult:
-    """Admission control for one broadcast transaction.
+    """Admission control for one broadcast transaction into pool.
 
-    Checks, in order: sender is a committee member, round is current,
-    validator has not already submitted, and the vector is well-formed
-    (length d, finite, within +-1 Hz of nominal). Pass the members as a set
-    to check membership in O(1); any other sequence is converted per call.
+    Checks, in order: the sender is a committee member (an id in 0..K-1),
+    the transaction is for the pool's round, the sender has no entry in the
+    pool yet, and the vector is well-formed (length d, finite, within +-1 Hz
+    of nominal).
     """
-    if not isinstance(committee_members, AbstractSet):
-        committee_members = set(committee_members)
-    if tx.validator_id not in committee_members:
-        return ValidationResult(False, RejectReason.NotMember)
-    if tx.round != current_round:
-        return ValidationResult(False, RejectReason.StaleRound)
+    if tx.validator_id not in range(cfg.K):
+        return ValidationResult(RejectReason.NotMember)
+    if tx.round != pool.round:
+        return ValidationResult(RejectReason.StaleRound)
     if tx.validator_id in pool.entries:
-        return ValidationResult(False, RejectReason.Duplicate)
+        return ValidationResult(RejectReason.Duplicate)
     v = tx.enf_vector
     if (
         v.ndim != 1
@@ -140,15 +127,15 @@ def validate_transaction(
         or np.any(v < cfg.vector_lo)
         or np.any(v > cfg.vector_hi)
     ):
-        return ValidationResult(False, RejectReason.Malformed)
-    return ValidationResult(True, None)
+        return ValidationResult(RejectReason.Malformed)
+    return ValidationResult()
 
 
-def compute_scores(pool: TransactionPool, cfg: CommitteeConfig) -> ScoreTable:
+def compute_scores(pool: TransactionPool, cfg: CommitteeConfig) -> Dict[int, float]:
     """Krum-style score: sum of squared distances to the (n-f-2) nearest proofs.
 
-    Lower is more central; deterministic given the pool contents, independent
-    of insertion order.
+    Returns validator id -> score, ids ascending. Lower is more central;
+    deterministic given the pool contents, independent of insertion order.
     """
     n = len(pool)
     required = 2 * cfg.f + 3
@@ -160,15 +147,15 @@ def compute_scores(pool: TransactionPool, cfg: CommitteeConfig) -> ScoreTable:
     np.fill_diagonal(dist, np.inf)
     m = n - cfg.f - 2
     sums = np.sort(dist, axis=1)[:, :m].sum(axis=1)
-    return ScoreTable(round=pool.round, scores={i: float(s) for i, s in zip(ids, sums)})
+    return {i: float(s) for i, s in zip(ids, sums)}
 
 
-def select_ground_truth(scores: ScoreTable, pool: TransactionPool) -> Tuple[int, np.ndarray]:
+def select_ground_truth(scores: Dict[int, float], pool: TransactionPool) -> Tuple[int, np.ndarray]:
     """Minimum-score proof wins; ties break to the lowest validator id."""
-    if not scores.scores:
+    if not scores:
         raise InvalidArgumentError("empty score table")
-    best = min(scores.scores.values())
-    winner = min(i for i, s in scores.scores.items() if s == best)
+    best = min(scores.values())
+    winner = min(i for i, s in scores.items() if s == best)
     return winner, pool.entries[winner].enf_vector
 
 
@@ -205,13 +192,8 @@ class Silent:
     pass
 
 
-def _clamp(v: np.ndarray, cfg: CommitteeConfig) -> np.ndarray:
-    return np.clip(v, cfg.vector_lo, cfg.vector_hi)
-
-
 def make_transaction(behavior, truth_vals, validator_id, round_no, rng, cfg):
     """Produce (or withhold) one transaction per the validator's behavior."""
-    ts = round_no * cfg.round_duration_s
     if isinstance(behavior, Silent):
         return None
     if isinstance(behavior, Honest):
@@ -225,7 +207,7 @@ def make_transaction(behavior, truth_vals, validator_id, round_no, rng, cfg):
         vec = np.full(cfg.d, cfg.nominal_hz + 0.9 if target is None else float(target))
     else:
         raise ConfigurationError(f"unknown behavior: {behavior!r}")
-    return EnfTransaction(validator_id, round_no, _clamp(vec, cfg), timestamp_s=ts)
+    return EnfTransaction(validator_id, round_no, np.clip(vec, cfg.vector_lo, cfg.vector_hi))
 
 
 # CLI behavior spec name -> class; a class with a field takes one finite argument
@@ -263,14 +245,13 @@ def consensus_round(
     committee 0..K-1. The shared pool is scored once and its minimum-score
     proof is E*. ``views`` maps an honest validator to the pool it received;
     every honest validator it leaves out received the shared pool. Each
-    distinct view (by identity) is scored once, the shared pool's table is
+    distinct view (by identity) is scored once, the shared pool's scores are
     reused, and honest_agreement records whether every honest validator's
     view selects the same (id, E*) as the shared pool.
     """
-    members = frozenset(range(cfg.K))
     pool = TransactionPool(round=round_no)
     for tx in sorted(txs, key=lambda t: t.validator_id):
-        if validate_transaction(tx, members, pool, round_no, cfg).accepted:
+        if validate_transaction(tx, pool, cfg).accepted:
             pool.insert(tx)
 
     scores = compute_scores(pool, cfg)

@@ -46,8 +46,12 @@ def _series_from_dict(d: dict) -> EnfSeries:
 
 
 def save_stream(stream: Union[AudioStream, VideoLumaStream], header_path: str):
-    """Write a stream as JSON header + .f32 payload sidecar."""
-    flat = sample_view(stream)[0]
+    """Write a stream as JSON header + .f32 payload sidecar; no file if float32 can't hold it."""
+    with np.errstate(over="ignore"):  # an overflow to inf is counted below
+        payload = np.asarray(sample_view(stream)[0], dtype="<f4")
+    bad = np.count_nonzero(~np.isfinite(payload))
+    if bad:
+        raise InvalidArgumentError(f"{bad} of {payload.size} values are not finite as float32")
     if isinstance(stream, AudioStream):
         header = {
             "kind": "audio",
@@ -70,7 +74,7 @@ def save_stream(stream: Union[AudioStream, VideoLumaStream], header_path: str):
     )
     dump_json(header, header_path)
     with open(_payload_path(header_path), "wb") as fh:
-        fh.write(np.asarray(flat, dtype="<f4").tobytes())
+        fh.write(payload.tobytes())
 
 
 def load_stream(header_path: str):
@@ -86,9 +90,8 @@ def load_stream(header_path: str):
         shape = (int(header["n_samples"]),)
         make = functools.partial(AudioStream, header["sample_rate_hz"])
     elif kind == "video":
-        h = int(header["frame_height"])
-        shape = (int(header["n_frames"]), h)
-        make = functools.partial(VideoLumaStream, header["fps"], h, ShutterType(header["shutter"]))
+        shape = (int(header["n_frames"]), int(header["frame_height"]))
+        make = functools.partial(VideoLumaStream, header["fps"], ShutterType(header["shutter"]))
     else:
         raise InvalidArgumentError(f"unknown stream kind: {kind!r}")
     raw = np.fromfile(_payload_path(header_path), dtype="<f4").astype(float)

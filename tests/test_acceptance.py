@@ -106,7 +106,7 @@ def _localization_corpus(n=200, seed0=777):
         stream = forge_segments(stream, [(a, a + flen)], ForgeryMode.ReplaceEnf, seed=seed0 * 100003 + i)
         est = estimate_enf(stream, est_cfg)
         ref = EnfSeries(est.start_time_s, est.step_s, truth.at(est.times()))
-        entries.append(CorpusEntry(local=est, reference=ref, forged=True, injected=(a, a + flen)))
+        entries.append(CorpusEntry(local=est, reference=ref, injected=(a, a + flen)))
     return entries
 
 
@@ -172,8 +172,8 @@ def test_criterion_7_unit_identities():
     def table(order):
         pool = TransactionPool(round=0)
         for vid, src in enumerate(order):
-            pool.insert(EnfTransaction(vid, 0, vecs[src], timestamp_s=0.0))
-        return compute_scores(pool, cfg).scores
+            pool.insert(EnfTransaction(vid, 0, vecs[src]))
+        return compute_scores(pool, cfg)
     base = table(range(5))
     perm = [3, 1, 4, 0, 2]
     permuted = table(perm)
@@ -182,13 +182,13 @@ def test_criterion_7_unit_identities():
 
     # rejection taxonomy, in declared order
     pool = TransactionPool(round=0)
-    pool.insert(EnfTransaction(0, 0, np.full(4, 60.0), timestamp_s=0.0))
-    mk = lambda vid, rnd, vec: EnfTransaction(vid, rnd, vec, timestamp_s=0.0)
+    pool.insert(EnfTransaction(0, 0, np.full(4, 60.0)))
+    mk = lambda vid, rnd, vec: EnfTransaction(vid, rnd, vec)
     bad = np.full(4, 99.0)
-    assert validate_transaction(mk(9, 5, bad), range(5), pool, 0, cfg).reason is RejectReason.NotMember
-    assert validate_transaction(mk(0, 5, bad), range(5), pool, 0, cfg).reason is RejectReason.StaleRound
-    assert validate_transaction(mk(0, 0, bad), range(5), pool, 0, cfg).reason is RejectReason.Duplicate
-    assert validate_transaction(mk(1, 0, bad), range(5), pool, 0, cfg).reason is RejectReason.Malformed
+    assert validate_transaction(mk(9, 5, bad), pool, cfg).reason is RejectReason.NotMember
+    assert validate_transaction(mk(0, 5, bad), pool, cfg).reason is RejectReason.StaleRound
+    assert validate_transaction(mk(0, 0, bad), pool, cfg).reason is RejectReason.Duplicate
+    assert validate_transaction(mk(1, 0, bad), pool, cfg).reason is RejectReason.Malformed
     print("PASS criterion 7: correlation identities, score permutation, rejection order")
 
 

@@ -223,6 +223,16 @@ def test_non_finite_times_and_rates_exit_2(tmp_path, small_inputs, argv):
     assert run(*argv, "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize("snr", ["3090", "-3240", "-800"])
+def test_snr_beyond_float_range_exits_2_and_writes_no_stream(tmp_path, snr):
+    # 10^(snr/10) overflows float64 at +3090 dB and is 0 at -3240 dB; at -800 dB
+    # the noise overflows the float32 payload
+    out = tmp_path / "o"
+    assert run("generate", "--duration", "10", "--sample-rate", "1000", f"--snr={snr}",
+               "--out", str(out)) == 2
+    assert not (out / "stream.f32").exists()
+
+
 def test_estimate_of_a_band_above_nyquist_exits_2(tmp_path):
     # a GlobalCCD stream has one sample per frame: 12.5 Hz Nyquist at 25 fps
     gen = tmp_path / "ccd"
@@ -269,12 +279,15 @@ def small_inputs(tmp_path_factory):
     run("generate", "--duration", "20", "--sample-rate", "1000", "--out", str(root))
     stream = load_stream(str(root / "stream.json"))
     save_stream(dataclasses.replace(stream, meta={}), str(root / "bare.json"))
-    # non-finite payloads, as a foreign .f32 file may hold
-    stream.samples[100] = np.nan
+    # non-finite payloads, as a foreign .f32 file may hold: save_stream refuses
+    # to write them, so each payload is overwritten after a finite save
     save_stream(stream, str(root / "nan_audio.json"))
+    payload = stream.samples.astype("<f4")
+    payload[100] = np.nan
+    payload.tofile(root / "nan_audio.f32")
     video = embed_video(stream.truth, 25.0, 20, ShutterType.RollingCMOS, 20.0)
-    video.frames[:] = np.nan
     save_stream(video, str(root / "nan_video.json"))
+    np.full(video.frames.size, np.nan, dtype="<f4").tofile(root / "nan_video.f32")
     return root
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enfnet import (
+    DetectionReport,
     DetectorConfig,
     EnfSeries,
     ForgeryMode,
@@ -230,3 +231,8 @@ def test_roc_rejects_empty_classes():
         roc_curve([], [0.1])
     with pytest.raises(InvalidArgumentError):
         roc_curve([0.9], [])
+
+
+def test_report_verdict_is_fake_iff_an_interval_was_flagged():
+    assert DetectionReport([], []).overall_verdict is Verdict.Genuine
+    assert DetectionReport([], [(10.0, 20.0)]).overall_verdict is Verdict.Fake

@@ -198,8 +198,6 @@ def corpus_cfg(**kw):
     "kw",
     [
         dict(duration_s=85.0),  # forgeries up to 45 s need 86 s
-        dict(forgery_len_bounds_s=(0.0, 30.0)),
-        dict(forgery_len_bounds_s=(40.0, 30.0)),
     ],
 )
 def test_corpus_rejects_forgery_bounds_it_cannot_place(kw):

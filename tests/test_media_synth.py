@@ -15,6 +15,7 @@ from enfnet import (
     EnfSeries,
     InvalidArgumentError,
     ShutterType,
+    VideoLumaStream,
     embed_audio,
     embed_video,
     forge_segments,
@@ -161,6 +162,23 @@ def test_video_rejects_bad_args():
         embed_video(const_truth(), 0.0, 64, ShutterType.RollingCMOS, 20.0)
     with pytest.raises(InvalidArgumentError):
         embed_video(const_truth(), 25.0, 0, ShutterType.RollingCMOS, 20.0)
+
+
+@pytest.mark.parametrize("shape", [(500,), (25, 20, 2)])
+def test_video_stream_rejects_frames_that_are_not_2d(shape):
+    with pytest.raises(InvalidArgumentError):
+        VideoLumaStream(25.0, ShutterType.RollingCMOS, np.zeros(shape), const_truth())
+
+
+def test_video_stream_height_is_the_frames_width():
+    stream = VideoLumaStream(25.0, ShutterType.GlobalCCD, np.zeros((250, 20)), const_truth())
+    assert stream.frame_height == 20 and stream.duration_s == 10.0
+
+
+def test_snr_just_inside_float64_range_embeds():
+    quiet = embed_audio(const_truth(), 1000.0, HARMONICS_123, 3000.0)
+    clean = embed_audio(const_truth(), 1000.0, HARMONICS_123, np.inf)
+    np.testing.assert_allclose(quiet.samples, clean.samples, rtol=0.0, atol=1e-140)
 
 
 # ---------------------------------------------------------------------------

@@ -40,25 +40,29 @@ CFG = CommitteeConfig(K=5, f=1, d=4, round_duration_s=60.0)
 def pool_from(vectors, round_no=0):
     pool = TransactionPool(round=round_no)
     for vid, vec in enumerate(vectors):
-        pool.insert(EnfTransaction(vid, round_no, np.asarray(vec, float), timestamp_s=0.0))
+        pool.insert(EnfTransaction(vid, round_no, np.asarray(vec, float)))
     return pool
 
 
 def tx(vid=0, rnd=0, vec=None, d=4):
     if vec is None:
         vec = np.full(d, 60.0)
-    return EnfTransaction(vid, rnd, np.asarray(vec, float), timestamp_s=0.0)
+    return EnfTransaction(vid, rnd, np.asarray(vec, float))
 
 
 # ---------------------------------------------------------------------------
 # admission control
 
 
-def test_validate_accepts_wellformed():
-    pool = TransactionPool(round=0)
-    for members in (range(5), [0, 1, 2, 3, 4], frozenset(range(5))):
-        res = validate_transaction(tx(), members, pool, 0, CFG)
-        assert res.accepted and res.reason is None
+@pytest.mark.parametrize(
+    "vid, reason",
+    [(0, None), (CFG.K - 1, None), (-1, RejectReason.NotMember), (CFG.K, RejectReason.NotMember),
+     (CFG.K + 3, RejectReason.NotMember)],
+)
+def test_validate_membership_boundary(vid, reason):
+    """The committee is exactly the ids 0..K-1."""
+    res = validate_transaction(tx(vid=vid), TransactionPool(round=0), CFG)
+    assert (res.accepted, res.reason) == (reason is None, reason)
 
 
 def test_validate_rejection_order():
@@ -67,16 +71,16 @@ def test_validate_rejection_order():
     bad_vec = np.full(4, 99.0)  # also malformed
 
     # non-member beats everything else
-    r = validate_transaction(tx(vid=7, rnd=3, vec=bad_vec), range(5), pool, 0, CFG)
+    r = validate_transaction(tx(vid=7, rnd=3, vec=bad_vec), pool, CFG)
     assert (r.accepted, r.reason) == (False, RejectReason.NotMember)
     # member, wrong round
-    r = validate_transaction(tx(vid=0, rnd=3, vec=bad_vec), range(5), pool, 0, CFG)
+    r = validate_transaction(tx(vid=0, rnd=3, vec=bad_vec), pool, CFG)
     assert r.reason is RejectReason.StaleRound
     # member, current round, already in pool
-    r = validate_transaction(tx(vid=0, rnd=0, vec=bad_vec), range(5), pool, 0, CFG)
+    r = validate_transaction(tx(vid=0, rnd=0, vec=bad_vec), pool, CFG)
     assert r.reason is RejectReason.Duplicate
     # member, current, fresh -> only now is the payload inspected
-    r = validate_transaction(tx(vid=1, rnd=0, vec=bad_vec), range(5), pool, 0, CFG)
+    r = validate_transaction(tx(vid=1, rnd=0, vec=bad_vec), pool, CFG)
     assert r.reason is RejectReason.Malformed
 
 
@@ -93,7 +97,7 @@ def test_validate_rejection_order():
 )
 def test_validate_malformed_vectors(vec):
     pool = TransactionPool(round=0)
-    r = validate_transaction(tx(vec=vec), range(5), pool, 0, CFG)
+    r = validate_transaction(tx(vec=vec), pool, CFG)
     assert r.reason is RejectReason.Malformed
 
 
@@ -104,8 +108,8 @@ def test_validate_malformed_vectors(vec):
 def test_scores_identical_vectors_are_zero():
     pool = pool_from([np.full(4, 60.0)] * 5)
     table = compute_scores(pool, CFG)
-    assert set(table.scores) == set(range(5))
-    assert all(s == 0.0 for s in table.scores.values())
+    assert set(table) == set(range(5))
+    assert all(s == 0.0 for s in table.values())
 
 
 def test_scores_match_bruteforce_oracle():
@@ -119,7 +123,7 @@ def test_scores_match_bruteforce_oracle():
         dists = sorted(
             float(np.sum((vecs[i] - vecs[j]) ** 2)) for j in range(5) if j != i
         )
-        assert table.scores[i] == pytest.approx(sum(dists[:m]), abs=1e-12)
+        assert table[i] == pytest.approx(sum(dists[:m]), abs=1e-12)
 
 
 def test_scores_quorum_bound():
@@ -143,7 +147,7 @@ def test_outlier_scores_grow_with_offset():
     honest = 60.0 + rng.normal(0.0, 0.01, size=(4, 4))
     near = compute_scores(pool_from(list(honest) + [np.full(4, 60.3)]), CFG)
     far = compute_scores(pool_from(list(honest) + [np.full(4, 60.6)]), CFG)
-    assert far.scores[4] > near.scores[4] > max(near.scores[i] for i in range(4))
+    assert far[4] > near[4] > max(near[i] for i in range(4))
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,10 +159,10 @@ def test_scores_permutation_invariance(perm):
     base = compute_scores(pool_from(vecs), CFG)
     pool = TransactionPool(round=0)
     for vid, src in enumerate(perm):
-        pool.insert(EnfTransaction(vid, 0, vecs[src], timestamp_s=0.0))
+        pool.insert(EnfTransaction(vid, 0, vecs[src]))
     table = compute_scores(pool, CFG)
     for vid, src in enumerate(perm):
-        assert table.scores[vid] == pytest.approx(base.scores[src], abs=1e-9)
+        assert table[vid] == pytest.approx(base[src], abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +174,7 @@ def test_round_zero_noise_unanimous():
     rr = run_round(grid, [Honest(0.0)] * 5, CFG, seed=42)
     assert rr.ground_truth_id == 0  # all scores tie at exactly zero
     assert rr.honest_agreement
-    assert all(s == 0.0 for s in rr.scores.scores.values())
+    assert all(s == 0.0 for s in rr.scores.values())
     assert np.all(np.abs(rr.ground_truth_enf.values_hz - 60.0) <= 0.05)
 
 
@@ -203,8 +207,8 @@ def test_play_round_selects_the_central_view():
     assert rr.ground_truth_enf.values_hz.tobytes() == bases[4].tobytes()
     assert rr.ground_truth_enf.start_time_s == 2 * CFG.round_duration_s
     assert rr.honest_agreement
-    others = [s for v, s in rr.scores.scores.items() if v != 4]
-    assert rr.scores.scores[4] < min(others)  # a strict winner, not a tie broken by id
+    others = [s for v, s in rr.scores.items() if v != 4]
+    assert rr.scores[4] < min(others)  # a strict winner, not a tie broken by id
 
 
 def test_round_is_deterministic():
@@ -214,13 +218,13 @@ def test_round_is_deterministic():
     r2 = run_round(grid, obs, CFG, seed=7)
     assert r1.ground_truth_id == r2.ground_truth_id
     np.testing.assert_array_equal(r1.ground_truth_enf.values_hz, r2.ground_truth_enf.values_hz)
-    assert r1.scores.scores == r2.scores.scores
+    assert r1.scores == r2.scores
 
 
 def test_round_silent_validator_shrinks_pool():
     cfg6 = CommitteeConfig(K=6, f=1, d=4, round_duration_s=60.0)
     rr = run_round(GridConfig(seed=1), [Honest()] * 5 + [Silent()], cfg6, seed=3)
-    assert set(rr.scores.scores) == set(range(5))
+    assert set(rr.scores) == set(range(5))
     assert rr.honest_agreement
 
 
@@ -263,7 +267,7 @@ def test_offset_transaction_is_clamped_not_rejected():
     rng = np.random.default_rng(0)
     t = make_transaction(OffsetVector(1.0), np.full(8, 60.02), 1, 0, rng, cfg)
     assert np.all(t.enf_vector <= cfg.vector_hi)
-    res = validate_transaction(t, range(5), TransactionPool(round=0), 0, cfg)
+    res = validate_transaction(t, TransactionPool(round=0), cfg)
     assert res.accepted
 
 
@@ -280,7 +284,7 @@ def test_kernel_full_delivery_matches_manual_round():
     pool = pool_from([t.enf_vector for t in spread_txs()])
     table = compute_scores(pool, CFG6)
     winner, vec = select_ground_truth(table, pool)
-    assert rr.scores.scores == table.scores
+    assert rr.scores == table
     assert rr.ground_truth_id == winner
     np.testing.assert_array_equal(rr.ground_truth_enf.values_hz, vec)
     assert rr.ground_truth_enf.step_s == CFG6.round_duration_s / CFG6.d
@@ -292,9 +296,9 @@ def test_kernel_admits_in_validator_order_and_rejects():
     txs.append(tx(vid=9, rnd=2))  # not a committee member
     txs.append(tx(vid=3, rnd=2, vec=np.full(4, 60.5)))  # duplicate of validator 3
     rr = consensus_round(txs, CFG6, 2, honest_ids=range(6))
-    assert set(rr.scores.scores) == set(range(6))
+    assert set(rr.scores) == set(range(6))
     ref = consensus_round(spread_txs(round_no=2), CFG6, 2, honest_ids=range(6))
-    assert rr.scores.scores == ref.scores.scores
+    assert rr.scores == ref.scores
 
 
 def test_kernel_agreement_fails_when_views_differ():
@@ -307,7 +311,7 @@ def test_kernel_agreement_fails_when_views_differ():
             missing.insert(t)
     rr = consensus_round(spread_txs(), CFG6, 0, honest_ids=range(6), views={5: missing})
     assert rr.ground_truth_id == full.ground_truth_id
-    assert rr.scores.scores == full.scores.scores
+    assert rr.scores == full.scores
     assert rr.honest_agreement is False
 
 

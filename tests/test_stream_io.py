@@ -59,6 +59,15 @@ def test_video_stream_roundtrip(tmp_path):
         assert back.meta == stream.meta
 
 
+def test_save_rejects_values_float32_cannot_hold(tmp_path):
+    grid = GridConfig(seed=1)
+    stream = embed_audio(gen_enf_truth(grid, 5.0, 1.0), 1000.0, [(1, 1.0)], 20.0, grid=grid)
+    stream.samples[7] = 1e40  # finite as float64, inf as float32
+    with pytest.raises(InvalidArgumentError, match="1 of 5000 values"):
+        save_stream(stream, str(tmp_path / "big.json"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_stream_rejects_unknown(tmp_path):
     with pytest.raises(InvalidArgumentError):
         save_stream(np.zeros(4), str(tmp_path / "x.json"))
