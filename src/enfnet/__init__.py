@@ -44,7 +44,6 @@ from .media_synth import (
     EnfSeries,
     ForgeryMode,
     GridConfig,
-    ShutterType,
     VideoLumaStream,
     embed_audio,
     embed_video,

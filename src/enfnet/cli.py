@@ -38,7 +38,6 @@ from .errors import ConfigurationError, InvalidArgumentError, QuorumError
 from .media_synth import (
     ForgeryMode,
     GridConfig,
-    ShutterType,
     embed_audio,
     embed_video,
     forge_segments,
@@ -112,7 +111,7 @@ def cmd_generate(args):
         )
     else:
         stream = embed_video(
-            truth, args.fps, args.height, ShutterType(args.shutter), args.snr,
+            truth, args.fps, args.height, args.snr,
             seed=args.seed + 1, mod_depth=args.mod_depth, grid=grid,
         )
     for a, b, mode in args.forge:
@@ -266,8 +265,6 @@ def build_parser():
     g.add_argument("--snr", type=float, default=20.0)
     g.add_argument("--fps", type=float, default=25.0)
     g.add_argument("--height", type=int, default=360)
-    g.add_argument("--shutter", default="RollingCMOS",
-                   choices=[s.value for s in ShutterType])
     g.add_argument("--mod-depth", type=float, default=0.1)
     g.add_argument("--forge", type=_spec(_parse_forge, "start:end:mode[;...]"), default="",
                    help="start:end:mode[;...] e.g. 60:90:ReplaceEnf")

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.signal import resample_poly
 
 from .errors import InvalidArgumentError
-from .media_synth import AudioStream, EnfSeries, ShutterType, VideoLumaStream
+from .media_synth import AudioStream, EnfSeries, VideoLumaStream
 
 _LOG_EPS = 1e-300
 _MAX_SNR_RATIO = 1e12
@@ -96,19 +96,16 @@ def preprocess_audio(a: AudioStream, cfg: EstimatorConfig) -> Tuple[np.ndarray, 
 
 
 def video_row_signal(v: VideoLumaStream) -> Tuple[np.ndarray, float]:
-    """Flatten a luma stream into a 1-D sample series.
+    """Flatten a rolling-shutter luma stream into a 1-D sample series.
 
-    RollingCMOS: concatenated per-row means at fps*frame_height samples/s,
-    with each row's across-time mean subtracted to suppress static scene
-    content. GlobalCCD: one mean per frame at fps samples/s.
+    The per-row means are concatenated at fps*frame_height samples/s, with
+    each row's across-time mean subtracted to suppress static scene content.
 
     Returns (samples, rate_hz).
     """
     frames = np.asarray(v.frames, dtype=float)
-    if v.shutter is ShutterType.RollingCMOS:
-        resid = frames - frames.mean(axis=0, keepdims=True)
-        return resid.reshape(-1), v.fps * v.frame_height
-    return frames.mean(axis=1), v.fps
+    resid = frames - frames.mean(axis=0, keepdims=True)
+    return resid.reshape(-1), v.fps * v.frame_height
 
 
 def _band_table(freqs: np.ndarray, cfg: EstimatorConfig) -> dict:

@@ -322,16 +322,14 @@ def roc_sweep(window_list: Sequence[float], corpus_cfg: CorpusConfig):
     return out
 
 
-def localization_accuracy(
-    entries: Sequence[CorpusEntry], det: DetectorConfig, tol_s: Optional[float] = None
-):
+def localization_accuracy(entries: Sequence[CorpusEntry], det: DetectorConfig):
     """Boundary accuracy of reported forged intervals against injected truth.
 
     For each forged entry, the reported intervals overlapping the tolerance
     zone of the injected interval are enveloped (min start, max end) and both
-    boundary errors must fall within tol_s (default: one shift).
+    boundary errors must fall within the tolerance, one detector shift.
     """
-    tol = det.shift_s if tol_s is None else tol_s
+    tol = det.shift_s
     hits = 0
     total = 0
     errors = []

@@ -2,7 +2,7 @@
 
 Generates a grid-wide ground-truth frequency trace (a clamped Gaussian random
 walk around the nominal frequency), embeds it into audio as mains hum
-harmonics and into video as illumination flicker sampled by a global- or
+harmonics and into video as illumination flicker sampled row by row by a
 rolling-shutter sensor, and injects labeled forgeries.
 
 Everything here is a pure function of its arguments (including seeds), so
@@ -31,12 +31,15 @@ class GridConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.nominal_hz <= 0:
-            raise InvalidArgumentError("nominal_hz must be > 0")
-        if self.drift_std_hz < 0:
-            raise InvalidArgumentError("drift_std_hz must be >= 0")
-        if self.max_dev_hz <= 0:
-            raise InvalidArgumentError("max_dev_hz must be > 0")
+        # checked before any draw; max_dev_hz = inf is an unclamped walk
+        if not (np.isfinite(self.nominal_hz) and self.nominal_hz > 0):
+            raise InvalidArgumentError(f"nominal_hz must be finite and > 0, got {self.nominal_hz}")
+        if not (np.isfinite(self.drift_std_hz) and self.drift_std_hz >= 0):
+            raise InvalidArgumentError(
+                f"drift_std_hz must be finite and >= 0, got {self.drift_std_hz}"
+            )
+        if not self.max_dev_hz > 0:
+            raise InvalidArgumentError(f"max_dev_hz must be > 0, got {self.max_dev_hz}")
 
 
 @dataclass
@@ -71,11 +74,6 @@ class EnfSeries:
         return self.step_s * len(self.values_hz)
 
 
-class ShutterType(Enum):
-    GlobalCCD = "GlobalCCD"
-    RollingCMOS = "RollingCMOS"
-
-
 class ForgeryMode(Enum):
     ReplaceEnf = "ReplaceEnf"
     StripEnf = "StripEnf"
@@ -98,10 +96,10 @@ class AudioStream:
 
 @dataclass
 class VideoLumaStream:
-    """Per-row mean luminance stream; frames has shape (n_frames, frame_height)."""
+    """Per-row mean luminance of a rolling-shutter video; frames has shape
+    (n_frames, frame_height), rows exposed in turn at fps * frame_height per second."""
 
     fps: float
-    shutter: ShutterType
     frames: np.ndarray
     truth: EnfSeries
     forged_intervals: List[Tuple[float, float]] = field(default_factory=list)
@@ -161,6 +159,9 @@ def _add_noise(x: np.ndarray, signal_power: float, snr_db: float, rng) -> np.nda
     return x + rng.normal(0.0, sigma, size=x.shape) if sigma > 0.0 else x
 
 
+# mean luma of every synthesized video row, around which the lamp flickers
+_BASE_LUMA = 100.0
+
 # the GridConfig fields a stream's meta records, so forgeries can rebuild the grid
 _GRID_KEYS = tuple(f.name for f in fields(GridConfig) if f.name != "seed")
 
@@ -216,41 +217,31 @@ def embed_video(
     truth: EnfSeries,
     fps: float,
     frame_height: int,
-    shutter: ShutterType,
     snr_db: float,
     seed: int = 0,
     mod_depth: float = 0.1,
-    base_luma: float = 100.0,
     grid: GridConfig | None = None,
 ) -> VideoLumaStream:
     """Embed illumination flicker at 2*f(t) into per-row mean luminance.
 
     The lamp waveform is fully rectified (raised cosine), so its fundamental
-    sits at twice the grid frequency. RollingCMOS exposes rows sequentially
-    at rate fps*frame_height; GlobalCCD exposes whole frames at rate fps.
+    sits at twice the grid frequency. The rolling shutter exposes rows in
+    turn, one flicker sample per row at rate fps * frame_height, around a
+    mean luma of _BASE_LUMA.
     """
     if not (np.isfinite(fps) and fps > 0):
         raise InvalidArgumentError(f"fps must be finite and > 0, got {fps}")
     if frame_height < 1:
         raise InvalidArgumentError("frame_height must be >= 1")
-    if not isinstance(shutter, ShutterType):
-        raise InvalidArgumentError(f"unknown shutter type: {shutter!r}")
-    if not (np.isfinite(mod_depth) and np.isfinite(base_luma)):
-        raise InvalidArgumentError(
-            f"mod_depth and base_luma must be finite, got {mod_depth} and {base_luma}"
-        )
-    # rows exposed per frame: every row in turn for RollingCMOS, once per frame for GlobalCCD
-    rows = frame_height if shutter is ShutterType.RollingCMOS else 1
+    if not np.isfinite(mod_depth):
+        raise InvalidArgumentError(f"mod_depth must be finite, got {mod_depth}")
     n_frames = int(round(truth.duration_s * fps))
-    ac_amp = 0.5 * mod_depth * base_luma
-    phase2 = 2.0 * _integrated_phase(truth, fps * rows, n_frames * rows)
-    flat = base_luma + ac_amp * (1.0 - np.cos(phase2))
+    ac_amp = 0.5 * mod_depth * _BASE_LUMA
+    phase2 = 2.0 * _integrated_phase(truth, fps * frame_height, n_frames * frame_height)
+    flat = _BASE_LUMA + ac_amp * (1.0 - np.cos(phase2))
     flat = _add_noise(flat, ac_amp**2 / 2.0, snr_db, np.random.default_rng(seed))
-    frames = flat.reshape(n_frames, rows)
-    if rows < frame_height:  # a global exposure lights every row of its frame alike
-        frames = np.repeat(frames, frame_height, axis=1)
-    meta = _provenance(grid, snr_db, seed, mod_depth=float(mod_depth), base_luma=float(base_luma))
-    return VideoLumaStream(float(fps), shutter, frames, truth, meta=meta)
+    meta = _provenance(grid, snr_db, seed, mod_depth=float(mod_depth))
+    return VideoLumaStream(float(fps), flat.reshape(n_frames, frame_height), truth, meta=meta)
 
 
 def _check_segments(segments, duration_s):
@@ -279,23 +270,18 @@ def _fresh_grid(meta: dict, seed) -> GridConfig:
     return GridConfig(seed=seed, **{k: meta[k] for k in _GRID_KEYS if k in meta})
 
 
-def sample_view(stream) -> Tuple[np.ndarray, float, int]:
-    """The stream's values as one flat 1-D array: (flat, rate_hz, unit).
+def sample_view(stream) -> Tuple[np.ndarray, float]:
+    """The stream's values as one flat 1-D array: (flat, rate_hz).
 
     flat is the stream's own array reshaped without a copy, so writes to it
-    land in the stream (video frames are held in C order for this). Each
-    time index covers unit consecutive values at rate_hz indices per second:
-    audio has one sample per index at sample_rate_hz, RollingCMOS one row per
-    index at fps * frame_height, and GlobalCCD one frame (frame_height values)
-    per index at fps, which is why GlobalCCD forgeries snap to whole frames.
+    land in the stream (video frames are held in C order for this). Audio
+    has one sample per value at sample_rate_hz, video one row per value at
+    fps * frame_height.
     """
     if isinstance(stream, AudioStream):
-        return stream.samples, stream.sample_rate_hz, 1
+        return stream.samples, stream.sample_rate_hz
     if isinstance(stream, VideoLumaStream):
-        flat = stream.frames.reshape(-1)
-        if stream.shutter is ShutterType.RollingCMOS:
-            return flat, stream.fps * stream.frame_height, 1
-        return flat, stream.fps, stream.frame_height
+        return stream.frames.reshape(-1), stream.fps * stream.frame_height
     raise InvalidArgumentError(f"unsupported stream type: {type(stream).__name__}")
 
 
@@ -320,11 +306,9 @@ def _resynthesize(stream, seed) -> np.ndarray:
             alt_truth,
             stream.fps,
             stream.frame_height,
-            stream.shutter,
             snr_db,
             seed=int(seed) + 1,
             mod_depth=stream.meta.get("mod_depth", 0.1),
-            base_luma=stream.meta.get("base_luma", 100.0),
         )
     return sample_view(alt)[0]
 
@@ -335,30 +319,29 @@ def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
     ReplaceEnf re-synthesizes segment content from an independent ENF truth;
     StripEnf substitutes matched-power white noise around a centre of 0 for
     audio and the segment mean for video (luma is never zero-mean), one draw
-    per time index, so a GlobalCCD frame stays row-constant. Segment
-    bounds are rounded to whole time indices of :func:`sample_view`. Values
-    outside the segments are untouched, and forged_intervals is extended
-    with the new labels.
+    per value. Segment bounds are rounded to whole values of
+    :func:`sample_view`: audio samples or video rows. Values outside the
+    segments are untouched, and forged_intervals is extended with the new
+    labels.
     """
     segs = _check_segments(segments, stream.duration_s)
     out = copy.deepcopy(stream)
     if not segs:
         return out
-    src, rate, unit = sample_view(stream)
+    src, rate = sample_view(stream)
     flat = sample_view(out)[0]
     if mode is ForgeryMode.ReplaceEnf:
         replacement = _resynthesize(stream, seed)
     elif mode is not ForgeryMode.StripEnf:
         raise InvalidArgumentError(f"unknown forgery mode: {mode!r}")
     for si, (a, b) in enumerate(segs):
-        i0, i1 = int(round(a * rate)) * unit, int(round(b * rate)) * unit
+        i0, i1 = int(round(a * rate)), int(round(b * rate))
         if mode is ForgeryMode.ReplaceEnf:
             flat[i0:i1] = replacement[i0:i1]
         else:
             seg = src[i0:i1]
             centre = 0.0 if isinstance(stream, AudioStream) else np.mean(seg)
             sigma = np.sqrt(np.mean((seg - centre) ** 2))
-            noise = np.random.default_rng([int(seed), si]).normal(centre, sigma, (i1 - i0) // unit)
-            flat[i0:i1] = np.repeat(noise, unit)
+            flat[i0:i1] = np.random.default_rng([int(seed), si]).normal(centre, sigma, i1 - i0)
     out.forged_intervals = _merge_intervals(list(stream.forged_intervals) + segs)
     return out

@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .media_synth import AudioStream, EnfSeries, ShutterType, VideoLumaStream, sample_view
+from .media_synth import AudioStream, EnfSeries, VideoLumaStream, sample_view
 
 
 def _payload_path(header_path: str) -> str:
@@ -63,7 +63,6 @@ def save_stream(stream: Union[AudioStream, VideoLumaStream], header_path: str):
             "kind": "video",
             "fps": float(stream.fps),
             "frame_height": int(stream.frame_height),
-            "shutter": stream.shutter.value,
             "n_frames": int(len(stream.frames)),
         }
     header.update(
@@ -81,7 +80,9 @@ def load_stream(header_path: str):
     """Read a stream written by :func:`save_stream`.
 
     Raises InvalidArgumentError if the payload holds a different number of
-    values than the header declares (a truncated or foreign .f32 file).
+    values than the header declares (a truncated or foreign .f32 file), or
+    if a video header names a shutter other than the rolling shutter that
+    every video stream is (older files record "shutter": "RollingCMOS").
     """
     with open(header_path) as fh:
         header = json.load(fh)
@@ -90,8 +91,10 @@ def load_stream(header_path: str):
         shape = (int(header["n_samples"]),)
         make = functools.partial(AudioStream, header["sample_rate_hz"])
     elif kind == "video":
+        if header.get("shutter", "RollingCMOS") != "RollingCMOS":
+            raise InvalidArgumentError(f"unsupported video shutter: {header['shutter']!r}")
         shape = (int(header["n_frames"]), int(header["frame_height"]))
-        make = functools.partial(VideoLumaStream, header["fps"], ShutterType(header["shutter"]))
+        make = functools.partial(VideoLumaStream, header["fps"])
     else:
         raise InvalidArgumentError(f"unknown stream kind: {kind!r}")
     raw = np.fromfile(_payload_path(header_path), dtype="<f4").astype(float)

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from enfnet import ShutterType, cli, embed_video, harness
+from enfnet import cli, embed_video, harness
 from enfnet.cli import main
 from enfnet.enf_estimation import estimate_enf
 from enfnet.stream_io import load_enf_csv, load_stream, save_stream
@@ -214,6 +214,10 @@ def test_estimate_names_the_band_fault(tmp_path, small_inputs, capsys):
         ("generate", "--harmonics", "1:nan"),
         ("generate", "--harmonics", "0:1"),
         ("generate", "--kind", "video", "--mod-depth", "nan"),
+        ("generate", "--nominal", "nan"),
+        ("generate", "--drift", "nan"),
+        ("generate", "--drift", "inf"),
+        ("generate", "--max-dev", "nan"),
         ("estimate", "--stream", "{inputs}/nan_audio.json"),
         ("estimate", "--stream", "{inputs}/nan_video.json"),
     ],
@@ -233,13 +237,26 @@ def test_snr_beyond_float_range_exits_2_and_writes_no_stream(tmp_path, snr):
     assert not (out / "stream.f32").exists()
 
 
-def test_estimate_of_a_band_above_nyquist_exits_2(tmp_path):
-    # a GlobalCCD stream has one sample per frame: 12.5 Hz Nyquist at 25 fps
-    gen = tmp_path / "ccd"
-    assert run("generate", "--kind", "video", "--shutter", "GlobalCCD", "--fps", "25",
-               "--height", "16", "--duration", "30", "--out", str(gen)) == 0
+def test_estimate_of_a_band_above_nyquist_exits_2(tmp_path, capsys):
+    # audio at 200 Hz: a 100 Hz Nyquist, below harmonic 2's 120 Hz band
+    gen = tmp_path / "low"
+    assert run("generate", "--sample-rate", "200", "--harmonics", "1", "--duration", "30",
+               "--out", str(gen)) == 0
     assert run("estimate", "--stream", str(gen / "stream.json"), "--harmonics", "2",
                "--out", str(tmp_path / "e")) == 2
+    assert "harmonic order 2: band [119.0, 121.0] Hz outside spectrum" in capsys.readouterr().err
+
+
+def test_estimate_of_a_global_shutter_header_exits_2(tmp_path, capsys):
+    # a video file that records a global shutter holds one sample per frame,
+    # not rows; it is refused rather than read as rows
+    gen = tmp_path / "gen"
+    assert run("generate", "--kind", "video", "--height", "16", "--duration", "10",
+               "--out", str(gen)) == 0
+    path = gen / "stream.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "shutter": "GlobalCCD"}))
+    assert run("estimate", "--stream", str(path), "--out", str(tmp_path / "e")) == 2
+    assert "unsupported video shutter: 'GlobalCCD'" in capsys.readouterr().err
 
 
 def test_harmonics_1_to_5_generate_and_estimate(tmp_path):
@@ -285,7 +302,7 @@ def small_inputs(tmp_path_factory):
     payload = stream.samples.astype("<f4")
     payload[100] = np.nan
     payload.tofile(root / "nan_audio.f32")
-    video = embed_video(stream.truth, 25.0, 20, ShutterType.RollingCMOS, 20.0)
+    video = embed_video(stream.truth, 25.0, 20, 20.0)
     save_stream(video, str(root / "nan_video.json"))
     np.full(video.frames.size, np.nan, dtype="<f4").tofile(root / "nan_video.f32")
     return root

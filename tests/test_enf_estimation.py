@@ -13,7 +13,6 @@ from enfnet import (
     EstimatorConfig,
     GridConfig,
     InvalidArgumentError,
-    ShutterType,
     combine_and_track,
     embed_audio,
     embed_video,
@@ -82,8 +81,7 @@ def test_slower_stream_is_read_at_its_own_rate():
         # harmonic 4 of 62 Hz ends at 4 * 62 + 4 * 0.5 = 250 Hz, the 500 Hz Nyquist:
         # the rule and the band table agree at the tie
         ("audio", 1000.0, (4,), 62.0, 500.0),
-        ("RollingCMOS", 360, None, 60.0, 500.0),  # 25 fps x 360 rows
-        ("GlobalCCD", 360, None, 60.0, 25.0),  # one sample per frame
+        ("video", 360, None, 60.0, 500.0),  # 25 fps x 360 rows
     ],
 )
 def test_working_rate(monkeypatch, kind, rate, harmonics, nominal_hz, expected):
@@ -94,7 +92,7 @@ def test_working_rate(monkeypatch, kind, rate, harmonics, nominal_hz, expected):
         orders = [(k, 1.0) for k in harmonics or (1, 2, 3)]
         stream = embed_audio(truth, rate, orders, 20.0, seed=1, grid=grid)
     else:
-        stream = embed_video(truth, 25.0, rate, ShutterType(kind), 20.0, seed=1, grid=grid)
+        stream = embed_video(truth, 25.0, rate, 20.0, seed=1, grid=grid)
     cfg = enf_estimation.default_config_for(stream)
     if harmonics:
         cfg = dataclasses.replace(cfg, harmonics=harmonics)
@@ -105,10 +103,7 @@ def test_working_rate(monkeypatch, kind, rate, harmonics, nominal_hz, expected):
         return spectrogram(x, rate_hz, *args, **kwargs)
 
     monkeypatch.setattr(enf_estimation, "spectrogram", spy)
-    try:
-        estimate_enf(stream, cfg)
-    except InvalidArgumentError:
-        assert kind == "GlobalCCD"  # a 12.5 Hz Nyquist holds no 120 Hz band
+    estimate_enf(stream, cfg)
     assert seen == [expected]
 
 
@@ -121,25 +116,20 @@ def test_config_rejects_non_finite_or_non_positive(field, value):
 
 def test_row_signal_shapes():
     t = const_truth(duration_s=10)
-    cmos = embed_video(t, 25.0, 32, ShutterType.RollingCMOS, 20.0, seed=1)
-    sig, rate = video_row_signal(cmos)
+    sig, rate = video_row_signal(embed_video(t, 25.0, 32, 20.0, seed=1))
     assert sig.shape == (250 * 32,)
     assert rate == 25.0 * 32
-    ccd = embed_video(t, 25.0, 32, ShutterType.GlobalCCD, 20.0, seed=1)
-    sig, rate = video_row_signal(ccd)
-    assert sig.shape == (250,)
-    assert rate == 25.0
 
 
 def test_row_signal_static_cancellation_hazard():
     # At fps=30 a constant 120 Hz flicker repeats identically every frame
     # (4 cycles/frame), so the static-scene subtraction removes it entirely.
     t = const_truth(duration_s=10)
-    v30 = embed_video(t, 30.0, 32, ShutterType.RollingCMOS, np.inf, seed=1)
+    v30 = embed_video(t, 30.0, 32, np.inf, seed=1)
     sig30, _ = video_row_signal(v30)
     assert np.max(np.abs(sig30)) < 1e-9
     # fps=25 (4.8 cycles/frame) leaves the flicker intact at 120 Hz
-    v25 = embed_video(t, 25.0, 32, ShutterType.RollingCMOS, np.inf, seed=1)
+    v25 = embed_video(t, 25.0, 32, np.inf, seed=1)
     sig25, rate = video_row_signal(v25)
     spec = np.abs(np.fft.rfft(sig25))
     freqs = np.fft.rfftfreq(len(sig25), 1.0 / rate)
@@ -262,7 +252,7 @@ def test_estimate_equals_full_matrix_pipeline():
     assert rate == 500.0
     cases = [(a, cfg, x)]
     # 25 fps x 20 rows: the row signal is already at the 500 Hz working rate
-    v = embed_video(truth, 25.0, 20, ShutterType.RollingCMOS, 20.0, seed=17, grid=grid)
+    v = embed_video(truth, 25.0, 20, 20.0, seed=17, grid=grid)
     cases.append((v, EstimatorConfig(harmonics=(2,)), video_row_signal(v)[0]))
     for stream, cfg, x in cases:
         full = spectrogram(x, 500.0, cfg)
@@ -273,11 +263,11 @@ def test_estimate_equals_full_matrix_pipeline():
 
 
 def test_empty_read_set_is_an_invalid_argument():
-    # one frame mean per frame: a 12.5 Hz Nyquist, far below the 120 Hz band
-    v = embed_video(const_truth(duration_s=30), 25.0, 16, ShutterType.GlobalCCD, 20.0, seed=1)
+    # audio at 200 Hz: a 100 Hz Nyquist, below harmonic 2's 120 Hz band
+    a = embed_audio(const_truth(duration_s=30), 200.0, [(1, 1.0)], 20.0, seed=1)
     cfg = EstimatorConfig(harmonics=(2,))
-    with pytest.raises(InvalidArgumentError):
-        estimate_enf(v, cfg)
+    with pytest.raises(InvalidArgumentError, match="outside spectrum"):
+        estimate_enf(a, cfg)
     with pytest.raises(InvalidArgumentError):
         spectrogram(np.zeros(1000), 25.0, cfg, bands_only=True)
     # bins 15.6 Hz apart: no bin falls in any +-2k Hz surround
@@ -455,7 +445,7 @@ def test_combine_rejects_mismatched_weights():
 def test_video_estimate_tracks_truth():
     grid = GridConfig(seed=23)
     truth = gen_enf_truth(grid, 120.0, 1.0)
-    v = embed_video(truth, 25.0, 120, ShutterType.RollingCMOS, 20.0, seed=23, grid=grid)
+    v = embed_video(truth, 25.0, 120, 20.0, seed=23, grid=grid)
     est = estimate_enf(v)  # defaults to the 120 Hz band, reported at base
     ref = np.interp(est.times(), truth.times(), truth.values_hz)
     rmse = np.sqrt(np.mean((est.values_hz - ref) ** 2))

@@ -8,7 +8,6 @@ from enfnet import (
     ForgeryMode,
     GridConfig,
     InvalidArgumentError,
-    ShutterType,
     embed_audio,
     embed_video,
     forge_segments,
@@ -43,20 +42,33 @@ def test_audio_stream_roundtrip(tmp_path):
 def test_video_stream_roundtrip(tmp_path):
     grid = GridConfig(seed=2)
     truth = gen_enf_truth(grid, 10.0, 1.0)
-    for shutter in ShutterType:
-        stream = embed_video(truth, 25.0, 32, shutter, 25.0, seed=2, grid=grid)
-        stream = forge_segments(stream, [(2.01, 4.5)], ForgeryMode.StripEnf, seed=3)
-        path = tmp_path / f"{shutter.value}.json"
-        save_stream(stream, str(path))
-        back = load_stream(str(path))
-        assert back.shutter is shutter
-        assert back.fps == 25.0 and back.frame_height == 32
-        assert back.frames.shape == stream.frames.shape
-        np.testing.assert_array_equal(
-            back.frames, stream.frames.astype("<f4").astype(float)
-        )
-        assert back.forged_intervals == [(2.01, 4.5)]
-        assert back.meta == stream.meta
+    stream = embed_video(truth, 25.0, 32, 25.0, seed=2, grid=grid)
+    stream = forge_segments(stream, [(2.01, 4.5)], ForgeryMode.StripEnf, seed=3)
+    path = tmp_path / "v.json"
+    save_stream(stream, str(path))
+    back = load_stream(str(path))
+    assert back.fps == 25.0 and back.frame_height == 32
+    assert back.frames.shape == stream.frames.shape
+    np.testing.assert_array_equal(back.frames, stream.frames.astype("<f4").astype(float))
+    assert back.forged_intervals == [(2.01, 4.5)]
+    assert back.meta == stream.meta
+
+
+@pytest.mark.parametrize("shutter, loads", [("RollingCMOS", True), ("GlobalCCD", False)])
+def test_load_stream_reads_only_rolling_shutter_video(tmp_path, shutter, loads):
+    """A header that records its shutter, as older video files do, loads only
+    when it names the rolling shutter; a global-shutter file is refused
+    instead of being read as rows."""
+    truth = gen_enf_truth(GridConfig(seed=2), 4.0, 1.0)
+    path = tmp_path / "v.json"
+    save_stream(embed_video(truth, 25.0, 16, 25.0, seed=2), str(path))
+    header = json.loads(path.read_text())
+    path.write_text(json.dumps({**header, "shutter": shutter}))
+    if loads:
+        assert load_stream(str(path)).frames.shape == (100, 16)
+    else:
+        with pytest.raises(InvalidArgumentError, match="GlobalCCD"):
+            load_stream(str(path))
 
 
 def test_save_rejects_values_float32_cannot_hold(tmp_path):
@@ -109,7 +121,7 @@ def test_load_stream_rejects_truncated_audio_payload(tmp_path):
 def test_load_stream_rejects_truncated_video_payload(tmp_path):
     grid = GridConfig(seed=2)
     truth = gen_enf_truth(grid, 4.0, 1.0)
-    stream = embed_video(truth, 25.0, 16, ShutterType.RollingCMOS, 25.0, seed=2, grid=grid)
+    stream = embed_video(truth, 25.0, 16, 25.0, seed=2, grid=grid)
     path = tmp_path / "v.json"
     save_stream(stream, str(path))
     payload = tmp_path / "v.f32"
