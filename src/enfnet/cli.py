@@ -114,8 +114,11 @@ def cmd_generate(args):
             truth, args.fps, args.height, args.snr,
             seed=args.seed + 1, mod_depth=args.mod_depth, grid=grid,
         )
-    for a, b, mode in args.forge:
-        stream = forge_segments(stream, [(a, b)], mode, seed=args.seed + 2)
+    # one call per mode, in order of first mention: StripEnf draws are numbered
+    # per segment and ReplaceEnf resynthesizes once
+    for mode in dict.fromkeys(mode for _, _, mode in args.forge):
+        segments = [(a, b) for a, b, m in args.forge if m is mode]
+        stream = forge_segments(stream, segments, mode, seed=args.seed + 2)
     stream_io.save_stream(stream, os.path.join(args.out, "stream.json"))
     stream_io.save_enf_csv(truth, os.path.join(args.out, "truth.csv"))
     return 0

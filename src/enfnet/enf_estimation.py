@@ -7,13 +7,14 @@ with static scene content removed, is read at the working rate: the lowest
 500 * 2**j Hz whose Nyquist holds every band edge k * (nominal_hz +
 band_halfwidth_hz), or at its own rate when that is slower.
 
-One band table gives each harmonic k its band, k * (nominal_hz +-
-band_halfwidth_hz), and a surround 4 times as wide; it rejects a band
-outside the spectrum or without a bin, and a base band under the 3 bins the
-peak fit needs. ``estimate_enf`` checks it before any STFT work and keeps
-only the surround columns (``spectrogram(..., bands_only=True)``), each
-equal bit for bit to its column of the full matrix. At 60 Hz harmonics 1-4
-are read at 500 Hz and harmonic 5 (band edge 302.5 Hz) at 1 kHz.
+``spectrogram`` works out one band table before any STFT work: harmonic
+k's band, k * (nominal_hz +- band_halfwidth_hz), and a surround 4 times as
+wide. It rejects a band outside the spectrum or without a bin, and a base
+band under the 3 bins the peak fit needs. The matrix carries the table and
+the STFT clock, so the weights and the tracker take no config; with
+``bands_only`` it keeps only the surround columns, each equal bit for bit
+to its column of the full matrix, as ``estimate_enf`` does. At 60 Hz
+harmonics 1-4 are read at 500 Hz and harmonic 5 (edge 302.5 Hz) at 1 kHz.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ class EstimatorConfig:
     def __post_init__(self):
         if not (0.0 <= self.stft_overlap_frac < 1.0):
             raise InvalidArgumentError("stft_overlap_frac must lie in [0, 1)")
-        if not self.harmonics or any(int(k) <= 0 for k in self.harmonics):
-            raise InvalidArgumentError("harmonics must be non-empty positive integers")
-        self.harmonics = tuple(int(k) for k in self.harmonics)
+        hs = self.harmonics = tuple(int(k) for k in self.harmonics)
+        if not hs or min(hs) <= 0 or len(set(hs)) < len(hs):
+            raise InvalidArgumentError(f"harmonics must be distinct positive integers, got {hs}")
         for name in ("nominal_hz", "stft_window_s", "band_halfwidth_hz"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -61,12 +62,14 @@ class EstimatorConfig:
 
 @dataclass
 class PowerSpectrumMatrix:
-    time_bins: np.ndarray  # window centers, seconds
     freq_bins: np.ndarray  # Hz, strictly increasing
-    power: np.ndarray  # shape (len(time_bins), len(freq_bins)), >= 0
+    power: np.ndarray  # shape (windows, len(freq_bins)), >= 0
+    bands: dict  # harmonic k -> (lo, hi, s_lo, s_hi) column ranges, in cfg.harmonics order
+    start_s: float  # center of the first window, seconds
+    step_s: float  # hop between window centers, seconds
 
     def __post_init__(self):
-        if self.power.shape != (len(self.time_bins), len(self.freq_bins)):
+        if self.power.ndim != 2 or self.power.shape[1] != len(self.freq_bins):
             raise InvalidArgumentError("power matrix dimensions inconsistent with bins")
 
 
@@ -77,10 +80,17 @@ def _next_pow2(n: int) -> int:
     return p
 
 
+def _band_hz(k: int, cfg: EstimatorConfig, halfwidths: float = 1.0) -> Tuple[float, float]:
+    """Harmonic k's band, k * nominal_hz +- k * band_halfwidth_hz, widened
+    ``halfwidths`` times: (lo_hz, hi_hz)."""
+    center, half = k * cfg.nominal_hz, halfwidths * (k * cfg.band_halfwidth_hz)
+    return center - half, center + half
+
+
 def _at_working_rate(x: np.ndarray, rate_hz: float, cfg: EstimatorConfig):
     """(x, rate_hz) brought down to the working rate when faster, else as given;
-    band edges are computed as in _band_table, so the two agree at a tie."""
-    edge = max(k * cfg.nominal_hz + k * cfg.band_halfwidth_hz for k in cfg.harmonics)
+    band edges are those of _band_table, so the two agree at a tie."""
+    edge = max(_band_hz(k, cfg)[1] for k in cfg.harmonics)
     target = 500.0
     while target / 2.0 < edge:
         target *= 2.0
@@ -111,22 +121,20 @@ def video_row_signal(v: VideoLumaStream) -> Tuple[np.ndarray, float]:
 def _band_table(freqs: np.ndarray, cfg: EstimatorConfig) -> dict:
     """Harmonic k -> (lo, hi, s_lo, s_hi), index ranges into freqs.
 
-    freqs[lo:hi] is harmonic k's band, k * nominal_hz +- k * band_halfwidth_hz,
-    and freqs[s_lo:s_hi] its surround, _SURROUND_HALFWIDTHS times as wide.
-    Every band must lie inside freqs and hold a bin; the lowest-order band,
-    where combine_and_track fits its parabola, must hold 3.
+    freqs[lo:hi] is harmonic k's band (_band_hz) and freqs[s_lo:s_hi] its
+    surround, _SURROUND_HALFWIDTHS times as wide. Every band must lie inside
+    freqs and hold a bin; the lowest-order band, where combine_and_track fits
+    its parabola, must hold 3.
     """
     table = {}
     k0 = min(cfg.harmonics)
     for k in cfg.harmonics:
-        center, half = k * cfg.nominal_hz, k * cfg.band_halfwidth_hz
-        band = f"harmonic order {k}: band [{center - half:.1f}, {center + half:.1f}] Hz"
-        if center - half < freqs[0] or center + half > freqs[-1]:
+        band_hz, surround_hz = _band_hz(k, cfg), _band_hz(k, cfg, _SURROUND_HALFWIDTHS)
+        band = f"harmonic order {k}: band [{band_hz[0]:.1f}, {band_hz[1]:.1f}] Hz"
+        if band_hz[0] < freqs[0] or band_hz[1] > freqs[-1]:
             raise InvalidArgumentError(f"{band} outside spectrum")
-        lo, s_lo = (int(np.searchsorted(freqs, center - h * half, side="left"))
-                    for h in (1.0, _SURROUND_HALFWIDTHS))
-        hi, s_hi = (int(np.searchsorted(freqs, center + h * half, side="right"))
-                    for h in (1.0, _SURROUND_HALFWIDTHS))
+        lo, s_lo = (int(i) for i in np.searchsorted(freqs, [band_hz[0], surround_hz[0]], "left"))
+        hi, s_hi = (int(i) for i in np.searchsorted(freqs, [band_hz[1], surround_hz[1]], "right"))
         need = 3 if k == k0 else 1
         if hi - lo < need:
             raise InvalidArgumentError(
@@ -142,10 +150,11 @@ def spectrogram(
     """Hann-windowed magnitude-squared STFT.
 
     Power is scaled so that the sum over one time column equals the energy of
-    that windowed segment (Parseval-consistent). With ``bands_only`` only the
-    columns within the surround of each configured harmonic are kept: the
-    bins ``harmonic_weights`` and ``combine_and_track`` read, each equal bit
-    for bit to its column of the full matrix.
+    that windowed segment (Parseval-consistent). The band table is worked out
+    on the full frequency grid, and fails, before any rfft. With
+    ``bands_only`` only the columns within the surround of each configured
+    harmonic are kept: the bins ``harmonic_weights`` and ``combine_and_track``
+    read, each equal bit for bit to its column of the full matrix.
     """
     x = np.asarray(samples, dtype=float)
     w_len = int(round(cfg.stft_window_s * rate_hz))
@@ -159,9 +168,11 @@ def spectrogram(
         raise InvalidArgumentError("fft_size must be a power of two >= window sample count")
     n_seg = (len(x) - w_len) // hop + 1
     freqs = np.fft.rfftfreq(nfft, 1.0 / rate_hz)
-    if bands_only:  # every harmonic's surround; the band table fails before any rfft
-        surrounds = [np.arange(s_lo, s_hi) for _, _, s_lo, s_hi in _band_table(freqs, cfg).values()]
+    bands = _band_table(freqs, cfg)
+    if bands_only:  # every harmonic's surround, the table re-indexed onto those columns
+        surrounds = [np.arange(s_lo, s_hi) for _, _, s_lo, s_hi in bands.values()]
         cols = np.unique(np.concatenate(surrounds))
+        bands = {k: tuple(int(i) for i in np.searchsorted(cols, r)) for k, r in bands.items()}
     else:
         cols = slice(None)
     # fold negative frequencies so column sums obey Parseval; nfft is a
@@ -177,34 +188,29 @@ def spectrogram(
     for r in range(0, n_seg, rows):
         spec = np.fft.rfft(segs[r : r + rows] * win, n=nfft, axis=1)[:, cols]
         power[r : r + rows] = np.abs(spec) ** 2 * fold / nfft
-    times = (np.arange(n_seg) * hop + w_len / 2.0) / rate_hz
-    return PowerSpectrumMatrix(time_bins=times, freq_bins=freqs[cols], power=power)
+    return PowerSpectrumMatrix(freqs[cols], power, bands, w_len / 2.0 / rate_hz, hop / rate_hz)
 
 
-def harmonic_weights(psm: PowerSpectrumMatrix, cfg: EstimatorConfig) -> np.ndarray:
+def harmonic_weights(psm: PowerSpectrumMatrix) -> np.ndarray:
     """Weight per configured harmonic, proportional to time-averaged in-band SNR.
 
     SNR per time bin is (in-band peak power / median of the surrounding
     out-of-band power) - 1, clamped below at zero. Degenerate all-zero input
-    falls back to uniform weights.
+    falls back to uniform weights. Weights follow the order of ``psm.bands``.
     """
-    table = _band_table(psm.freq_bins, cfg)
-    raw = np.zeros(len(cfg.harmonics))
-    for idx, k in enumerate(cfg.harmonics):
-        lo, hi, s_lo, s_hi = table[k]
+    raw = np.zeros(len(psm.bands))
+    for idx, (lo, hi, s_lo, s_hi) in enumerate(psm.bands.values()):
         # surround: the band's neighbourhood, minus the band itself
         surround = np.concatenate([psm.power[:, s_lo:lo], psm.power[:, hi:s_hi]], axis=1)
         peak = psm.power[:, lo:hi].max(axis=1)
         med = np.median(surround, axis=1) if surround.shape[1] else np.zeros(len(peak))
-        ratio = np.divide(
-            peak, med, out=np.full_like(peak, _MAX_SNR_RATIO), where=med > 0
-        )
+        ratio = np.divide(peak, med, out=np.full_like(peak, _MAX_SNR_RATIO), where=med > 0)
         ratio[peak == 0] = 1.0  # no band energy -> zero SNR contribution
         snr = np.clip(ratio, 0.0, _MAX_SNR_RATIO) - 1.0
         raw[idx] = max(float(np.mean(snr)), 0.0)
     total = raw.sum()
     if total <= 0.0:
-        return np.full(len(cfg.harmonics), 1.0 / len(cfg.harmonics))
+        return np.full(len(raw), 1.0 / len(raw))
     return raw / total
 
 
@@ -220,25 +226,23 @@ def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return out
 
 
-def combine_and_track(psm: PowerSpectrumMatrix, weights, cfg: EstimatorConfig) -> EnfSeries:
+def combine_and_track(psm: PowerSpectrumMatrix, weights) -> EnfSeries:
     """Combine rescaled harmonic slices and track the peak per time bin.
 
     Each harmonic band is mapped to base-band by dividing its bin frequencies
     by the order, interpolated onto a common grid, and summed with the given
     weights; the per-bin estimate is the combined argmax refined by 3-point
-    parabolic interpolation on log power.
+    parabolic interpolation on log power. The series is on the matrix's clock.
     """
     weights = np.asarray(weights, dtype=float)
-    if len(weights) != len(cfg.harmonics):
-        raise InvalidArgumentError("weights length must match cfg.harmonics")
+    if len(weights) != len(psm.bands):
+        raise InvalidArgumentError("weights length must match the harmonics of psm.bands")
     freqs = psm.freq_bins
-    table = _band_table(freqs, cfg)
-    k0 = min(cfg.harmonics)
-    lo0, hi0, _, _ = table[k0]
+    k0 = min(psm.bands)
+    lo0, hi0, _, _ = psm.bands[k0]
     grid = freqs[lo0:hi0] / k0
     combined = np.zeros((psm.power.shape[0], len(grid)))
-    for w, k in zip(weights, cfg.harmonics):
-        lo, hi, _, _ = table[k]
+    for w, (k, (lo, hi, _, _)) in zip(weights, psm.bands.items()):
         combined += w * _interp_rows(grid, freqs[lo:hi] / k, psm.power[:, lo:hi])
     i = np.argmax(combined, axis=1)
     delta = np.zeros(len(i))
@@ -248,11 +252,7 @@ def combine_and_track(psm: PowerSpectrumMatrix, weights, cfg: EstimatorConfig) -
     ok = (den < 0) & np.isfinite(den)
     delta[rows[ok]] = np.clip(0.5 * (left[ok] - right[ok]) / den[ok], -0.5, 0.5)
     est = grid[i] + delta * (grid[1] - grid[0])
-    if len(psm.time_bins) > 1:
-        step = float(psm.time_bins[1] - psm.time_bins[0])
-    else:
-        step = cfg.stft_window_s * (1.0 - cfg.stft_overlap_frac)
-    return EnfSeries(start_time_s=float(psm.time_bins[0]), step_s=step, values_hz=est)
+    return EnfSeries(start_time_s=psm.start_s, step_s=psm.step_s, values_hz=est)
 
 
 def default_config_for(stream) -> EstimatorConfig:
@@ -277,4 +277,4 @@ def estimate_enf(stream, cfg: Optional[EstimatorConfig] = None) -> EnfSeries:
     if not np.all(np.isfinite(x)):
         raise InvalidArgumentError("stream holds non-finite samples")
     psm = spectrogram(x, rate, cfg, bands_only=True)
-    return combine_and_track(psm, harmonic_weights(psm, cfg), cfg)
+    return combine_and_track(psm, harmonic_weights(psm))

@@ -266,10 +266,6 @@ def _merge_intervals(intervals):
     return out
 
 
-def _fresh_grid(meta: dict, seed) -> GridConfig:
-    return GridConfig(seed=seed, **{k: meta[k] for k in _GRID_KEYS if k in meta})
-
-
 def sample_view(stream) -> Tuple[np.ndarray, float]:
     """The stream's values as one flat 1-D array: (flat, rate_hz).
 
@@ -286,30 +282,21 @@ def sample_view(stream) -> Tuple[np.ndarray, float]:
 
 
 def _resynthesize(stream, seed) -> np.ndarray:
-    """Same-kind content embedding an independent ENF truth, flat as in sample_view."""
-    alt_truth = gen_enf_truth(
-        _fresh_grid(stream.meta, seed=[int(seed), 0x5EED]),
-        stream.truth.duration_s,
-        stream.truth.step_s,
-    )
-    snr_db = stream.meta.get("snr_db", np.inf)
-    if isinstance(stream, AudioStream):
-        alt = embed_audio(
-            alt_truth,
-            stream.sample_rate_hz,
-            stream.meta.get("harmonics", [(1, 1.0)]),
-            snr_db,
-            seed=int(seed) + 1,
-        )
+    """Same-kind content embedding an independent ENF truth, flat as in sample_view,
+    made as the stream's meta records it was: its grid, snr_db and kind keys."""
+    meta, audio = stream.meta, isinstance(stream, AudioStream)
+    missing = [k for k in (*_GRID_KEYS, "snr_db", "harmonics" if audio else "mod_depth")
+               if k not in meta]
+    if missing:
+        raise InvalidArgumentError(f"ReplaceEnf needs provenance; meta lacks {missing}")
+    grid = GridConfig(seed=[int(seed), 0x5EED], **{k: meta[k] for k in _GRID_KEYS})
+    alt_truth = gen_enf_truth(grid, stream.truth.duration_s, stream.truth.step_s)
+    if audio:
+        alt = embed_audio(alt_truth, stream.sample_rate_hz, meta["harmonics"], meta["snr_db"],
+                          seed=int(seed) + 1)
     else:
-        alt = embed_video(
-            alt_truth,
-            stream.fps,
-            stream.frame_height,
-            snr_db,
-            seed=int(seed) + 1,
-            mod_depth=stream.meta.get("mod_depth", 0.1),
-        )
+        alt = embed_video(alt_truth, stream.fps, stream.frame_height, meta["snr_db"],
+                          seed=int(seed) + 1, mod_depth=meta["mod_depth"])
     return sample_view(alt)[0]
 
 

@@ -58,6 +58,37 @@ def test_generate_with_forgery_labels(tmp_path):
     assert stream.forged_intervals == [(8.0, 14.0)]
 
 
+def test_generate_draws_each_strip_segment_once(tmp_path):
+    out = tmp_path / "f"
+    assert run(
+        "generate", "--duration", "40", "--sample-rate", "1000", "--seed", "3",
+        "--forge", "5:10:StripEnf;20:25:StripEnf", "--out", str(out),
+    ) == 0
+    stream = load_stream(str(out / "stream.json"))
+    assert stream.forged_intervals == [(5.0, 10.0), (20.0, 25.0)]
+    first, second = stream.samples[5000:10_000], stream.samples[20_000:25_000]
+    assert abs(np.corrcoef(first, second)[0, 1]) < 0.1
+    # overlapping segments of one mode are one forge call, which refuses them
+    assert run(
+        "generate", "--duration", "40", "--sample-rate", "1000", "--seed", "3",
+        "--forge", "5:10:StripEnf;8:12:StripEnf", "--out", str(tmp_path / "o"),
+    ) == 2
+
+
+@pytest.mark.parametrize("duration", ["9", "14"])  # one STFT window, two windows
+def test_estimate_reports_the_stft_hop(tmp_path, duration):
+    gen, est = tmp_path / "gen", tmp_path / "est"
+    assert run("generate", "--duration", duration, "--sample-rate", "1000", "--seed", "1",
+               "--out", str(gen)) == 0
+    assert run("estimate", "--stream", str(gen / "stream.json"), "--window", "8.001",
+               "--overlap", "0.3", "--out", str(est)) == 0
+    # at the 500 Hz working rate the window rounds to 4000 samples and its hop
+    # to 2800: 5.6 s, not 8.001 * (1 - 0.3) = 5.6007 s
+    series = json.loads((est / "enf.json").read_text())
+    assert (series["start_time_s"], series["step_s"]) == (4.0, 5.6)
+    assert len(series["values_hz"]) == int(duration) // 7
+
+
 def test_detect_flow_and_exit_codes(tmp_path):
     gen = tmp_path / "gen"
     run("generate", "--duration", "40", "--sample-rate", "8000", "--seed", "9",

@@ -114,6 +114,12 @@ def test_config_rejects_non_finite_or_non_positive(field, value):
         EstimatorConfig(**{field: value})
 
 
+@pytest.mark.parametrize("harmonics", [(), (0, 1), (2, 2)])
+def test_config_rejects_empty_non_positive_or_repeated_harmonics(harmonics):
+    with pytest.raises(InvalidArgumentError, match="harmonics must be"):
+        EstimatorConfig(harmonics=harmonics)
+
+
 def test_row_signal_shapes():
     t = const_truth(duration_s=10)
     sig, rate = video_row_signal(embed_video(t, 25.0, 32, 20.0, seed=1))
@@ -160,8 +166,8 @@ def test_spectrogram_tone_peak_and_grid():
     for row in psm.power:
         assert abs(psm.freq_bins[np.argmax(row)] - f0) <= df
     # window centers: first at w/2, spaced by the hop
-    assert psm.time_bins[0] == pytest.approx(1.0)
-    assert np.allclose(np.diff(psm.time_bins), 1.0)
+    assert (psm.start_s, psm.step_s) == (1.0, 1.0)
+    assert psm.power.shape[0] == 7
 
 
 def test_spectrogram_zero_input_and_short_input():
@@ -197,8 +203,12 @@ def _assert_band_columns_match(x, rate_hz, cfg):
     assert np.all(np.diff(band.freq_bins) > 0)
     cols = np.searchsorted(full.freq_bins, band.freq_bins)
     np.testing.assert_array_equal(full.freq_bins[cols], band.freq_bins)
-    np.testing.assert_array_equal(full.time_bins, band.time_bins)
+    assert (full.start_s, full.step_s) == (band.start_s, band.step_s)
     assert band.power.tobytes() == full.power[:, cols].tobytes()
+    # the full-grid table re-indexed onto the kept columns is the table of those columns
+    kept_table = enf_estimation._band_table(band.freq_bins, cfg)
+    assert list(band.bands.items()) == list(kept_table.items())
+    assert list(full.bands) == list(cfg.harmonics)
     # nothing outside the harmonic surrounds is kept
     dist = np.min([np.abs(band.freq_bins - k * cfg.nominal_hz) / (k * cfg.band_halfwidth_hz)
                    for k in cfg.harmonics], axis=0)
@@ -222,10 +232,10 @@ def test_band_only_columns_equal_full_columns(kw, rate_hz, duration_s):
     cfg = EstimatorConfig(**kw)
     full, band = _assert_band_columns_match(_hum(rate_hz, duration_s, cfg.nominal_hz), rate_hz, cfg)
     assert band.power.shape[1] < full.power.shape[1]
-    w = harmonic_weights(full, cfg)
-    assert harmonic_weights(band, cfg).tobytes() == w.tobytes()
-    e_full = combine_and_track(full, w, cfg).values_hz
-    assert combine_and_track(band, w, cfg).values_hz.tobytes() == e_full.tobytes()
+    w = harmonic_weights(full)
+    assert harmonic_weights(band).tobytes() == w.tobytes()
+    e_full = combine_and_track(full, w).values_hz
+    assert combine_and_track(band, w).values_hz.tobytes() == e_full.tobytes()
 
 
 @pytest.mark.parametrize("n_seg", [1, 5, 19])  # 16 s at 1 kHz: 8 windows per rfft block
@@ -256,7 +266,7 @@ def test_estimate_equals_full_matrix_pipeline():
     cases.append((v, EstimatorConfig(harmonics=(2,)), video_row_signal(v)[0]))
     for stream, cfg, x in cases:
         full = spectrogram(x, 500.0, cfg)
-        expected = combine_and_track(full, harmonic_weights(full, cfg), cfg)
+        expected = combine_and_track(full, harmonic_weights(full))
         got = estimate_enf(stream, cfg)
         assert got.values_hz.tobytes() == expected.values_hz.tobytes()
         assert (got.start_time_s, got.step_s) == (expected.start_time_s, expected.step_s)
@@ -295,7 +305,7 @@ def test_weights_single_harmonic_is_one():
     a = embed_audio(const_truth(), 1000.0, ((1, 1.0),), 20.0, seed=2)
     cfg = EstimatorConfig(harmonics=(1,))
     psm = spectrogram(a.samples, 1000.0, cfg)
-    np.testing.assert_allclose(harmonic_weights(psm, cfg), [1.0])
+    np.testing.assert_allclose(harmonic_weights(psm), [1.0])
 
 
 def test_weights_follow_harmonic_snr():
@@ -303,7 +313,7 @@ def test_weights_follow_harmonic_snr():
     a = embed_audio(const_truth(), 1000.0, ((1, 1.0), (2, 0.05), (3, 0.02)), 15.0, seed=2)
     cfg = EstimatorConfig()
     psm = spectrogram(a.samples, 1000.0, cfg)
-    w = harmonic_weights(psm, cfg)
+    w = harmonic_weights(psm)
     assert w.sum() == pytest.approx(1.0)
     assert w[0] > 0.6
     assert w[0] > w[1] > w[2]
@@ -312,28 +322,30 @@ def test_weights_follow_harmonic_snr():
 def test_weights_uniform_on_silence_and_loose_on_noise():
     cfg = EstimatorConfig()
     psm = spectrogram(np.zeros(60_000), 1000.0, cfg)
-    np.testing.assert_allclose(harmonic_weights(psm, cfg), np.full(3, 1 / 3))
+    np.testing.assert_allclose(harmonic_weights(psm), np.full(3, 1 / 3))
     rng = np.random.default_rng(11)
     psm = spectrogram(rng.normal(size=120_000), 1000.0, cfg)
-    w = harmonic_weights(psm, cfg)
+    w = harmonic_weights(psm)
     assert w.sum() == pytest.approx(1.0)
     assert np.all(w > 0.15) and np.all(w < 0.55)
+
+
+# the full matrix's band table is checked in spectrogram, before any rfft, as
+# the band-only one is; the weights read it from the matrix
 
 
 def test_weights_band_outside_spectrum():
     cfg = EstimatorConfig()
     # 100 Hz sampling -> spectrum tops out at 50 Hz, below the 60 Hz band
-    psm = spectrogram(np.zeros(1000), 100.0, cfg)
-    with pytest.raises(InvalidArgumentError):
-        harmonic_weights(psm, cfg)
+    with pytest.raises(InvalidArgumentError, match="outside spectrum"):
+        spectrogram(np.zeros(1000), 100.0, cfg)
 
 
 def test_weights_band_without_a_bin():
     cfg = EstimatorConfig(stft_window_s=0.05)
     # bins 3.9 Hz apart: 58.6 and 62.5 Hz straddle the 59.5-60.5 Hz band
-    psm = spectrogram(np.zeros(1000), 1000.0, cfg)
     with pytest.raises(InvalidArgumentError, match="order 1: .* holds 0 bins"):
-        harmonic_weights(psm, cfg)
+        spectrogram(np.zeros(1000), 1000.0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +382,11 @@ def test_track_amplitude_scale_invariance():
     cfg = EstimatorConfig()
     psm = spectrogram(a.samples, 1000.0, cfg)
     psm5 = spectrogram(5.0 * a.samples, 1000.0, cfg)
-    w = harmonic_weights(psm, cfg)
-    w5 = harmonic_weights(psm5, cfg)
+    w = harmonic_weights(psm)
+    w5 = harmonic_weights(psm5)
     np.testing.assert_allclose(w5, w, atol=1e-9)
-    e = combine_and_track(psm, w, cfg)
-    e5 = combine_and_track(psm5, w5, cfg)
+    e = combine_and_track(psm, w)
+    e5 = combine_and_track(psm5, w5)
     np.testing.assert_allclose(e5.values_hz, e.values_hz, atol=1e-9)
 
 
@@ -385,6 +397,23 @@ def test_track_output_clock():
     assert len(est) == n
     assert est.start_time_s == pytest.approx(4.0)
     assert est.step_s == pytest.approx(4.0)
+
+
+def test_band_table_is_worked_out_once_per_estimate(monkeypatch):
+    calls = []
+
+    def spy(freqs, cfg):
+        calls.append(len(freqs))
+        return band_table(freqs, cfg)
+
+    band_table = enf_estimation._band_table
+    monkeypatch.setattr(enf_estimation, "_band_table", spy)
+    t = const_truth(duration_s=20)
+    for stream in (embed_audio(t, 1000.0, HARMONICS_123, 20.0, seed=1),
+                   embed_video(t, 25.0, 20, 20.0, seed=1)):
+        calls.clear()
+        estimate_enf(stream)
+        assert calls == [16384 // 2 + 1]  # once, on the full rfft grid of an 8 s window at 500 Hz
 
 
 def _combine_per_bin_loop(psm, weights, cfg):
@@ -426,16 +455,16 @@ def test_combine_matches_per_bin_loop(kw, seed):
     x = _hum(500.0, 64, cfg.nominal_hz, seed)
     for bands_only in (False, True):
         psm = spectrogram(x, 500.0, cfg, bands_only=bands_only)
-        w = harmonic_weights(psm, cfg)
+        w = harmonic_weights(psm)
         expected = _combine_per_bin_loop(psm, w, cfg)
-        assert combine_and_track(psm, w, cfg).values_hz.tobytes() == expected.tobytes()
+        assert combine_and_track(psm, w).values_hz.tobytes() == expected.tobytes()
 
 
 def test_combine_rejects_mismatched_weights():
     cfg = EstimatorConfig()
     psm = spectrogram(np.zeros(20_000), 1000.0, cfg)
     with pytest.raises(InvalidArgumentError):
-        combine_and_track(psm, [0.5, 0.5], cfg)
+        combine_and_track(psm, [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------

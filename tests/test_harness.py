@@ -112,6 +112,9 @@ def test_scenario_config_invariants():
             small_scenario(rounds=1, forgery_len_s=flen)
         small_scenario(rounds=1, forgery_len_s=flen, deepfaked_participants=set())
     small_scenario(rounds=1, forgery_len_s=50.0)
+    # unset, the forgery lasts a quarter of the conference, up to 45 s
+    assert small_scenario(rounds=1, forgery_len_s=None).forgery_span_s == 15.0
+    assert small_scenario(rounds=4, forgery_len_s=None).forgery_span_s == 45.0
 
 
 def test_scenario_estar_is_the_winners_estimate_on_its_own_clock():
@@ -260,6 +263,12 @@ def test_localization_accuracy_smoke():
     for ds, de in errors:
         if np.isfinite(ds):
             assert abs(ds) < 20 and abs(de) < 20
+    # a forged entry whose estimate matches its reference flags nothing: a
+    # miss with NaN boundary errors
+    forged = next(e for e in entries if e.forged)
+    clean = dataclasses.replace(forged, local=forged.reference)
+    hits, total, errors = localization_accuracy([clean], det)
+    assert (hits, total) == (0, 1) and np.all(np.isnan(errors))
 
 
 def test_corpus_is_deterministic():

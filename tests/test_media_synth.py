@@ -30,6 +30,17 @@ def const_truth(f_hz=60.0, duration_s=10.0, step_s=1.0):
     return EnfSeries(0.0, step_s, np.full(n, f_hz))
 
 
+@pytest.mark.parametrize(
+    "step_s, values",
+    [(0.0, [60.0]), (-1.0, [60.0]), (1.0, []), (1.0, [[60.0, 60.0]]), (1.0, [60.0, np.nan]),
+     (1.0, [60.0, np.inf])],
+    ids=["zero-step", "negative-step", "empty", "2-d", "nan", "inf"],
+)
+def test_enf_series_rejects_bad_fields(step_s, values):
+    with pytest.raises(InvalidArgumentError):
+        EnfSeries(0.0, step_s, values)
+
+
 # ---------------------------------------------------------------------------
 # grid truth random walk
 
@@ -82,6 +93,8 @@ def test_walk_rejects_bad_args():
         gen_enf_truth(GridConfig(), -1.0, 1.0)
     with pytest.raises(InvalidArgumentError):
         gen_enf_truth(GridConfig(), 10.0, 0.0)
+    with pytest.raises(InvalidArgumentError, match="at least one step"):
+        gen_enf_truth(GridConfig(), 0.4, 1.0)
     with pytest.raises(InvalidArgumentError):
         GridConfig(max_dev_hz=0.0)
     # non-finite fields are rejected by name, before any draw
@@ -246,6 +259,12 @@ def test_forgery_intervals_merge_and_validate():
     # adjacent-but-disjoint segments merge in the label list
     forged = forge_segments(stream, [(5.0, 10.0), (10.0, 15.0)], ForgeryMode.StripEnf)
     assert forged.forged_intervals == [(5.0, 15.0)]
+    # no segments: an unchanged copy
+    same = forge_segments(stream, [], ForgeryMode.ReplaceEnf)
+    assert same is not stream and same.samples.tobytes() == stream.samples.tobytes()
+    assert same.forged_intervals == []
+    with pytest.raises(InvalidArgumentError, match="unknown forgery mode"):
+        forge_segments(stream, [(5.0, 10.0)], "StripEnf")
 
 
 KINDS = ("audio", "video")
@@ -304,6 +323,23 @@ def test_forgery_changes_exactly_the_segment(kind, mode):
         # one independent draw per value
         assert np.mean(out[i0:i1]) == pytest.approx(centre, abs=5 * sigma / np.sqrt(i1 - i0))
         assert np.std(out[i0:i1]) == pytest.approx(sigma, rel=0.1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_replace_enf_needs_the_recorded_provenance(kind):
+    stream = _stream_of(kind)
+    kind_key = "harmonics" if kind == "audio" else "mod_depth"
+    bare = dataclasses.replace(stream, meta={})
+    with pytest.raises(InvalidArgumentError, match=rf"meta lacks \['nominal_hz', .*'{kind_key}'\]"):
+        forge_segments(bare, [(4.0, 8.0)], ForgeryMode.ReplaceEnf)
+    for key in ("snr_db", kind_key, "max_dev_hz"):
+        partial = dataclasses.replace(stream, meta={k: v for k, v in stream.meta.items() if k != key})
+        with pytest.raises(InvalidArgumentError, match=rf"meta lacks \['{key}'\]"):
+            forge_segments(partial, [(4.0, 8.0)], ForgeryMode.ReplaceEnf)
+    # StripEnf reads only the samples
+    stripped = forge_segments(bare, [(4.0, 8.0)], ForgeryMode.StripEnf, seed=1)
+    assert stripped.forged_intervals == [(4.0, 8.0)]
+    assert not np.array_equal(_values(stripped), _values(stream))
 
 
 def test_video_forgery_rolling_replace():

@@ -16,6 +16,7 @@ from enfnet import (
     EnfTransaction,
     GridConfig,
     Honest,
+    InvalidArgumentError,
     OffsetVector,
     QuorumError,
     RandomVector,
@@ -82,6 +83,12 @@ def test_validate_rejection_order():
     # member, current, fresh -> only now is the payload inspected
     r = validate_transaction(tx(vid=1, rnd=0, vec=bad_vec), pool, CFG)
     assert r.reason is RejectReason.Malformed
+    # the pool itself refuses a stale round and a second entry, whatever validation said
+    with pytest.raises(InvalidArgumentError, match="round"):
+        pool.insert(tx(vid=1, rnd=3))
+    with pytest.raises(InvalidArgumentError, match="duplicate"):
+        pool.insert(tx(vid=0, rnd=0))
+    assert len(pool) == 1
 
 
 @pytest.mark.parametrize(
@@ -140,6 +147,8 @@ def test_select_tie_breaks_to_lowest_id():
     winner, vec = select_ground_truth(table, pool)
     assert winner == 0
     np.testing.assert_array_equal(vec, a)
+    with pytest.raises(InvalidArgumentError, match="empty score table"):
+        select_ground_truth({}, pool)
 
 
 def test_outlier_scores_grow_with_offset():
@@ -368,6 +377,8 @@ def test_simulate_rounds_summary():
     assert [r.round for r in results] == list(range(20))
     assert summary["agreement_rate"] == 1.0
     assert summary["honest_win_rate"] == 1.0
+    with pytest.raises(InvalidArgumentError, match="rounds must be >= 1"):
+        simulate_rounds(grid, obs, CFG, rounds=0, seed=99)
 
 
 def test_parse_behavior_specs():
@@ -391,6 +402,8 @@ def test_clone_scalar_target_broadcasts():
     rng = np.random.default_rng(0)
     t = make_transaction(parse_behavior("clone:60.9"), np.zeros(8), 3, 0, rng, cfg)
     np.testing.assert_array_equal(t.enf_vector, np.full(8, 60.9))
+    with pytest.raises(ConfigurationError, match="unknown behavior"):
+        make_transaction("clone", np.zeros(8), 3, 0, rng, cfg)
 
 
 def test_committee_config_quorum_arithmetic():

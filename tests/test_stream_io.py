@@ -69,6 +69,9 @@ def test_load_stream_reads_only_rolling_shutter_video(tmp_path, shutter, loads):
     else:
         with pytest.raises(InvalidArgumentError, match="GlobalCCD"):
             load_stream(str(path))
+    path.write_text(json.dumps({**header, "kind": "hologram"}))
+    with pytest.raises(InvalidArgumentError, match="unknown stream kind: 'hologram'"):
+        load_stream(str(path))
 
 
 def test_save_rejects_values_float32_cannot_hold(tmp_path):
@@ -94,6 +97,9 @@ def test_enf_csv_roundtrip_is_exact(tmp_path):
     assert back.start_time_s == series.start_time_s
     assert back.step_s == series.step_s
     np.testing.assert_array_equal(back.values_hz, series.values_hz)
+    # a blank line, as a hand edit may leave, is skipped
+    path.write_text(path.read_text().replace("\n", "\n\n", 3))
+    assert load_enf_csv(str(path)).values_hz.tobytes() == series.values_hz.tobytes()
 
 
 def test_enf_csv_rejects_garbage(tmp_path):
