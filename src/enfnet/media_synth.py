@@ -7,6 +7,11 @@ rolling-shutter sensor, and injects labeled forgeries.
 
 Everything here is a pure function of its arguments (including seeds), so
 identical calls give bit-identical streams.
+
+Synthesis runs in fixed blocks of _BLOCK values and carries the phase integral
+from block to block, so it holds its output plus block-sized work arrays; audio
+adds one output-sized temporary for its signal power. The streams are
+byte-identical to one whole-array pass.
 """
 
 from __future__ import annotations
@@ -138,25 +143,45 @@ def gen_enf_truth(cfg: GridConfig, duration_s: float, step_s: float) -> EnfSerie
     return EnfSeries(start_time_s=0.0, step_s=step_s, values_hz=cfg.nominal_hz + dev)
 
 
-def _integrated_phase(truth: EnfSeries, rate_hz: float, n: int) -> np.ndarray:
-    """2*pi * cumulative integral of f(t), sampled at rate_hz."""
-    f = truth.at(np.arange(n) / rate_hz)
-    return 2.0 * np.pi * np.cumsum(f) / rate_hz
+# values synthesized per block: work arrays hold this many, not a whole stream
+_BLOCK = 2**16
 
 
-def _add_noise(x: np.ndarray, signal_power: float, snr_db: float, rng) -> np.ndarray:
-    """x plus white noise snr_db below signal_power; x itself at +inf SNR, zero power or
-    zero sigma. An snr_db whose 10^(snr_db/10) or sigma overflows float64 is rejected."""
+def _phase_blocks(truth: EnfSeries, rate_hz: float, n: int):
+    """(i0, i1, phase) over consecutive blocks of [0, n): phase[j] is 2*pi times the
+    cumulative integral of f(t) at sample i0 + j, sampled at rate_hz. The running sum
+    carries across blocks, so every value equals one cumsum over all n, bit for bit."""
+    carry = np.zeros(1)
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
+        f = truth.at(np.arange(i0, i1) / rate_hz)
+        integral = np.cumsum(np.concatenate((carry, f)))[1:]
+        carry = integral[-1:]
+        yield i0, i1, 2.0 * np.pi * integral / rate_hz
+
+
+def _noise_sigma(signal_power: float, snr_db: float) -> float:
+    """Std of white noise snr_db below signal_power; 0.0 at +inf SNR or zero power. An
+    snr_db whose 10^(snr_db/10) or sigma overflows float64 is rejected."""
     if np.isnan(snr_db) or snr_db == -np.inf:
         raise InvalidArgumentError(f"snr_db must be finite or +inf, got {snr_db}")
     if snr_db == np.inf or not signal_power > 0.0:
-        return x
+        return 0.0
     with np.errstate(over="ignore", divide="ignore"):
         ratio = np.float64(10.0) ** (snr_db / 10.0)
         sigma = np.sqrt(signal_power / ratio)
     if ratio == np.inf or not np.isfinite(sigma):
         raise InvalidArgumentError(f"snr_db={snr_db} puts the noise power out of float64 range")
-    return x + rng.normal(0.0, sigma, size=x.shape) if sigma > 0.0 else x
+    return float(sigma)
+
+
+def _add_noise(x: np.ndarray, sigma: float, rng):
+    """Add N(0, sigma^2) white noise into x, an array the caller owns, in place and block
+    by block; nothing is drawn at zero sigma. The draws equal one rng.normal of x's size."""
+    if sigma > 0.0:
+        for i0 in range(0, len(x), _BLOCK):
+            block = x[i0:i0 + _BLOCK]
+            block += rng.normal(0.0, sigma, size=len(block))
 
 
 # mean luma of every synthesized video row, around which the lamp flickers
@@ -190,6 +215,9 @@ def embed_audio(
     k * f(t) with phase equal to the cumulative integral of the interpolated
     truth. grid (optional) records the generating process so forgeries can
     re-synthesize matching content.
+
+    Memory: the output, block-sized work arrays and one output-sized temporary,
+    ``sig**2``, whose whole-array mean sets the noise power.
     """
     if not harmonics or any(int(k) < 1 or not np.isfinite(amp) for k, amp in harmonics):
         raise InvalidArgumentError(
@@ -203,14 +231,18 @@ def embed_audio(
             f"sample_rate_hz={sample_rate_hz} violates Nyquist for harmonic order {max_order}"
         )
     rng = np.random.default_rng(seed)
+    offsets = [rng.uniform(0.0, 2.0 * np.pi) for _ in harmonics]
     n = int(round(truth.duration_s * sample_rate_hz))
-    base_phase = _integrated_phase(truth, sample_rate_hz, n)
     sig = np.zeros(n)
-    for k, amp in harmonics:
-        sig += amp * np.sin(k * base_phase + rng.uniform(0.0, 2.0 * np.pi))
+    for i0, i1, phase in _phase_blocks(truth, sample_rate_hz, n):
+        block = sig[i0:i1]
+        for (k, amp), u in zip(harmonics, offsets):
+            block += amp * np.sin(k * phase + u)
+    # over the whole array: numpy's pairwise sum, which sets sigma, has no blockwise twin
     p = float(np.mean(sig**2)) if n else 0.0
+    _add_noise(sig, _noise_sigma(p, snr_db), rng)
     meta = _provenance(grid, snr_db, seed, harmonics=[(int(k), float(a)) for k, a in harmonics])
-    return AudioStream(float(sample_rate_hz), _add_noise(sig, p, snr_db, rng), truth, meta=meta)
+    return AudioStream(float(sample_rate_hz), sig, truth, meta=meta)
 
 
 def embed_video(
@@ -228,6 +260,9 @@ def embed_video(
     sits at twice the grid frequency. The rolling shutter exposes rows in
     turn, one flicker sample per row at rate fps * frame_height, around a
     mean luma of _BASE_LUMA.
+
+    Memory: the output and block-sized work arrays. The flicker's power is
+    known in closed form, so flicker and noise are made in one blockwise pass.
     """
     if not (np.isfinite(fps) and fps > 0):
         raise InvalidArgumentError(f"fps must be finite and > 0, got {fps}")
@@ -237,9 +272,12 @@ def embed_video(
         raise InvalidArgumentError(f"mod_depth must be finite, got {mod_depth}")
     n_frames = int(round(truth.duration_s * fps))
     ac_amp = 0.5 * mod_depth * _BASE_LUMA
-    phase2 = 2.0 * _integrated_phase(truth, fps * frame_height, n_frames * frame_height)
-    flat = _BASE_LUMA + ac_amp * (1.0 - np.cos(phase2))
-    flat = _add_noise(flat, ac_amp**2 / 2.0, snr_db, np.random.default_rng(seed))
+    sigma = _noise_sigma(ac_amp**2 / 2.0, snr_db)  # the flicker's power, known analytically
+    rng = np.random.default_rng(seed)
+    flat = np.empty(n_frames * frame_height)
+    for i0, i1, phase in _phase_blocks(truth, fps * frame_height, len(flat)):
+        flat[i0:i1] = _BASE_LUMA + ac_amp * (1.0 - np.cos(2.0 * phase))
+        _add_noise(flat[i0:i1], sigma, rng)
     meta = _provenance(grid, snr_db, seed, mod_depth=float(mod_depth))
     return VideoLumaStream(float(fps), flat.reshape(n_frames, frame_height), truth, meta=meta)
 
@@ -312,15 +350,16 @@ def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
     labels.
     """
     segs = _check_segments(segments, stream.duration_s)
-    out = copy.deepcopy(stream)
     if not segs:
-        return out
-    src, rate = sample_view(stream)
-    flat = sample_view(out)[0]
+        return copy.deepcopy(stream)
     if mode is ForgeryMode.ReplaceEnf:
+        # made before the copy, so the copy and the synthesis temporaries never coexist
         replacement = _resynthesize(stream, seed)
     elif mode is not ForgeryMode.StripEnf:
         raise InvalidArgumentError(f"unknown forgery mode: {mode!r}")
+    out = copy.deepcopy(stream)
+    src, rate = sample_view(stream)
+    flat = sample_view(out)[0]
     for si, (a, b) in enumerate(segs):
         i0, i1 = int(round(a * rate)), int(round(b * rate))
         if mode is ForgeryMode.ReplaceEnf:

@@ -2,9 +2,9 @@
 
 Streams are stored as a JSON header plus a little-endian float32 sidecar
 (same stem, .f32 extension) holding the raw samples / row means. ENF series
-round-trip through two-column CSV (time_s,freq_hz) and are also written as
-JSON. All writers are deterministic: keys are sorted and floats use
-shortest-round-trip repr.
+of two or more values round-trip through two-column CSV (time_s,freq_hz), and
+all are also written as JSON. All writers are deterministic: keys are sorted
+and floats use shortest-round-trip repr.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def save_stream(stream: Union[AudioStream, VideoLumaStream], header_path: str):
     )
     dump_json(header, header_path)
     with open(_payload_path(header_path), "wb") as fh:
-        fh.write(payload.tobytes())
+        payload.tofile(fh)
 
 
 def load_stream(header_path: str):
@@ -120,6 +120,9 @@ def save_enf_csv(series: EnfSeries, path: str):
 
 
 def load_enf_csv(path: str) -> EnfSeries:
+    """Read a series written by :func:`save_enf_csv`. The file records no step, so it is
+    the first two rows' time difference: a file of one row, or of unevenly spaced
+    times, raises InvalidArgumentError."""
     times = []
     vals = []
     with open(path) as fh:
@@ -135,7 +138,9 @@ def load_enf_csv(path: str) -> EnfSeries:
             vals.append(float(v))
     if len(times) < 1:
         raise InvalidArgumentError(f"{path}: empty series")
-    step = times[1] - times[0] if len(times) > 1 else 1.0
+    if len(times) < 2:
+        raise InvalidArgumentError(f"{path}: one row holds no step; an ENF series needs two")
+    step = times[1] - times[0]
     # every step must match the first to 1e-9 relative, beyond the rounding
     # of the written timestamps themselves
     t = np.array(times)

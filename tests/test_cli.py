@@ -76,7 +76,7 @@ def test_generate_draws_each_strip_segment_once(tmp_path):
 
 
 @pytest.mark.parametrize("duration", ["9", "14"])  # one STFT window, two windows
-def test_estimate_reports_the_stft_hop(tmp_path, duration):
+def test_estimate_reports_the_stft_hop(tmp_path, duration, capsys):
     gen, est = tmp_path / "gen", tmp_path / "est"
     assert run("generate", "--duration", duration, "--sample-rate", "1000", "--seed", "1",
                "--out", str(gen)) == 0
@@ -87,6 +87,11 @@ def test_estimate_reports_the_stft_hop(tmp_path, duration):
     series = json.loads((est / "enf.json").read_text())
     assert (series["start_time_s"], series["step_s"]) == (4.0, 5.6)
     assert len(series["values_hz"]) == int(duration) // 7
+    if duration == "9":
+        # enf.csv records no step, so its one row cannot be read back on any clock
+        csv = str(est / "enf.csv")
+        assert run("detect", "--local", csv, "--truth", csv, "--out", str(tmp_path / "d")) == 2
+        assert "one row holds no step" in capsys.readouterr().err
 
 
 def test_detect_flow_and_exit_codes(tmp_path):

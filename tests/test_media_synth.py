@@ -3,6 +3,7 @@
 implementation."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from enfnet import (
     forge_segments,
     gen_enf_truth,
 )
-from enfnet.media_synth import sample_view
+from enfnet.media_synth import _BLOCK, sample_view
 
 HARMONICS_123 = ((1, 1.0), (2, 0.5), (3, 0.33))
 
@@ -353,3 +354,116 @@ def test_video_forgery_rolling_replace():
     i0, i1 = int(10 * rate), int(20 * rate)
     np.testing.assert_array_equal(flat1[:i0], flat0[:i0])
     assert not np.array_equal(flat1[i0:i1], flat0[i0:i1])
+
+
+# ---------------------------------------------------------------------------
+# block-wise synthesis: byte-identical to the whole-array formula, at a bounded
+# multiple of the output's memory
+
+# one value rate for audio samples and video rows, a quarter block per second:
+# 2, 8 and 23 s streams are half a block, exactly two and 5.75 blocks
+BLOCK_RATE = _BLOCK / 4
+LENGTHS_S = {"sub-block": 2.0, "two-blocks": 8.0, "ragged": 23.0}
+VIDEO_FPS = 32.0
+
+
+def _phase_oracle(truth, rate_hz, n):
+    return 2.0 * np.pi * np.cumsum(truth.at(np.arange(n) / rate_hz)) / rate_hz
+
+
+def _oracle_noise(x, power, snr_db, rng):
+    if snr_db == np.inf:
+        return x
+    return x + rng.normal(0.0, np.sqrt(power / np.float64(10.0) ** (snr_db / 10.0)), len(x))
+
+
+def _audio_oracle(truth, rate_hz, harmonics, snr_db, seed):
+    rng = np.random.default_rng(seed)
+    phase = _phase_oracle(truth, rate_hz, int(round(truth.duration_s * rate_hz)))
+    sig = np.zeros(len(phase))
+    for k, amp in harmonics:
+        sig += amp * np.sin(k * phase + rng.uniform(0.0, 2.0 * np.pi))
+    return _oracle_noise(sig, float(np.mean(sig**2)), snr_db, rng)
+
+
+def _video_oracle(truth, fps, height, snr_db, seed, mod_depth=0.1):
+    ac_amp = 0.5 * mod_depth * 100.0
+    phase = _phase_oracle(truth, fps * height, int(round(truth.duration_s * fps)) * height)
+    flat = 100.0 + ac_amp * (1.0 - np.cos(2.0 * phase))
+    return _oracle_noise(flat, ac_amp**2 / 2.0, snr_db, np.random.default_rng(seed))
+
+
+def _oracle_of(kind, truth, snr_db, seed):
+    if kind == "audio":
+        return _audio_oracle(truth, BLOCK_RATE, HARMONICS_123, snr_db, seed)
+    return _video_oracle(truth, VIDEO_FPS, int(BLOCK_RATE / VIDEO_FPS), snr_db, seed)
+
+
+def _embed(kind, truth, snr_db, seed, grid=None):
+    if kind == "audio":
+        return embed_audio(truth, BLOCK_RATE, HARMONICS_123, snr_db, seed=seed, grid=grid)
+    return embed_video(truth, VIDEO_FPS, int(BLOCK_RATE / VIDEO_FPS), snr_db, seed=seed,
+                       grid=grid)
+
+
+@pytest.mark.parametrize("snr_db", [20.0, np.inf])
+@pytest.mark.parametrize("length", list(LENGTHS_S))
+@pytest.mark.parametrize("kind", KINDS)
+def test_blockwise_synthesis_equals_whole_array_formula(kind, length, snr_db):
+    truth = gen_enf_truth(GridConfig(max_dev_hz=0.5, seed=11), LENGTHS_S[length], 1.0)
+    flat = _values(_embed(kind, truth, snr_db, seed=4))
+    assert len(flat) == LENGTHS_S[length] * BLOCK_RATE
+    assert flat.tobytes() == _oracle_of(kind, truth, snr_db, seed=4).tobytes()
+
+
+@pytest.mark.parametrize("mode", list(ForgeryMode))
+@pytest.mark.parametrize("kind", KINDS)
+def test_forgery_across_a_block_boundary_equals_whole_array_formula(kind, mode):
+    grid = GridConfig(max_dev_hz=0.5, seed=12)
+    truth = gen_enf_truth(grid, LENGTHS_S["ragged"], 1.0)
+    stream = _embed(kind, truth, 20.0, seed=12, grid=grid)
+    a, b = 3.1, 9.7  # crosses the ends of the first and the second block
+    forged = forge_segments(stream, [(a, b)], mode, seed=9)
+    expect = _values(stream).copy()
+    i0, i1 = int(round(a * BLOCK_RATE)), int(round(b * BLOCK_RATE))
+    assert i0 < _BLOCK < 2 * _BLOCK < i1
+    if mode is ForgeryMode.ReplaceEnf:
+        # content of an independent truth, drawn as ReplaceEnf documents it
+        alt_grid = dataclasses.replace(grid, seed=[9, 0x5EED])
+        alt = _oracle_of(kind, gen_enf_truth(alt_grid, truth.duration_s, 1.0), 20.0, seed=10)
+        expect[i0:i1] = alt[i0:i1]
+    else:
+        seg = expect[i0:i1]
+        centre = 0.0 if kind == "audio" else np.mean(seg)
+        sigma = np.sqrt(np.mean((seg - centre) ** 2))
+        expect[i0:i1] = np.random.default_rng([9, 0]).normal(centre, sigma, i1 - i0)
+    assert _values(forged).tobytes() == expect.tobytes()
+
+
+def _traced_peak(fn):
+    """fn()'s result and the peak of the bytes it had allocated at once."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_synthesis_memory_stays_within_a_multiple_of_its_output():
+    """Work arrays are block-sized: audio holds its output and one output-sized
+    temporary for the signal power, video little beyond its output, and ReplaceEnf
+    its copy of the stream plus the replacement, never the copy beside the
+    replacement's synthesis."""
+    grid = GridConfig(seed=13)
+    truth = gen_enf_truth(grid, 60.0, 1.0)
+    audio, peak = _traced_peak(
+        lambda: embed_audio(truth, 44100.0, HARMONICS_123, 20.0, seed=13, grid=grid))
+    assert peak <= 2.5 * audio.samples.nbytes
+    forged, peak = _traced_peak(
+        lambda: forge_segments(audio, [(10.0, 30.0)], ForgeryMode.ReplaceEnf, seed=2))
+    assert peak <= 2.5 * forged.samples.nbytes
+    long_truth = gen_enf_truth(grid, 120.0, 1.0)
+    video, peak = _traced_peak(lambda: embed_video(long_truth, 25.0, 360, 25.0, seed=13))
+    assert peak <= 1.5 * video.frames.nbytes

@@ -29,7 +29,8 @@ def test_audio_stream_roundtrip(tmp_path):
     stream = forge_segments(stream, [(5.0, 9.0)], ForgeryMode.StripEnf, seed=2)
     path = tmp_path / "a.json"
     save_stream(stream, str(path))
-    assert (tmp_path / "a.f32").exists()
+    # the sidecar is the stream's float32 little-endian bytes, nothing more
+    assert (tmp_path / "a.f32").read_bytes() == stream.samples.astype("<f4").tobytes()
     back = load_stream(str(path))
     # payload is float32 on disk, so compare against the f32 cast
     np.testing.assert_array_equal(back.samples, stream.samples.astype("<f4").astype(float))
@@ -46,6 +47,7 @@ def test_video_stream_roundtrip(tmp_path):
     stream = forge_segments(stream, [(2.01, 4.5)], ForgeryMode.StripEnf, seed=3)
     path = tmp_path / "v.json"
     save_stream(stream, str(path))
+    assert (tmp_path / "v.f32").read_bytes() == stream.frames.astype("<f4").tobytes()
     back = load_stream(str(path))
     assert back.fps == 25.0 and back.frame_height == 32
     assert back.frames.shape == stream.frames.shape
@@ -109,6 +111,10 @@ def test_enf_csv_rejects_garbage(tmp_path):
         load_enf_csv(str(p))
     p.write_text("time_s,freq_hz\n")
     with pytest.raises(InvalidArgumentError):
+        load_enf_csv(str(p))
+    # one row: the file records no step and one timestamp gives none
+    p.write_text("time_s,freq_hz\n4.0,60.01\n")
+    with pytest.raises(InvalidArgumentError, match="one row holds no step"):
         load_enf_csv(str(p))
 
 
