@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from .errors import InvalidArgumentError
 from .media_synth import AudioStream, EnfSeries, VideoLumaStream
@@ -96,6 +95,8 @@ def _at_working_rate(x: np.ndarray, rate_hz: float, cfg: EstimatorConfig):
         target *= 2.0
     if rate_hz <= target:
         return x, rate_hz
+    from scipy.signal import resample_poly  # local: scipy.signal takes ~1.5 s to import
+
     frac = Fraction(target / rate_hz).limit_denominator(1_000_000)
     return resample_poly(x, frac.numerator, frac.denominator), target
 

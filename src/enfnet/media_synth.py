@@ -348,26 +348,39 @@ def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
     :func:`sample_view`: audio samples or video rows. Values outside the
     segments are untouched, and forged_intervals is extended with the new
     labels.
+
+    Memory: the input and the output. ReplaceEnf adds the replacement's
+    synthesis and then writes the input's values outside the segments into
+    the replacement, which becomes the output's array; StripEnf adds
+    segment-sized draws.
     """
     segs = _check_segments(segments, stream.duration_s)
     if not segs:
         return copy.deepcopy(stream)
-    if mode is ForgeryMode.ReplaceEnf:
-        # made before the copy, so the copy and the synthesis temporaries never coexist
-        replacement = _resynthesize(stream, seed)
-    elif mode is not ForgeryMode.StripEnf:
-        raise InvalidArgumentError(f"unknown forgery mode: {mode!r}")
-    out = copy.deepcopy(stream)
     src, rate = sample_view(stream)
-    flat = sample_view(out)[0]
-    for si, (a, b) in enumerate(segs):
-        i0, i1 = int(round(a * rate)), int(round(b * rate))
-        if mode is ForgeryMode.ReplaceEnf:
-            flat[i0:i1] = replacement[i0:i1]
-        else:
+    bounds = [(int(round(a * rate)), int(round(b * rate))) for a, b in segs]
+    if mode is ForgeryMode.ReplaceEnf:
+        flat = _resynthesize(stream, seed).astype(src.dtype, copy=False)
+        if len(flat) != len(src):
+            raise InvalidArgumentError(
+                f"ReplaceEnf: the truth spans {len(flat)} values, the stream {len(src)}"
+            )
+        # the gaps between segments, including before the first and after the last
+        edges = [0, *(i for span in bounds for i in span), len(src)]
+        for i0, i1 in zip(edges[::2], edges[1::2]):
+            flat[i0:i1] = src[i0:i1]
+        values = stream.samples if isinstance(stream, AudioStream) else stream.frames
+        # a deep copy in which the replacement stands in for the input's array
+        out = copy.deepcopy(stream, {id(values): flat.reshape(values.shape)})
+    elif mode is ForgeryMode.StripEnf:
+        out = copy.deepcopy(stream)
+        flat = sample_view(out)[0]
+        for si, (i0, i1) in enumerate(bounds):
             seg = src[i0:i1]
             centre = 0.0 if isinstance(stream, AudioStream) else np.mean(seg)
             sigma = np.sqrt(np.mean((seg - centre) ** 2))
             flat[i0:i1] = np.random.default_rng([int(seed), si]).normal(centre, sigma, i1 - i0)
+    else:
+        raise InvalidArgumentError(f"unknown forgery mode: {mode!r}")
     out.forged_intervals = _merge_intervals(list(stream.forged_intervals) + segs)
     return out

@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, InvalidArgumentError, QuorumError
 from .media_synth import EnfSeries, GridConfig, gen_enf_truth
@@ -137,6 +136,8 @@ def compute_scores(pool: TransactionPool, cfg: CommitteeConfig) -> Dict[int, flo
     Returns validator id -> score, ids ascending. Lower is more central;
     deterministic given the pool contents, independent of insertion order.
     """
+    from scipy.spatial.distance import cdist  # local: scipy.spatial takes ~0.6 s to import
+
     n = len(pool)
     required = 2 * cfg.f + 3
     if n < required:

@@ -1,0 +1,75 @@
+"""The package imports numpy only: scipy.signal and scipy.spatial, which take
+seconds to import, load on the first call that uses them. Each test runs in a
+fresh child interpreter, since this one has long since loaded both."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import enfnet
+
+_SRC_ROOT = str(Path(enfnet.__file__).resolve().parent.parent)
+_HEAVY = ("scipy.signal", "scipy.spatial")
+
+# prints, after each step, which of _HEAVY the child has loaded
+_PRELUDE = f"""
+import json, sys
+def mark(step):
+    print(json.dumps([step, [m for m in {_HEAVY!r} if m in sys.modules]]))
+"""
+
+
+def _loaded_after_each_step(script, *args):
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": _SRC_ROOT + (os.pathsep + inherited if inherited else "")}
+    proc = subprocess.run([sys.executable, "-c", _PRELUDE + script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return dict(json.loads(line) for line in proc.stdout.splitlines())
+
+
+def test_import_and_cli_without_resampling_or_scoring_load_no_heavy_scipy(tmp_path):
+    loaded = _loaded_after_each_step("""
+import os
+import enfnet
+mark("import enfnet")
+from enfnet import cli
+mark("import enfnet.cli")
+gen, det = os.path.join(sys.argv[1], "gen"), os.path.join(sys.argv[1], "det")
+assert cli.main(["generate", "--duration", "30", "--sample-rate", "1000", "--seed", "1",
+                 "--out", gen]) == 0
+mark("generate")
+truth = os.path.join(gen, "truth.csv")
+assert cli.main(["detect", "--local", truth, "--truth", truth, "--out", det]) == 0
+mark("detect")
+""", str(tmp_path))
+    assert loaded == {step: [] for step in ("import enfnet", "import enfnet.cli", "generate",
+                                            "detect")}
+
+
+def test_scoring_and_resampling_load_their_module_on_first_use():
+    # scoring first: scipy.signal itself imports scipy.spatial
+    loaded = _loaded_after_each_step("""
+import numpy as np
+from enfnet import CommitteeConfig, GridConfig, embed_audio, estimate_enf, gen_enf_truth
+from enfnet.poenf_consensus import EnfTransaction, TransactionPool, compute_scores
+pool = TransactionPool(round=0)
+for v in range(5):
+    pool.insert(EnfTransaction(v, 0, np.full(8, 60.0 + v)))
+mark("build a pool")
+compute_scores(pool, CommitteeConfig(K=5, f=1, d=8))
+mark("compute_scores")
+grid = GridConfig(seed=1)
+stream = embed_audio(gen_enf_truth(grid, 30.0, 1.0), 1000.0, [(1, 1.0)], 30.0, grid=grid)
+mark("build a 1 kHz stream")
+estimate_enf(stream)
+mark("estimate_enf")
+""")
+    assert loaded == {
+        "build a pool": [],
+        "compute_scores": ["scipy.spatial"],
+        "build a 1 kHz stream": ["scipy.spatial"],
+        "estimate_enf": ["scipy.signal", "scipy.spatial"],
+    }

@@ -356,6 +356,41 @@ def test_video_forgery_rolling_replace():
     assert not np.array_equal(flat1[i0:i1], flat0[i0:i1])
 
 
+@pytest.mark.parametrize("segments", [[(0.0, 4.26)], [(15.5, 20.0)], [(0.0, 20.0)],
+                                      [(2.0, 5.5), (9.74, 14.0)]])
+@pytest.mark.parametrize("kind", KINDS)
+def test_replace_enf_equals_copy_then_splice(kind, segments):
+    """ReplaceEnf's output is the input with each segment spliced in from the
+    full-length replacement, and it shares no memory with the input."""
+    stream = _stream_of(kind)
+    before = _values(stream).copy()
+    forged = forge_segments(stream, segments, ForgeryMode.ReplaceEnf, seed=5)
+    # the replacement as _resynthesize documents it, built here from the public calls
+    alt_truth = gen_enf_truth(GridConfig(seed=[5, 0x5EED]), 20.0, 1.0)
+    if kind == "audio":
+        alt = embed_audio(alt_truth, 1000.0, HARMONICS_123, 20.0, seed=6).samples
+    else:
+        alt = embed_video(alt_truth, 10.0, 16, 20.0, seed=6).frames.reshape(-1)
+    rate = sample_view(stream)[1]
+    expect = before.copy()
+    for a, b in segments:
+        i0, i1 = int(round(a * rate)), int(round(b * rate))
+        expect[i0:i1] = alt[i0:i1]
+    assert _values(forged).tobytes() == expect.tobytes()
+    assert _values(stream).tobytes() == before.tobytes()
+    assert not np.shares_memory(_values(forged), _values(stream))
+    assert forged.forged_intervals == segments and stream.forged_intervals == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_replace_enf_needs_a_truth_that_spans_the_stream(kind):
+    stream = _stream_of(kind)
+    for duration_s in (10.0, 30.0):
+        other = dataclasses.replace(stream, truth=gen_enf_truth(GridConfig(), duration_s, 1.0))
+        with pytest.raises(InvalidArgumentError, match="truth spans"):
+            forge_segments(other, [(4.0, 8.0)], ForgeryMode.ReplaceEnf)
+
+
 # ---------------------------------------------------------------------------
 # block-wise synthesis: byte-identical to the whole-array formula, at a bounded
 # multiple of the output's memory
@@ -454,8 +489,7 @@ def _traced_peak(fn):
 def test_synthesis_memory_stays_within_a_multiple_of_its_output():
     """Work arrays are block-sized: audio holds its output and one output-sized
     temporary for the signal power, video little beyond its output, and ReplaceEnf
-    its copy of the stream plus the replacement, never the copy beside the
-    replacement's synthesis."""
+    the replacement's synthesis alone, since the replacement becomes its output."""
     grid = GridConfig(seed=13)
     truth = gen_enf_truth(grid, 60.0, 1.0)
     audio, peak = _traced_peak(
