@@ -18,7 +18,9 @@ Structured argument strings (--harmonics, --forge, --behavior, --k-list,
 starts; main() returns the code instead of raising SystemExit. A scenario
 config whose nested configs name unknown fields or miss required ones, or
 whose top level is not a JSON object, also exits 2, as does a duration,
-rate, time step or frame rate that is not finite.
+rate, time step or frame rate that is not finite. So do input files the
+stream records reject: a stream whose rate is not finite and > 0 or whose
+truth does not span its payload, and an ENF CSV whose times are not finite.
 """
 
 from __future__ import annotations

@@ -11,10 +11,9 @@ band_halfwidth_hz), or at its own rate when that is slower.
 k's band, k * (nominal_hz +- band_halfwidth_hz), and a surround 4 times as
 wide. It rejects a band outside the spectrum or without a bin, and a base
 band under the 3 bins the peak fit needs. The matrix carries the table and
-the STFT clock, so the weights and the tracker take no config; with
-``bands_only`` it keeps only the surround columns, each equal bit for bit
-to its column of the full matrix, as ``estimate_enf`` does. At 60 Hz
-harmonics 1-4 are read at 500 Hz and harmonic 5 (edge 302.5 Hz) at 1 kHz.
+the STFT clock, so the weights and the tracker take no config, and holds only
+the surround columns, each equal bit for bit to its column over the whole rfft
+grid. At 60 Hz harmonics 1-4 are read at 500 Hz, harmonic 5 (edge 302.5 Hz) at 1 kHz.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .media_synth import AudioStream, EnfSeries, VideoLumaStream
 _LOG_EPS = 1e-300
 _MAX_SNR_RATIO = 1e12
 # harmonic_weights' noise surround spans +-4 band halfwidths around each
-# harmonic; these are also the only columns the band-only spectrogram keeps
+# harmonic; these are also the only columns the spectrogram keeps
 _SURROUND_HALFWIDTHS = 4.0
 # complex values per rfft block: 8 windows at nfft 65536, 16 at 32768
 _STFT_BLOCK_VALUES = 2**19
@@ -145,17 +144,13 @@ def _band_table(freqs: np.ndarray, cfg: EstimatorConfig) -> dict:
     return table
 
 
-def spectrogram(
-    samples, rate_hz: float, cfg: EstimatorConfig, *, bands_only: bool = False
-) -> PowerSpectrumMatrix:
-    """Hann-windowed magnitude-squared STFT.
+def spectrogram(samples, rate_hz: float, cfg: EstimatorConfig) -> PowerSpectrumMatrix:
+    """Hann-windowed magnitude-squared STFT over the surround of each configured
+    harmonic: the only bins ``harmonic_weights`` and ``combine_and_track`` read.
 
-    Power is scaled so that the sum over one time column equals the energy of
-    that windowed segment (Parseval-consistent). The band table is worked out
-    on the full frequency grid, and fails, before any rfft. With
-    ``bands_only`` only the columns within the surround of each configured
-    harmonic are kept: the bins ``harmonic_weights`` and ``combine_and_track``
-    read, each equal bit for bit to its column of the full matrix.
+    Power is scaled so that a row summed over the whole rfft grid would equal the
+    energy of its windowed segment (Parseval-consistent). The band table is worked
+    out on the full frequency grid, and fails, before any rfft.
     """
     x = np.asarray(samples, dtype=float)
     w_len = int(round(cfg.stft_window_s * rate_hz))
@@ -170,17 +165,13 @@ def spectrogram(
     n_seg = (len(x) - w_len) // hop + 1
     freqs = np.fft.rfftfreq(nfft, 1.0 / rate_hz)
     bands = _band_table(freqs, cfg)
-    if bands_only:  # every harmonic's surround, the table re-indexed onto those columns
-        surrounds = [np.arange(s_lo, s_hi) for _, _, s_lo, s_hi in bands.values()]
-        cols = np.unique(np.concatenate(surrounds))
-        bands = {k: tuple(int(i) for i in np.searchsorted(cols, r)) for k, r in bands.items()}
-    else:
-        cols = slice(None)
-    # fold negative frequencies so column sums obey Parseval; nfft is a
-    # power of two, so DC and Nyquist are the only unpaired bins
-    fold = np.full(len(freqs), 2.0)
-    fold[[0, -1]] = 1.0
-    fold = fold[cols]
+    # every harmonic's surround, the table re-indexed onto those columns
+    surrounds = [np.arange(s_lo, s_hi) for _, _, s_lo, s_hi in bands.values()]
+    cols = np.unique(np.concatenate(surrounds))
+    bands = {k: tuple(int(i) for i in np.searchsorted(cols, r)) for k, r in bands.items()}
+    # fold negative frequencies in, as Parseval has it; nfft is a power of
+    # two, so DC and Nyquist are the only unpaired bins
+    fold = np.where((cols == 0) | (cols == len(freqs) - 1), 1.0, 2.0)
     win = np.hanning(w_len)
     segs = np.lib.stride_tricks.sliding_window_view(x, w_len)[::hop][:n_seg]
     power = np.empty((n_seg, len(fold)))
@@ -277,5 +268,5 @@ def estimate_enf(stream, cfg: Optional[EstimatorConfig] = None) -> EnfSeries:
         raise InvalidArgumentError(f"unsupported stream type: {type(stream).__name__}")
     if not np.all(np.isfinite(x)):
         raise InvalidArgumentError("stream holds non-finite samples")
-    psm = spectrogram(x, rate, cfg, bands_only=True)
+    psm = spectrogram(x, rate, cfg)
     return combine_and_track(psm, harmonic_weights(psm))

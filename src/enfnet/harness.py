@@ -183,7 +183,7 @@ def _bench_pool(K: int, d: int, seed) -> Tuple[TransactionPool, CommitteeConfig]
     pool = TransactionPool(round=0)
     vectors = cfg.nominal_hz + rng.normal(0.0, 0.01, size=(K, d))
     for v in range(K):
-        pool.entries[v] = EnfTransaction(v, 0, vectors[v])
+        pool.insert(EnfTransaction(v, 0, vectors[v]))
     return pool, cfg
 
 

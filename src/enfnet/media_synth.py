@@ -57,8 +57,8 @@ class EnfSeries:
 
     def __post_init__(self):
         self.values_hz = np.asarray(self.values_hz, dtype=float)
-        if self.step_s <= 0:
-            raise InvalidArgumentError("step_s must be > 0")
+        if not (np.isfinite(self.start_time_s) and np.isfinite(self.step_s) and self.step_s > 0):
+            raise InvalidArgumentError("start_time_s must be finite, step_s finite and > 0")
         if self.values_hz.ndim != 1 or len(self.values_hz) < 1:
             raise InvalidArgumentError("values_hz must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(self.values_hz)):
@@ -79,6 +79,13 @@ class EnfSeries:
         return self.step_s * len(self.values_hz)
 
 
+def _span(truth: EnfSeries, rate_hz: float, name: str) -> int:
+    """Values a stream at finite rate_hz > 0 (field ``name``) holds over its truth."""
+    if not (np.isfinite(rate_hz) and rate_hz > 0):
+        raise InvalidArgumentError(f"{name} must be finite and > 0, got {rate_hz}")
+    return int(round(truth.duration_s * rate_hz))
+
+
 class ForgeryMode(Enum):
     ReplaceEnf = "ReplaceEnf"
     StripEnf = "StripEnf"
@@ -93,6 +100,11 @@ class AudioStream:
     truth: EnfSeries
     forged_intervals: List[Tuple[float, float]] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        n = _span(self.truth, self.sample_rate_hz, "sample_rate_hz")
+        if len(self.samples) != n:
+            raise InvalidArgumentError(f"truth spans {n} samples, the stream {len(self.samples)}")
 
     @property
     def duration_s(self) -> float:
@@ -115,6 +127,9 @@ class VideoLumaStream:
         self.frames = np.ascontiguousarray(self.frames)
         if self.frames.ndim != 2:
             raise InvalidArgumentError(f"frames must be 2-D, got shape {self.frames.shape}")
+        n = _span(self.truth, self.fps, "fps")
+        if len(self.frames) != n:
+            raise InvalidArgumentError(f"truth spans {n} frames, the stream {len(self.frames)}")
 
     @property
     def frame_height(self) -> int:
@@ -224,15 +239,13 @@ def embed_audio(
             f"harmonics must be (order >= 1, finite amplitude) pairs, got {harmonics}"
         )
     max_order = max(int(k) for k, _ in harmonics)
-    if not np.isfinite(sample_rate_hz):
-        raise InvalidArgumentError(f"sample_rate_hz must be finite, got {sample_rate_hz}")
+    n = _span(truth, sample_rate_hz, "sample_rate_hz")
     if sample_rate_hz <= 2.0 * max_order * float(np.max(truth.values_hz)):
         raise InvalidArgumentError(
             f"sample_rate_hz={sample_rate_hz} violates Nyquist for harmonic order {max_order}"
         )
     rng = np.random.default_rng(seed)
     offsets = [rng.uniform(0.0, 2.0 * np.pi) for _ in harmonics]
-    n = int(round(truth.duration_s * sample_rate_hz))
     sig = np.zeros(n)
     for i0, i1, phase in _phase_blocks(truth, sample_rate_hz, n):
         block = sig[i0:i1]
@@ -264,13 +277,11 @@ def embed_video(
     Memory: the output and block-sized work arrays. The flicker's power is
     known in closed form, so flicker and noise are made in one blockwise pass.
     """
-    if not (np.isfinite(fps) and fps > 0):
-        raise InvalidArgumentError(f"fps must be finite and > 0, got {fps}")
+    n_frames = _span(truth, fps, "fps")
     if frame_height < 1:
         raise InvalidArgumentError("frame_height must be >= 1")
     if not np.isfinite(mod_depth):
         raise InvalidArgumentError(f"mod_depth must be finite, got {mod_depth}")
-    n_frames = int(round(truth.duration_s * fps))
     ac_amp = 0.5 * mod_depth * _BASE_LUMA
     sigma = _noise_sigma(ac_amp**2 / 2.0, snr_db)  # the flicker's power, known analytically
     rng = np.random.default_rng(seed)
@@ -361,10 +372,6 @@ def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
     bounds = [(int(round(a * rate)), int(round(b * rate))) for a, b in segs]
     if mode is ForgeryMode.ReplaceEnf:
         flat = _resynthesize(stream, seed).astype(src.dtype, copy=False)
-        if len(flat) != len(src):
-            raise InvalidArgumentError(
-                f"ReplaceEnf: the truth spans {len(flat)} values, the stream {len(src)}"
-            )
         # the gaps between segments, including before the first and after the last
         edges = [0, *(i for span in bounds for i in span), len(src)]
         for i0, i1 in zip(edges[::2], edges[1::2]):

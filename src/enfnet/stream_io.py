@@ -80,9 +80,10 @@ def load_stream(header_path: str):
     """Read a stream written by :func:`save_stream`.
 
     Raises InvalidArgumentError if the payload holds a different number of
-    values than the header declares (a truncated or foreign .f32 file), or
-    if a video header names a shutter other than the rolling shutter that
-    every video stream is (older files record "shutter": "RollingCMOS").
+    values than the header declares (a truncated or foreign .f32 file), if a
+    video header names a shutter other than the rolling shutter that every
+    video stream is (older files record "shutter": "RollingCMOS"), or if the
+    stream record rejects a rate, or a truth that does not span the payload.
     """
     with open(header_path) as fh:
         header = json.load(fh)
@@ -121,8 +122,8 @@ def save_enf_csv(series: EnfSeries, path: str):
 
 def load_enf_csv(path: str) -> EnfSeries:
     """Read a series written by :func:`save_enf_csv`. The file records no step, so it is
-    the first two rows' time difference: a file of one row, or of unevenly spaced
-    times, raises InvalidArgumentError."""
+    the first two rows' time difference: a file of fewer than two rows, or of unevenly
+    spaced or non-finite times, raises InvalidArgumentError."""
     times = []
     vals = []
     with open(path) as fh:
@@ -136,16 +137,14 @@ def load_enf_csv(path: str) -> EnfSeries:
             t, v = line.split(",")
             times.append(float(t))
             vals.append(float(v))
-    if len(times) < 1:
-        raise InvalidArgumentError(f"{path}: empty series")
     if len(times) < 2:
-        raise InvalidArgumentError(f"{path}: one row holds no step; an ENF series needs two")
+        raise InvalidArgumentError(f"{path}: fewer than two rows (one row holds no step)")
     step = times[1] - times[0]
     # every step must match the first to 1e-9 relative, beyond the rounding
-    # of the written timestamps themselves
+    # of the written timestamps themselves; a NaN time matches none
     t = np.array(times)
     tol = 1e-9 * abs(step) + 4.0 * np.spacing(np.max(np.abs(t)))
-    if np.any(np.abs(np.diff(t) - step) > tol):
+    if not np.all(np.abs(np.diff(t) - step) <= tol):
         raise InvalidArgumentError(f"{path}: time column is not uniformly spaced")
     return EnfSeries(start_time_s=times[0], step_s=step, values_hz=np.array(vals))
 

@@ -256,6 +256,15 @@ def test_estimate_names_the_band_fault(tmp_path, small_inputs, capsys):
         ("generate", "--max-dev", "nan"),
         ("estimate", "--stream", "{inputs}/nan_audio.json"),
         ("estimate", "--stream", "{inputs}/nan_video.json"),
+        # headers the stream records reject: a truth cut to 10 of 20 s, and rates that
+        # are not finite and > 0 or that the payload does not span at the truth's length
+        ("estimate", "--stream", "{inputs}/cut_truth.json"),
+        ("estimate", "--stream", "{inputs}/rate_0.json"),
+        ("estimate", "--stream", "{inputs}/rate_nan.json"),
+        ("estimate", "--stream", "{inputs}/rate_2000.json"),
+        ("estimate", "--stream", "{inputs}/fps_0.json"),
+        ("estimate", "--stream", "{inputs}/fps_50.json"),
+        ("detect", "--local", "{inputs}/nan_times.csv", "--truth", "{inputs}/nan_times.csv"),
     ],
 )
 def test_non_finite_times_and_rates_exit_2(tmp_path, small_inputs, argv):
@@ -341,6 +350,18 @@ def small_inputs(tmp_path_factory):
     video = embed_video(stream.truth, 25.0, 20, 20.0)
     save_stream(video, str(root / "nan_video.json"))
     np.full(video.frames.size, np.nan, dtype="<f4").tofile(root / "nan_video.f32")
+    # finite payloads under edited headers, as a hand edit or a foreign writer may leave
+    header = json.loads((root / "stream.json").read_text())
+    cut = {**header["truth"], "values_hz": header["truth"]["values_hz"][:10]}
+    for name, s, fields in [("cut_truth", stream, {"truth": cut}),
+                            ("rate_0", stream, {"sample_rate_hz": 0.0}),
+                            ("rate_nan", stream, {"sample_rate_hz": float("nan")}),
+                            ("rate_2000", stream, {"sample_rate_hz": 2000.0}),
+                            ("fps_0", video, {"fps": 0.0}), ("fps_50", video, {"fps": 50.0})]:
+        path = root / f"{name}.json"
+        save_stream(s, str(path))
+        path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+    (root / "nan_times.csv").write_text("time_s,freq_hz\n" + "nan,60.0\n" * 20)
     return root
 
 

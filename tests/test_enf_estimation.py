@@ -146,11 +146,28 @@ def test_row_signal_static_cancellation_hazard():
 # spectrogram
 
 
+def full_spectrogram(x, rate_hz, cfg):
+    """Oracle: the whole Hann-window power matrix, one rfft per window and every column
+    of the rfft grid kept, with the band table of that grid."""
+    w_len = int(round(cfg.stft_window_s * rate_hz))
+    hop = max(1, int(round(w_len * (1.0 - cfg.stft_overlap_frac))))
+    nfft = cfg.fft_size or 4 << (w_len - 1).bit_length()
+    rows = []
+    for i0 in range(0, len(x) - w_len + 1, hop):
+        p = np.abs(np.fft.rfft(x[i0 : i0 + w_len] * np.hanning(w_len), n=nfft)) ** 2
+        p[1:-1] *= 2.0
+        rows.append(p / nfft)
+    freqs = np.fft.rfftfreq(nfft, 1.0 / rate_hz)
+    return enf_estimation.PowerSpectrumMatrix(
+        freqs, np.array(rows), enf_estimation._band_table(freqs, cfg), w_len / 2.0 / rate_hz,
+        hop / rate_hz)
+
+
 def test_spectrogram_parseval_energy():
     rng = np.random.default_rng(0)
     x = rng.normal(size=4000)
     cfg = EstimatorConfig(stft_window_s=2.0, stft_overlap_frac=0.5)
-    psm = spectrogram(x, 1000.0, cfg)
+    psm = full_spectrogram(x, 1000.0, cfg)
     w = np.hanning(2000)
     for i in range(psm.power.shape[0]):
         seg = x[i * 1000 : i * 1000 + 2000] * w
@@ -185,8 +202,8 @@ def test_spectrogram_rejects_bad_fft_size():
         spectrogram(np.zeros(4000), 1000.0, EstimatorConfig(stft_window_s=2.0, fft_size=3000))
 
 
-# band-only spectrogram: the columns the estimator reads, equal bit for bit
-# to the full matrix's
+# the spectrogram keeps only the columns the estimator reads, each equal bit
+# for bit to its column of the whole matrix
 
 CORPUS = dict(stft_window_s=16.0, stft_overlap_frac=0.9375)
 
@@ -198,8 +215,8 @@ def _hum(rate_hz, duration_s, nominal_hz=60.0, seed=0):
 
 
 def _assert_band_columns_match(x, rate_hz, cfg):
-    full = spectrogram(x, rate_hz, cfg)
-    band = spectrogram(x, rate_hz, cfg, bands_only=True)
+    full = full_spectrogram(x, rate_hz, cfg)
+    band = spectrogram(x, rate_hz, cfg)
     assert np.all(np.diff(band.freq_bins) > 0)
     cols = np.searchsorted(full.freq_bins, band.freq_bins)
     np.testing.assert_array_equal(full.freq_bins[cols], band.freq_bins)
@@ -265,7 +282,7 @@ def test_estimate_equals_full_matrix_pipeline():
     v = embed_video(truth, 25.0, 20, 20.0, seed=17, grid=grid)
     cases.append((v, EstimatorConfig(harmonics=(2,)), video_row_signal(v)[0]))
     for stream, cfg, x in cases:
-        full = spectrogram(x, 500.0, cfg)
+        full = full_spectrogram(x, 500.0, cfg)
         expected = combine_and_track(full, harmonic_weights(full))
         got = estimate_enf(stream, cfg)
         assert got.values_hz.tobytes() == expected.values_hz.tobytes()
@@ -279,11 +296,10 @@ def test_empty_read_set_is_an_invalid_argument():
     with pytest.raises(InvalidArgumentError, match="outside spectrum"):
         estimate_enf(a, cfg)
     with pytest.raises(InvalidArgumentError):
-        spectrogram(np.zeros(1000), 25.0, cfg, bands_only=True)
+        spectrogram(np.zeros(1000), 25.0, cfg)
     # bins 15.6 Hz apart: no bin falls in any +-2k Hz surround
     with pytest.raises(InvalidArgumentError, match="holds 0 bins"):
-        spectrogram(np.zeros(1000), 1000.0, EstimatorConfig(stft_window_s=0.05, fft_size=64),
-                    bands_only=True)
+        spectrogram(np.zeros(1000), 1000.0, EstimatorConfig(stft_window_s=0.05, fft_size=64))
 
 
 def test_band_only_checks_every_band_before_any_rfft(monkeypatch):
@@ -294,7 +310,7 @@ def test_band_only_checks_every_band_before_any_rfft(monkeypatch):
     # bins 0.49 Hz apart: the 59.5-60.5 Hz base band holds 59.57 and 60.06 Hz only
     cfg = EstimatorConfig(stft_window_s=2.0, fft_size=1024)
     with pytest.raises(InvalidArgumentError, match="order 1: .* holds 2 bins, fewer than 3"):
-        spectrogram(np.zeros(4000), 500.0, cfg, bands_only=True)
+        spectrogram(np.zeros(4000), 500.0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +346,8 @@ def test_weights_uniform_on_silence_and_loose_on_noise():
     assert np.all(w > 0.15) and np.all(w < 0.55)
 
 
-# the full matrix's band table is checked in spectrogram, before any rfft, as
-# the band-only one is; the weights read it from the matrix
+# the band table is checked in spectrogram, on the full rfft grid before any
+# rfft; the weights read it from the matrix
 
 
 def test_weights_band_outside_spectrum():
@@ -453,8 +469,7 @@ def _combine_per_bin_loop(psm, weights, cfg):
 def test_combine_matches_per_bin_loop(kw, seed):
     cfg = EstimatorConfig(**kw)
     x = _hum(500.0, 64, cfg.nominal_hz, seed)
-    for bands_only in (False, True):
-        psm = spectrogram(x, 500.0, cfg, bands_only=bands_only)
+    for psm in (full_spectrogram(x, 500.0, cfg), spectrogram(x, 500.0, cfg)):
         w = harmonic_weights(psm)
         expected = _combine_per_bin_loop(psm, w, cfg)
         assert combine_and_track(psm, w).values_hz.tobytes() == expected.tobytes()
@@ -462,9 +477,10 @@ def test_combine_matches_per_bin_loop(kw, seed):
 
 def test_combine_rejects_mismatched_weights():
     cfg = EstimatorConfig()
-    psm = spectrogram(np.zeros(20_000), 1000.0, cfg)
-    with pytest.raises(InvalidArgumentError):
-        combine_and_track(psm, [0.5, 0.5])
+    for psm in (full_spectrogram(np.zeros(20_000), 1000.0, cfg),
+                spectrogram(np.zeros(20_000), 1000.0, cfg)):
+        with pytest.raises(InvalidArgumentError):
+            combine_and_track(psm, [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------

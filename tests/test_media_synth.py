@@ -32,14 +32,16 @@ def const_truth(f_hz=60.0, duration_s=10.0, step_s=1.0):
 
 
 @pytest.mark.parametrize(
-    "step_s, values",
-    [(0.0, [60.0]), (-1.0, [60.0]), (1.0, []), (1.0, [[60.0, 60.0]]), (1.0, [60.0, np.nan]),
-     (1.0, [60.0, np.inf])],
-    ids=["zero-step", "negative-step", "empty", "2-d", "nan", "inf"],
+    "start_s, step_s, values",
+    [(0.0, 0.0, [60.0]), (0.0, -1.0, [60.0]), (0.0, 1.0, []), (0.0, 1.0, [[60.0, 60.0]]),
+     (0.0, 1.0, [60.0, np.nan]), (0.0, 1.0, [60.0, np.inf]), (0.0, np.nan, [60.0]),
+     (0.0, np.inf, [60.0]), (np.nan, 1.0, [60.0]), (-np.inf, 1.0, [60.0])],
+    ids=["zero-step", "negative-step", "empty", "2-d", "nan", "inf", "nan-step", "inf-step",
+         "nan-start", "inf-start"],
 )
-def test_enf_series_rejects_bad_fields(step_s, values):
+def test_enf_series_rejects_bad_fields(start_s, step_s, values):
     with pytest.raises(InvalidArgumentError):
-        EnfSeries(0.0, step_s, values)
+        EnfSeries(start_s, step_s, values)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +386,19 @@ def test_replace_enf_equals_copy_then_splice(kind, segments):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_replace_enf_needs_a_truth_that_spans_the_stream(kind):
+    """The stream record itself refuses a truth of another duration and a rate that is
+    not finite and > 0, so no stream that ReplaceEnf could misread is ever built."""
     stream = _stream_of(kind)
     for duration_s in (10.0, 30.0):
-        other = dataclasses.replace(stream, truth=gen_enf_truth(GridConfig(), duration_s, 1.0))
         with pytest.raises(InvalidArgumentError, match="truth spans"):
-            forge_segments(other, [(4.0, 8.0)], ForgeryMode.ReplaceEnf)
+            dataclasses.replace(stream, truth=gen_enf_truth(GridConfig(), duration_s, 1.0))
+    rate_field = "sample_rate_hz" if kind == "audio" else "fps"
+    for rate in (0.0, np.nan):
+        with pytest.raises(InvalidArgumentError, match=f"{rate_field} must be finite and > 0"):
+            dataclasses.replace(stream, **{rate_field: rate})
+    # the rule embed_* builds by: a doubled rate wants twice the values
+    with pytest.raises(InvalidArgumentError, match="truth spans"):
+        dataclasses.replace(stream, **{rate_field: 2.0 * getattr(stream, rate_field)})
 
 
 # ---------------------------------------------------------------------------

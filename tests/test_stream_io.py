@@ -148,10 +148,12 @@ def test_enf_csv_rejects_nonuniform_times(tmp_path):
     save_enf_csv(series, str(path))
     lines = path.read_text().splitlines()
     t, v = lines[20].split(",")
-    lines[20] = f"{float(t) + 1e-6!r},{v}"  # one timestamp off by 2e-6 of a step
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InvalidArgumentError, match="uniformly"):
-        load_enf_csv(str(path))
+    # one timestamp off by 2e-6 of a step, or not a number, which no comparison passes
+    for bad in (repr(float(t) + 1e-6), "nan"):
+        lines[20] = f"{bad},{v}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidArgumentError, match="uniformly"):
+            load_enf_csv(str(path))
 
 
 def test_enf_csv_accepts_rounded_uniform_times(tmp_path):
