@@ -7,6 +7,14 @@ with static scene content removed, is read at the working rate: the lowest
 500 * 2**j Hz whose Nyquist holds every band edge k * (nominal_hz +
 band_halfwidth_hz), or at its own rate when that is slower.
 
+Bringing a stream down by up/down, the fraction nearest target / rate whose
+denominator is at most 10**6, computes scipy.signal.resample_poly's default:
+y[n] = sum_i x[i] * h[n * down + half - i * up] for n < ceil(len(x) * up / down),
+x zero outside its samples, h a Kaiser (beta 5) windowed sinc at cutoff
+1 / max(up, down) of the Nyquist rate with 2 * half + 1 taps, half =
+10 * max(up, down), scaled to sum to up. It runs on numpy alone, as bounded
+matrix products whose values do not depend on the BLAS thread count.
+
 ``spectrogram`` works out one band table before any STFT work: harmonic
 k's band, k * (nominal_hz +- band_halfwidth_hz), and a surround 4 times as
 wide. It rejects a band outside the spectrum or without a bin, and a base
@@ -35,6 +43,13 @@ _MAX_SNR_RATIO = 1e12
 _SURROUND_HALFWIDTHS = 4.0
 # complex values per rfft block: 8 windows at nfft 65536, 16 at 32768
 _STFT_BLOCK_VALUES = 2**19
+# _resample's matrix products: output phases (columns), output rows, and inputs
+# summed per value. Holding the sum to 128 terms keeps it inside one block of
+# the BLAS's reduction, so threads split only rows and columns and the values do
+# not depend on the thread count; OpenBLAS with 441 terms did not hold that.
+_RESAMPLE_PHASES = 16
+_RESAMPLE_ROWS = 512
+_RESAMPLE_INPUTS = 128
 
 
 @dataclass
@@ -85,6 +100,61 @@ def _band_hz(k: int, cfg: EstimatorConfig, halfwidths: float = 1.0) -> Tuple[flo
     return center - half, center + half
 
 
+def _lowpass(up: int, down: int) -> Tuple[np.ndarray, int]:
+    """(h, half): resample_poly's default filter, as the module docstring states it."""
+    half = 10 * max(up, down)
+    cutoff = 1.0 / max(up, down)
+    m = np.arange(half + 1.0)  # taps half..2*half; h is even about tap half
+    right = cutoff * np.sinc(cutoff * m) * np.i0(5.0 * np.sqrt(1.0 - (m / half) ** 2.0))
+    right /= np.i0(5.0)
+    h = np.concatenate((right[:0:-1], right))
+    h /= h.sum()
+    h *= up
+    return h, half
+
+
+def _resample(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """x resampled by coprime up/down, y as the module docstring defines it.
+
+    The output is cut into rows of U = w * up values and the input into rows of
+    D = w * down, w >= 1. Output n = a * U + p reads input i = a * D + o with
+    tap p * down + half - o * up, whatever the row a; so a group of phases p
+    reads a fixed range of offsets o, and its values in every row are matrix
+    products of input rows, shifted by whole rows, with a small table of taps.
+    Each product spans bounded numbers of rows, phases and offsets: no work
+    array grows with the stream or with up * down.
+    """
+    h, half = _lowpass(up, down)
+    n_out = -(-len(x) * up // down)
+    w = max(1, _RESAMPLE_PHASES // up)  # up = 1 would give one phase per row
+    U, D = w * up, w * down
+    full, rem = divmod(len(x), D)
+    rows = x[: full * D].reshape(full, D)
+    y = np.zeros((-(-n_out // U), U))
+    for p0 in range(0, U, _RESAMPLE_PHASES):
+        p = np.arange(p0, min(p0 + _RESAMPLE_PHASES, U))
+        cols = slice(p0, p0 + len(p))
+        o_lo = -((half - p[0] * down) // up)  # first offset with a tap, ceil
+        o_hi = (p[-1] * down + half) // up
+        s = o_lo
+        while s <= o_hi:
+            k = s // D  # these offsets lie in input row a + k
+            e = min(o_hi + 1, (k + 1) * D, s + _RESAMPLE_INPUTS)
+            tap = p * down + half - np.arange(s, e)[:, None] * up
+            table = np.where((tap >= 0) & (tap <= 2 * half), h[np.clip(tap, 0, 2 * half)], 0.0)
+            c0, c1 = s - k * D, e - k * D
+            # rows a whose row a + k is whole; before row 0 the input is zero
+            for a0 in range(max(0, -k), min(len(y), full - k), _RESAMPLE_ROWS):
+                a1 = min(a0 + _RESAMPLE_ROWS, full - k, len(y))
+                y[a0:a1, cols] += rows[a0 + k : a1 + k, c0:c1] @ table
+            # the partial last input row
+            if 0 <= full - k < len(y) and c0 < rem:
+                tail = x[full * D + c0 : full * D + min(c1, rem)]
+                y[full - k, cols] += tail @ table[: len(tail)]
+            s = e
+    return y.reshape(-1)[:n_out]
+
+
 def _at_working_rate(x: np.ndarray, rate_hz: float, cfg: EstimatorConfig):
     """(x, rate_hz) brought down to the working rate when faster, else as given;
     band edges are those of _band_table, so the two agree at a tie."""
@@ -94,10 +164,10 @@ def _at_working_rate(x: np.ndarray, rate_hz: float, cfg: EstimatorConfig):
         target *= 2.0
     if rate_hz <= target:
         return x, rate_hz
-    from scipy.signal import resample_poly  # local: scipy.signal takes ~1.5 s to import
-
     frac = Fraction(target / rate_hz).limit_denominator(1_000_000)
-    return resample_poly(x, frac.numerator, frac.denominator), target
+    if frac == 1:  # resample_poly returns the samples unchanged at 1/1
+        return x, target
+    return _resample(x, frac.numerator, frac.denominator), target
 
 
 def preprocess_audio(a: AudioStream, cfg: EstimatorConfig) -> Tuple[np.ndarray, float]:

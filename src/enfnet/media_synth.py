@@ -102,6 +102,8 @@ class AudioStream:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if np.ndim(self.samples) != 1:
+            raise InvalidArgumentError(f"samples must be 1-D, got shape {np.shape(self.samples)}")
         n = _span(self.truth, self.sample_rate_hz, "sample_rate_hz")
         if len(self.samples) != n:
             raise InvalidArgumentError(f"truth spans {n} samples, the stream {len(self.samples)}")

@@ -3,6 +3,11 @@ position, known-tone weights) come first; the end-to-end accuracy bounds are
 checked against truths the estimator never sees directly."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +72,69 @@ def test_slower_stream_is_read_at_its_own_rate():
     # its 125 Hz Nyquist holds harmonic 2 but not harmonic 3's 181.5 Hz band edge
     with pytest.raises(InvalidArgumentError, match=r"harmonic order 3.*181\.5\] Hz outside"):
         estimate_enf(a, EstimatorConfig())
+
+
+# to 500 Hz from 1, 8, 48 and 44.1 kHz audio and from 25 fps x 360-row and
+# 30 fps x 1080-row video; 44.1 kHz to 1 kHz; and 29.97 fps x 360 rows, where
+# one 26973 x 1250 matrix of taps per shift of whole rows would take 270 MB
+RESAMPLE_RATIOS = [(1, 2), (1, 16), (1, 18), (1, 96), (5, 324), (5, 441), (10, 441),
+                   (1250, 26973)]
+
+
+@pytest.mark.parametrize("up, down", RESAMPLE_RATIOS)
+def test_resample_matches_resample_poly(up, down):
+    from scipy.signal import resample_poly
+
+    half = 10 * max(up, down)
+    rng = np.random.default_rng([up, down])
+    # shorter than one filter half, a few rows with a partial one, many row blocks
+    for n in (1, half // up - 1, 37 * down + 5, 1_000_003):
+        x = rng.standard_normal(n)
+        want, got = resample_poly(x, up, down), enf_estimation._resample(x, up, down)
+        assert len(got) == len(want) == -(-n * up // down)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_a_ratio_that_rounds_to_one_leaves_the_samples_alone():
+    x = np.random.default_rng(0).standard_normal(1000)
+    out, rate = enf_estimation._at_working_rate(x, 500.0001, EstimatorConfig())
+    assert out is x and rate == 500.0
+
+
+def test_resampled_bytes_do_not_depend_on_blas_threads():
+    script = (
+        "import hashlib, numpy as np\n"
+        "from enfnet.enf_estimation import _resample\n"
+        "x = np.random.default_rng(3).standard_normal(1_000_003)\n"
+        "for up, down in ((1, 2), (1, 18), (5, 441), (10, 441)):\n"
+        "    print(hashlib.sha256(_resample(x, up, down).tobytes()).hexdigest())\n"
+    )
+    src = str(Path(enf_estimation.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert len(digests[0].split()) == 4
+    assert digests[0] == digests[1]
+
+
+def test_estimate_of_a_2997_fps_video_holds_a_small_multiple_of_the_stream():
+    grid = GridConfig(seed=5)
+    v = embed_video(gen_enf_truth(grid, 120.0, 1.0), 29.97, 360, 20.0, seed=5, grid=grid)
+    tracemalloc.start()
+    try:
+        estimate_enf(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the row residual, the 539461-tap filter and its window's temporaries:
+    # 3.6 times the 10.4 MB of frames with numpy 2.4
+    assert peak < 4 * v.frames.nbytes
 
 
 @pytest.mark.parametrize(

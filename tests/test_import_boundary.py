@@ -1,6 +1,6 @@
-"""The package imports numpy only: scipy.signal and scipy.spatial, which take
-seconds to import, load on the first call that uses them. Each test runs in a
-fresh child interpreter, since this one has long since loaded both."""
+"""The package imports numpy only: scipy, of which enfnet uses scipy.spatial
+alone, loads on the first consensus scoring. Each test runs in a fresh child
+interpreter, since this one has long since loaded scipy."""
 
 import json
 import os
@@ -11,7 +11,8 @@ from pathlib import Path
 import enfnet
 
 _SRC_ROOT = str(Path(enfnet.__file__).resolve().parent.parent)
-_HEAVY = ("scipy.signal", "scipy.spatial")
+# any scipy submodule loads the scipy package first
+_HEAVY = ("scipy", "scipy.signal", "scipy.spatial")
 
 # prints, after each step, which of _HEAVY the child has loaded
 _PRELUDE = f"""
@@ -49,11 +50,30 @@ mark("detect")
                                             "detect")}
 
 
-def test_scoring_and_resampling_load_their_module_on_first_use():
-    # scoring first: scipy.signal itself imports scipy.spatial
+def test_estimates_that_resample_load_no_scipy(tmp_path):
+    # 44.1 kHz audio and 25 fps x 360-row (9 kHz) video, both read at 500 Hz
+    loaded = _loaded_after_each_step("""
+import os
+from enfnet import GridConfig, cli, embed_audio, embed_video, estimate_enf, gen_enf_truth
+grid = GridConfig(seed=1)
+truth = gen_enf_truth(grid, 30.0, 1.0)
+estimate_enf(embed_audio(truth, 44_100.0, [(1, 1.0)], 30.0, grid=grid))
+estimate_enf(embed_video(truth, 25.0, 360, 30.0, grid=grid))
+mark("estimate_enf")
+for kind in (["--sample-rate", "44100"], ["--kind", "video", "--fps", "25", "--height", "360"]):
+    gen, est = os.path.join(sys.argv[1], "gen" + kind[1]), os.path.join(sys.argv[1], "est" + kind[1])
+    assert cli.main(["generate", "--duration", "30", "--seed", "1", "--out", gen, *kind]) == 0
+    assert cli.main(["estimate", "--stream", os.path.join(gen, "stream.json"),
+                     "--out", est]) == 0
+mark("cli estimate")
+""", str(tmp_path))
+    assert loaded == {"estimate_enf": [], "cli estimate": []}
+
+
+def test_scoring_loads_scipy_spatial_on_first_use():
     loaded = _loaded_after_each_step("""
 import numpy as np
-from enfnet import CommitteeConfig, GridConfig, embed_audio, estimate_enf, gen_enf_truth
+from enfnet import CommitteeConfig
 from enfnet.poenf_consensus import EnfTransaction, TransactionPool, compute_scores
 pool = TransactionPool(round=0)
 for v in range(5):
@@ -61,15 +81,5 @@ for v in range(5):
 mark("build a pool")
 compute_scores(pool, CommitteeConfig(K=5, f=1, d=8))
 mark("compute_scores")
-grid = GridConfig(seed=1)
-stream = embed_audio(gen_enf_truth(grid, 30.0, 1.0), 1000.0, [(1, 1.0)], 30.0, grid=grid)
-mark("build a 1 kHz stream")
-estimate_enf(stream)
-mark("estimate_enf")
 """)
-    assert loaded == {
-        "build a pool": [],
-        "compute_scores": ["scipy.spatial"],
-        "build a 1 kHz stream": ["scipy.spatial"],
-        "estimate_enf": ["scipy.signal", "scipy.spatial"],
-    }
+    assert loaded == {"build a pool": [], "compute_scores": ["scipy", "scipy.spatial"]}

@@ -156,6 +156,13 @@ def test_audio_measured_snr_within_half_db():
         assert abs(got - target) < 0.5
 
 
+@pytest.mark.parametrize("shape", [(10_000, 2), (2, 10_000), ()])
+def test_audio_stream_rejects_samples_that_are_not_1d(shape):
+    # (10_000, 2) has as many rows as the 10 s truth spans at 1 kHz
+    with pytest.raises(InvalidArgumentError, match="1-D"):
+        AudioStream(1000.0, np.zeros(shape), const_truth())
+
+
 def test_audio_nyquist_guard():
     with pytest.raises(InvalidArgumentError):
         embed_audio(const_truth(), 300.0, HARMONICS_123, 20.0)  # 3*60*2 > 300
