@@ -23,6 +23,7 @@ from .media_synth import (
     EnfSeries,
     ForgeryMode,
     GridConfig,
+    _same_nominal,
     embed_audio,
     forge_segments,
     gen_enf_truth,
@@ -81,11 +82,7 @@ class ScenarioConfig:
                 f"forgery length {self.forgery_span_s} s outside (0, {room}] for a "
                 f"{self.duration_s} s conference"
             )
-        nominals = {c.nominal_hz for c in (self.grid, self.estimator, self.committee)}
-        if len(nominals) > 1:
-            raise ConfigurationError(
-                f"grid, estimator and committee disagree on nominal_hz: {sorted(nominals)}"
-            )
+        _same_nominal(grid=self.grid, estimator=self.estimator, committee=self.committee)
 
     @property
     def duration_s(self) -> float:
@@ -187,34 +184,46 @@ def _bench_pool(K: int, d: int, seed) -> Tuple[TransactionPool, CommitteeConfig]
     return pool, cfg
 
 
-def _score_once(pool, cfg) -> float:
-    """Wall time of one scoring and selection over pool."""
-    t0 = time.perf_counter()
-    select_ground_truth(compute_scores(pool, cfg), pool)
-    return time.perf_counter() - t0
+# a sample repeats scoring until it has run this long, so a single stall or
+# burst of host speed is averaged into the sample instead of setting it
+_MIN_SAMPLE_S = 0.010
 
 
-def _time_round(pool, cfg, trials: int) -> float:
-    # min over trials after one warm-up: the lower envelope is the stable
-    # steady-state latency, unlike the mean/median which soak up scheduler noise
-    _score_once(pool, cfg)
-    return float(min(_score_once(pool, cfg) for _ in range(trials)))
+def _latency_samples(pools, trials: int) -> np.ndarray:
+    """Seconds per scoring and selection: one sample per pass (row) and pool (column).
+
+    Each of the `trials` passes visits the pools in order, so a drift in host
+    speed reaches all of them alike. A visit scores the pool once to warm it,
+    then takes one sample: scoring and selection repeat until _MIN_SAMPLE_S
+    has passed, and the sample is the mean time per call.
+    """
+    if trials < 3:
+        raise InvalidArgumentError("trials must be >= 3")
+    out = np.empty((trials, len(pools)))
+    for row in out:
+        for i, (pool, cfg) in enumerate(pools):
+            select_ground_truth(compute_scores(pool, cfg), pool)
+            calls, elapsed, t0 = 0, 0.0, time.perf_counter()
+            while elapsed < _MIN_SAMPLE_S:
+                select_ground_truth(compute_scores(pool, cfg), pool)
+                calls += 1
+                elapsed = time.perf_counter() - t0
+            row[i] = elapsed / calls
+    return out
 
 
 def bench_consensus(K_list: Sequence[int], d: int, trials: int, seed: int) -> BenchResult:
     """Time scoring + selection on a pre-filled pool per committee size.
 
-    Latency per K is the best of `trials` timed runs after a warm-up; slope
-    is the least-squares fit of log(latency) against log(K).
+    Latency per K is its best sample (see :func:`_latency_samples`): the
+    minimum is the stable estimate on a noisy host (Chen and Revels, "Robust
+    benchmarking in noisy environments", 2016). slope is the least-squares fit
+    of log(latency) against log(K), so K_list needs two distinct sizes.
     """
-    if len(K_list) < 2:
-        raise InvalidArgumentError("K_list needs at least 2 sizes")
-    if trials < 3:
-        raise InvalidArgumentError("trials must be >= 3")
-    lats = []
-    for K in K_list:
-        pool, cfg = _bench_pool(int(K), int(d), [seed, int(K)])
-        lats.append(_time_round(pool, cfg, trials))
+    if len({int(k) for k in K_list}) < 2:
+        raise InvalidArgumentError(f"K_list needs at least 2 distinct sizes, got {list(K_list)}")
+    pools = [_bench_pool(int(K), int(d), [seed, int(K)]) for K in K_list]
+    lats = _latency_samples(pools, trials).min(axis=0).tolist()
     slope = float(np.polyfit(np.log(np.asarray(K_list, float)), np.log(lats), 1)[0])
     return BenchResult(k_list=[int(k) for k in K_list], latencies_s=lats, slope=slope, d=int(d))
 
@@ -222,13 +231,14 @@ def bench_consensus(K_list: Sequence[int], d: int, trials: int, seed: int) -> Be
 def bench_d_ratio(K: int, d: int, trials: int, seed: int) -> float:
     """Latency ratio when d doubles at fixed K (expected ~2 for O(K^2 d)).
 
-    The two pools' runs alternate, so a drift in host speed reaches both sides
-    alike; each keeps its best run after the first pass, the warm-up.
+    The two pools are sampled as in :func:`bench_consensus`, and the ratio is
+    the median over passes of the ratio within one pass: its two samples are
+    adjacent in time, so a drift in host speed between passes cancels, and
+    the median ignores a pass that a stall hit.
     """
     pools = [_bench_pool(K, dd, [seed, dd]) for dd in (d, 2 * d)]
-    runs = [[_score_once(pool, cfg) for pool, cfg in pools] for _ in range(max(trials, 3) + 1)]
-    best = np.min(runs[1:], axis=0)
-    return float(best[1] / best[0])
+    samples = _latency_samples(pools, trials)
+    return float(np.median(samples[:, 1] / samples[:, 0]))
 
 
 # --------------------------------------------------------------------------
@@ -250,6 +260,7 @@ class CorpusConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _same_nominal(grid=self.grid, estimator=self.estimator)
         hi = _FORGERY_LEN_BOUNDS_S[1]
         # make_detection_corpus draws a forgery's whole-second start from [20, D - 20 - len)
         if self.duration_s < hi + 41.0:
@@ -307,10 +318,13 @@ def roc_sweep(window_list: Sequence[float], corpus_cfg: CorpusConfig):
         raise InvalidArgumentError("window_list must contain at least one size")
     if max(window_list) >= corpus_cfg.duration_s:
         raise InvalidArgumentError("corpus too short for the largest window")
+    # labels alternate genuine/forged, so two streams are the first with both classes
+    if corpus_cfg.n_streams < 2:
+        raise InvalidArgumentError(
+            f"n_streams={corpus_cfg.n_streams} gives a single-class corpus: ROC undefined"
+        )
     entries = make_detection_corpus(corpus_cfg)
     labels = [e.forged for e in entries]
-    if all(labels) or not any(labels):
-        raise InvalidArgumentError("single-class corpus: ROC undefined")
     out = []
     for w in window_list:
         det = DetectorConfig(window_s=float(w), shift_s=corpus_cfg.shift_s)

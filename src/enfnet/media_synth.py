@@ -23,7 +23,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import ConfigurationError, InvalidArgumentError
 
 
 @dataclass
@@ -45,6 +45,17 @@ class GridConfig:
             )
         if not self.max_dev_hz > 0:
             raise InvalidArgumentError(f"max_dev_hz must be > 0, got {self.max_dev_hz}")
+
+
+def _same_nominal(**configs) -> None:
+    """Reject configs, named by keyword, that disagree on nominal_hz: a grid
+    estimated or voted on around another nominal gives silently wrong results."""
+    nominals = {c.nominal_hz for c in configs.values()}
+    if len(nominals) > 1:
+        *rest, last = configs
+        raise ConfigurationError(
+            f"{', '.join(rest)} and {last} disagree on nominal_hz: {sorted(nominals)}"
+        )
 
 
 @dataclass
@@ -344,10 +355,10 @@ def _resynthesize(stream, seed) -> np.ndarray:
     alt_truth = gen_enf_truth(grid, stream.truth.duration_s, stream.truth.step_s)
     if audio:
         alt = embed_audio(alt_truth, stream.sample_rate_hz, meta["harmonics"], meta["snr_db"],
-                          seed=int(seed) + 1)
+                          seed=int(seed) + 1, grid=grid)
     else:
         alt = embed_video(alt_truth, stream.fps, stream.frame_height, meta["snr_db"],
-                          seed=int(seed) + 1, mod_depth=meta["mod_depth"])
+                          seed=int(seed) + 1, mod_depth=meta["mod_depth"], grid=grid)
     return sample_view(alt)[0]
 
 

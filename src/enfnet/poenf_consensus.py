@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, InvalidArgumentError, QuorumError
-from .media_synth import EnfSeries, GridConfig, gen_enf_truth
+from .media_synth import EnfSeries, GridConfig, _same_nominal, gen_enf_truth
 
 
 @dataclass
@@ -324,6 +324,7 @@ def run_round(
     honest validator receives the shared pool, so the pool is scored exactly
     once and honest_agreement compares each honest selection with E*.
     """
+    _same_nominal(grid=grid, committee=cfg)
     round_seed = [int(seed), int(round_no)]
     step = cfg.round_duration_s / cfg.d
     truth = gen_enf_truth(replace(grid, seed=round_seed), cfg.round_duration_s, step)

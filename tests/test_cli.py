@@ -143,6 +143,8 @@ def test_configuration_errors_exit_2(tmp_path):
         "--out", str(gen))
     assert run("estimate", "--stream", str(gen / "stream.json"), "--overlap", "1.5",
                "--out", str(tmp_path / "z")) == 2
+    # a committee-size list with one distinct size, which no slope can be fitted to
+    assert run("bench", "--k-list", "10,10", "--dim", "16", "--trials", "3") == 2
     # a corpus too short to place its 45 s forgeries
     assert run("roc", "--streams", "2", "--duration", "60", "--windows", "8",
                "--out", str(tmp_path / "r")) == 2

@@ -2,10 +2,13 @@
 the full-scale corpus numbers live in the acceptance suite."""
 
 import dataclasses
+import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from enfnet import harness
 from enfnet import (
     CommitteeConfig,
     ConfigurationError,
@@ -177,8 +180,60 @@ def test_bench_d_scaling_is_roughly_linear():
 def test_bench_argument_validation():
     with pytest.raises(InvalidArgumentError):
         bench_consensus([10], d=64, trials=3, seed=0)
+    # one distinct size leaves the log-log fit a single x
+    with pytest.raises(InvalidArgumentError, match="distinct"):
+        bench_consensus([10, 10], d=64, trials=3, seed=0)
     with pytest.raises(InvalidArgumentError):
         bench_consensus([10, 20], d=64, trials=1, seed=0)
+    with pytest.raises(InvalidArgumentError, match="trials"):
+        bench_d_ratio(K=10, d=64, trials=2, seed=0)
+
+
+def test_timing_rule_samples_warmed_pools_in_turn(monkeypatch):
+    """Under a fake clock, each pass visits the pools in order; a visit is one
+    warm-up call, then one sample that stops at the first call that reaches
+    _MIN_SAMPLE_S, valued at its mean time per call. A committee size's
+    latency is its best sample, and the d-doubling ratio the median over
+    passes of the ratio within a pass."""
+    span = harness._MIN_SAMPLE_S
+    # per-call cost of each pool in each pass, in units of 2**-12 s so that the
+    # fake clock sums exactly; odd calls of a visit cost double, the warm-up 1 s
+    units = {(8, 16): (3, 1, 2), (16, 16): (4, 6, 5), (32, 16): (48, 40, 44),
+             (8, 32): (7, 1, 5)}
+    now, log, passes = [0.0], [], {}  # log: (pool, call of its visit, cost)
+
+    def fake_scores(pool, cfg):
+        key = (cfg.K, cfg.d)
+        j = log[-1][1] + 1 if log and log[-1][0] == key else 0
+        passes[key] = passes.get(key, -1) + (j == 0)
+        cost = 1.0 if j == 0 else units[key][passes[key]] * 2.0**-12 * (1 + j % 2)
+        now[0] += cost
+        log.append((key, j, cost))
+        return {0: 0.0}
+
+    monkeypatch.setattr(harness, "compute_scores", fake_scores)
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+
+    def sample_means(pools):
+        """Each visit's sample mean as the log shows it, one row per pass."""
+        visits = [(key, [c for _, _, c in calls])
+                  for key, calls in itertools.groupby(log, key=lambda e: e[0])]
+        assert [key for key, _ in visits] == pools * 3
+        means = []
+        for _, (warm, *sample) in visits:
+            assert warm == 1.0 and sample
+            assert sum(sample[:-1]) < span <= sum(sample)
+            means.append(sum(sample) / len(sample))
+        log.clear()
+        passes.clear()
+        return np.reshape(means, (3, len(pools)))
+
+    res = bench_consensus([8, 16, 32], d=16, trials=3, seed=0)
+    assert res.latencies_s == sample_means([(8, 16), (16, 16), (32, 16)]).min(axis=0).tolist()
+    ratio = bench_d_ratio(K=8, d=16, trials=3, seed=0)
+    per_pass = sample_means([(8, 16), (8, 32)])
+    assert ratio == float(np.median(per_pass[:, 1] / per_pass[:, 0]))
+    assert ratio != per_pass[:, 1].min() / per_pass[:, 0].min()  # not the ratio of the bests
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +292,26 @@ def test_roc_sweep_structure_and_quality():
     for r in out:
         assert 0.7 <= r["auc"] <= 1.0
         assert len(r["points"]) >= 3
+
+
+def test_corpus_rejects_disagreeing_nominal_hz():
+    # a 50 Hz corpus estimated around 60 Hz reads every stream 10 Hz off its reference
+    with pytest.raises(ConfigurationError, match="nominal_hz"):
+        corpus_cfg(grid=GridConfig(nominal_hz=50.0, max_dev_hz=0.5))
+    corpus_cfg(
+        grid=GridConfig(nominal_hz=50.0, max_dev_hz=0.5),
+        estimator=EstimatorConfig(nominal_hz=50.0, stft_window_s=8.0, stft_overlap_frac=0.875),
+    )
+
+
+@pytest.mark.parametrize("n_streams", [0, 1])
+def test_roc_sweep_refuses_a_single_class_corpus_before_building_it(n_streams, monkeypatch):
+    def build(cc):
+        raise AssertionError("the corpus was built")
+
+    monkeypatch.setattr(harness, "make_detection_corpus", build)
+    with pytest.raises(InvalidArgumentError, match="single-class"):
+        roc_sweep([16.0], corpus_cfg(n_streams=n_streams))
 
 
 def test_roc_sweep_argument_validation():

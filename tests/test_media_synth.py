@@ -21,6 +21,7 @@ from enfnet import (
     forge_segments,
     gen_enf_truth,
 )
+from enfnet import media_synth
 from enfnet.media_synth import _BLOCK, sample_view
 
 HARMONICS_123 = ((1, 1.0), (2, 0.5), (3, 0.33))
@@ -389,6 +390,28 @@ def test_replace_enf_equals_copy_then_splice(kind, segments):
     assert _values(stream).tobytes() == before.tobytes()
     assert not np.shares_memory(_values(forged), _values(stream))
     assert forged.forged_intervals == segments and stream.forged_intervals == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_replace_enf_synthesizes_on_the_grid_it_rebuilt(kind, monkeypatch):
+    """The replacement is embedded with the grid rebuilt from the stream's meta,
+    so its own provenance is that grid and not GridConfig() defaults."""
+    grid = GridConfig(nominal_hz=50.0, drift_std_hz=0.01, max_dev_hz=0.5, seed=3)
+    truth = gen_enf_truth(grid, 20.0, 1.0)
+    if kind == "audio":
+        stream = embed_audio(truth, 1000.0, HARMONICS_123, 20.0, seed=3, grid=grid)
+    else:
+        stream = embed_video(truth, 10.0, 16, 20.0, seed=3, grid=grid)
+    name = f"embed_{kind}"
+    real, grids = getattr(media_synth, name), []
+
+    def spy(*args, **kwargs):
+        grids.append(kwargs.get("grid"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(media_synth, name, spy)
+    forge_segments(stream, [(5.0, 10.0)], ForgeryMode.ReplaceEnf, seed=5)
+    assert grids == [dataclasses.replace(grid, seed=[5, 0x5EED])]
 
 
 @pytest.mark.parametrize("kind", KINDS)

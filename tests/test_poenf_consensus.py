@@ -250,6 +250,13 @@ def test_round_rejects_too_many_byzantines():
         run_round(GridConfig(seed=1), [Honest()] * 4, CFG, seed=3)  # wrong K
 
 
+def test_round_rejects_a_grid_of_another_nominal():
+    # a 50 Hz grid voted on in the 60 +- 1 Hz window clips every proof to 59 Hz
+    with pytest.raises(ConfigurationError, match="nominal_hz"):
+        run_round(GridConfig(nominal_hz=50.0), [Honest()] * 5, CommitteeConfig(K=5, f=1, d=10),
+                  seed=0)
+
+
 def test_random_vector_is_clamped_and_never_wins():
     cfg = CommitteeConfig(K=5, f=1, d=16, round_duration_s=60.0)
     rng = np.random.default_rng(2)
