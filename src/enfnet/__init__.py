@@ -20,12 +20,7 @@ from .enf_estimation import (
     spectrogram,
     video_row_signal,
 )
-from .errors import (
-    ConfigurationError,
-    EnfNetError,
-    InvalidArgumentError,
-    QuorumError,
-)
+from .errors import InvalidArgumentError, QuorumError
 from .harness import (
     BenchResult,
     CorpusConfig,

@@ -12,13 +12,16 @@ command line takes the config class's default. ``estimate`` starts from
 ``default_config_for(stream)``, so it reads the nominal frequency from the
 stream header, and an explicit --nominal that disagrees with it exits 2.
 
-Exit codes: 0 success, 2 invalid configuration/arguments, 3 pipeline error.
-Structured argument strings (--harmonics, --forge, --behavior, --k-list,
---windows) are parsed by argparse, so malformed ones exit 2 before any work
-starts; main() returns the code instead of raising SystemExit. A scenario
-config whose nested configs name unknown fields or miss required ones, or
-whose top level is not a JSON object, also exits 2, as does a duration,
-rate, time step or frame rate that is not finite. So do input files the
+Exit codes follow the rule in ``errors``: 0 success, 2 an InvalidArgumentError
+(invalid configuration/arguments), 3 any other pipeline error. Structured
+argument strings (--harmonics, --forge, --behavior, --k-list, --windows) and
+--seed are parsed by argparse, so malformed ones and a negative seed exit 2
+before any work starts; main() returns the code instead of raising SystemExit.
+A scenario config whose nested configs name unknown fields or miss required
+ones, whose top level is not a JSON object, or whose whole-number field holds
+a fraction (committee K 5.0, rounds 2.0, a harmonic 1.5) also exits 2, as does
+a duration, rate, time step or frame rate that is not finite, and a detect
+--shift shorter than the step of the series it reads. So do input files the
 stream records reject: a stream whose rate is not finite and > 0 or whose
 truth does not span its payload, and an ENF CSV whose times are not finite.
 """
@@ -36,7 +39,7 @@ import numpy as np
 from . import harness, stream_io
 from .detection import DetectorConfig, sliding_window_detect
 from .enf_estimation import EstimatorConfig, default_config_for, estimate_enf
-from .errors import ConfigurationError, InvalidArgumentError, QuorumError
+from .errors import InvalidArgumentError, _whole
 from .media_synth import (
     ForgeryMode,
     GridConfig,
@@ -54,7 +57,7 @@ def _spec(parse, want):
     def convert(text):
         try:
             return parse(text)
-        except (ValueError, ConfigurationError) as exc:
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(f"{text!r}: want {want}") from exc
 
     return convert
@@ -129,11 +132,6 @@ def cmd_generate(args):
 def cmd_estimate(args):
     stream = stream_io.load_stream(args.stream)
     cfg = dataclasses.replace(default_config_for(stream), **_given(args, EstimatorConfig))
-    recorded = stream.meta.get("nominal_hz", cfg.nominal_hz)
-    if cfg.nominal_hz != recorded:
-        raise ConfigurationError(
-            f"--nominal {cfg.nominal_hz} disagrees with the stream's recorded {recorded} Hz"
-        )
     series = estimate_enf(stream, cfg)
     stream_io.save_enf_csv(series, os.path.join(args.out, "enf.csv"))
     stream_io.save_enf_json(series, os.path.join(args.out, "enf.json"))
@@ -195,12 +193,12 @@ def _scenario_from_json(path):
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
-        raise ConfigurationError(f"bad scenario config: want an object, got {type(raw).__name__}")
+        raise InvalidArgumentError(f"bad scenario config: want an object, got {type(raw).__name__}")
     try:
         kw = {k: _NESTED_CONFIGS[k](**v) if k in _NESTED_CONFIGS else v for k, v in raw.items()}
         return harness.ScenarioConfig(**kw)
     except TypeError as exc:
-        raise ConfigurationError(f"bad scenario config: {exc}") from exc
+        raise InvalidArgumentError(f"bad scenario config: {exc}") from exc
 
 
 def cmd_scenario(args):
@@ -254,12 +252,14 @@ def build_parser():
     # a flag whose dest names a config field has no default: an absent flag leaves
     # the field out of _given(args, cls), so the config class supplies it
     configured = {"argument_default": argparse.SUPPRESS}
+    # numpy seeds its generators from integers >= 0 only
+    seed = _spec(lambda text: _whole(int(text), "seed", 0), "an integer >= 0")
 
     g = sub.add_parser("generate", help="synthesize an ENF-bearing stream", **configured)
     g.add_argument("--kind", choices=["audio", "video"], default="audio")
     g.add_argument("--duration", type=float, default=120.0)
     g.add_argument("--truth-step", type=float, default=1.0)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=seed, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--nominal", dest="nominal_hz", type=float)
     g.add_argument("--drift", dest="drift_std_hz", type=float)
@@ -278,7 +278,7 @@ def build_parser():
     e = sub.add_parser("estimate", help="recover the ENF series from a stream file", **configured)
     e.add_argument("--stream", required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=seed, default=0)
     e.add_argument("--nominal", dest="nominal_hz", type=float,
                    help="default: the stream header's nominal_hz")
     e.add_argument("--harmonics", type=_spec(_parse_ints, "comma-separated integer orders"),
@@ -298,7 +298,7 @@ def build_parser():
     c.add_argument("--behavior", default="offset:1.0", type=_spec(
         parse_behavior, "honest[:noise], offset[:hz], random, clone[:hz] or silent"))
     c.add_argument("--noise", dest="noise_std", type=float)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=seed, default=0)
     c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_consensus_sim)
 
@@ -308,13 +308,13 @@ def build_parser():
     d.add_argument("--window", dest="window_s", type=float)
     d.add_argument("--shift", dest="shift_s", type=float)
     d.add_argument("--threshold", type=float)
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--seed", type=seed, default=0)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_detect)
 
     s = sub.add_parser("scenario", help="full conference scenario from a JSON config")
     s.add_argument("--config", required=True)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=seed, default=None)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_scenario)
 
@@ -325,7 +325,7 @@ def build_parser():
     b.add_argument("--trials", type=int, default=5)
     b.add_argument("--d-ratio-k", type=int, default=0,
                    help="also measure the d-doubling latency ratio at this K")
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=seed, default=0)
     b.set_defaults(func=cmd_bench)
 
     r = sub.add_parser("roc", help="ROC/AUC sweep over detector window sizes", **configured)
@@ -334,7 +334,7 @@ def build_parser():
     r.add_argument("--streams", dest="n_streams", type=int)
     r.add_argument("--duration", dest="duration_s", type=float)
     r.add_argument("--snr", dest="snr_db", type=float)
-    r.add_argument("--seed", type=int)
+    r.add_argument("--seed", type=seed)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_roc)
 
@@ -350,7 +350,7 @@ def main(argv=None):
         if "out" in args:
             os.makedirs(args.out, exist_ok=True)
         return args.func(args)
-    except (ConfigurationError, InvalidArgumentError, QuorumError) as exc:
+    except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # any other failure, unreadable or corrupt inputs included

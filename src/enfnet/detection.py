@@ -112,6 +112,10 @@ def sliding_window_detect(
         raise InvalidArgumentError("series are not time-aligned (start/step mismatch)")
     n = min(len(local), len(truth))
     step = local.step_s
+    # window starts round m * shift_s / step, so a shift shorter than the step
+    # (beyond the rounding of a clock read from a file) repeats windows
+    if cfg.shift_s < step - 1e-9:
+        raise InvalidArgumentError(f"shift_s={cfg.shift_s} is shorter than the series step {step}")
     if n * step < cfg.window_s:
         raise InvalidArgumentError("series shorter than one detection window")
     w_len = int(round(cfg.window_s / step))

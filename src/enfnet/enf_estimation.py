@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _whole
 from .media_synth import AudioStream, EnfSeries, VideoLumaStream
 
 _LOG_EPS = 1e-300
@@ -64,8 +64,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if not (0.0 <= self.stft_overlap_frac < 1.0):
             raise InvalidArgumentError("stft_overlap_frac must lie in [0, 1)")
-        hs = self.harmonics = tuple(int(k) for k in self.harmonics)
-        if not hs or min(hs) <= 0 or len(set(hs)) < len(hs):
+        hs = self.harmonics = tuple(_whole(k, "harmonics", 1) for k in self.harmonics)
+        if not hs or len(set(hs)) < len(hs):
             raise InvalidArgumentError(f"harmonics must be distinct positive integers, got {hs}")
         for name in ("nominal_hz", "stft_window_s", "band_halfwidth_hz"):
             value = getattr(self, name)
@@ -327,9 +327,15 @@ def default_config_for(stream) -> EstimatorConfig:
 
 
 def estimate_enf(stream, cfg: Optional[EstimatorConfig] = None) -> EnfSeries:
-    """Full pipeline entry point for AudioStream or VideoLumaStream."""
+    """Full pipeline entry point for AudioStream or VideoLumaStream. A cfg whose
+    nominal_hz differs from the one the stream's meta records, if any, is rejected."""
     if cfg is None:
         cfg = default_config_for(stream)
+    recorded = getattr(stream, "meta", {}).get("nominal_hz", cfg.nominal_hz)
+    if cfg.nominal_hz != recorded:
+        raise InvalidArgumentError(
+            f"nominal_hz {cfg.nominal_hz} disagrees with the stream's recorded {recorded} Hz"
+        )
     if isinstance(stream, AudioStream):
         x, rate = preprocess_audio(stream, cfg)
     elif isinstance(stream, VideoLumaStream):

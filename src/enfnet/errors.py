@@ -1,26 +1,32 @@
-"""Exception types shared across the package.
+"""The package's one error for bad input, and the whole-number rule.
 
-Exit-code mapping used by the CLI: configuration / argument problems -> 2,
-failures inside an otherwise well-configured pipeline -> 3.
+The CLI exit contract: an InvalidArgumentError, raised for a bad argument,
+config field or input file, exits 2; any other exception is a failure inside
+a well-configured pipeline and exits 3.
 """
 
-
-class EnfNetError(Exception):
-    """Base class for all package-specific errors."""
+import operator
 
 
-class InvalidArgumentError(EnfNetError, ValueError):
-    """An argument violates a documented precondition."""
+class InvalidArgumentError(ValueError):
+    """An argument, config field or input file violates a documented precondition."""
 
 
-class ConfigurationError(EnfNetError):
-    """A config object is internally inconsistent (e.g. byzantine count > f)."""
-
-
-class QuorumError(EnfNetError):
+class QuorumError(InvalidArgumentError):
     """Transaction pool holds fewer entries than the scoring rule requires."""
 
     def __init__(self, n, required):
         super().__init__(f"insufficient quorum: pool has {n} entries, need >= {required}")
         self.n = n
         self.required = required
+
+
+def _whole(value, name: str, low: int) -> int:
+    """value as an int, if it is an integer (``operator.index``) >= low."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < low:
+        raise InvalidArgumentError(f"{name} must be >= {low} and an integer, got {value!r}")
+    return n

@@ -17,7 +17,7 @@ import numpy as np
 
 from .detection import DetectorConfig, Verdict, roc_curve, sliding_window_detect
 from .enf_estimation import EstimatorConfig, estimate_enf
-from .errors import ConfigurationError, InvalidArgumentError
+from .errors import InvalidArgumentError, _whole
 from .media_synth import (
     AudioStream,
     EnfSeries,
@@ -66,19 +66,21 @@ class ScenarioConfig:
     forgery_len_s: Optional[float] = None
 
     def __post_init__(self):
+        self.participants = _whole(self.participants, "participants", 1)
+        self.byzantine = _whole(self.byzantine, "byzantine", 0)
+        self.rounds = _whole(self.rounds, "rounds", 1)
+        self.seed = _whole(self.seed, "seed", 0)
         self.deepfaked_participants = set(self.deepfaked_participants)
         if self.byzantine > self.committee.f:
-            raise ConfigurationError("byzantine count exceeds committee.f")
+            raise InvalidArgumentError("byzantine count exceeds committee.f")
         if self.committee.K > self.participants:
-            raise ConfigurationError("committee.K exceeds participant count")
+            raise InvalidArgumentError("committee.K exceeds participant count")
         if not self.deepfaked_participants <= set(range(self.participants)):
-            raise ConfigurationError("deepfaked_participants outside participant id range")
-        if self.rounds < 1:
-            raise ConfigurationError("rounds must be >= 1")
+            raise InvalidArgumentError("deepfaked_participants outside participant id range")
         # a forgery starts at least 5 s into the conference and ends 5 s before its end
         room = self.duration_s - 10.0
         if self.deepfaked_participants and not 0.0 < self.forgery_span_s <= room:
-            raise ConfigurationError(
+            raise InvalidArgumentError(
                 f"forgery length {self.forgery_span_s} s outside (0, {room}] for a "
                 f"{self.duration_s} s conference"
             )
@@ -197,9 +199,7 @@ def _latency_samples(pools, trials: int) -> np.ndarray:
     then takes one sample: scoring and selection repeat until _MIN_SAMPLE_S
     has passed, and the sample is the mean time per call.
     """
-    if trials < 3:
-        raise InvalidArgumentError("trials must be >= 3")
-    out = np.empty((trials, len(pools)))
+    out = np.empty((_whole(trials, "trials", 3), len(pools)))
     for row in out:
         for i, (pool, cfg) in enumerate(pools):
             select_ground_truth(compute_scores(pool, cfg), pool)
@@ -264,7 +264,7 @@ class CorpusConfig:
         hi = _FORGERY_LEN_BOUNDS_S[1]
         # make_detection_corpus draws a forgery's whole-second start from [20, D - 20 - len)
         if self.duration_s < hi + 41.0:
-            raise ConfigurationError(
+            raise InvalidArgumentError(
                 f"duration_s={self.duration_s} too short for forgeries up to {hi} s: "
                 f"need >= {hi + 41.0}"
             )
@@ -323,16 +323,17 @@ def roc_sweep(window_list: Sequence[float], corpus_cfg: CorpusConfig):
         raise InvalidArgumentError(
             f"n_streams={corpus_cfg.n_streams} gives a single-class corpus: ROC undefined"
         )
+    # every window is checked before the corpus is built
+    dets = [DetectorConfig(window_s=float(w), shift_s=corpus_cfg.shift_s) for w in window_list]
     entries = make_detection_corpus(corpus_cfg)
     labels = [e.forged for e in entries]
     out = []
-    for w in window_list:
-        det = DetectorConfig(window_s=float(w), shift_s=corpus_cfg.shift_s)
+    for det in dets:
         scores = [stream_score(e, det) for e in entries]
         genuine = [s for s, lab in zip(scores, labels) if not lab]
         fake = [s for s, lab in zip(scores, labels) if lab]
         points, auc = roc_curve(genuine, fake)
-        out.append({"window_s": float(w), "auc": auc, "points": points})
+        out.append({"window_s": det.window_s, "auc": auc, "points": points})
     return out
 
 

@@ -23,7 +23,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidArgumentError
+from .errors import InvalidArgumentError, _whole
 
 
 @dataclass
@@ -53,7 +53,7 @@ def _same_nominal(**configs) -> None:
     nominals = {c.nominal_hz for c in configs.values()}
     if len(nominals) > 1:
         *rest, last = configs
-        raise ConfigurationError(
+        raise InvalidArgumentError(
             f"{', '.join(rest)} and {last} disagree on nominal_hz: {sorted(nominals)}"
         )
 
@@ -291,8 +291,7 @@ def embed_video(
     known in closed form, so flicker and noise are made in one blockwise pass.
     """
     n_frames = _span(truth, fps, "fps")
-    if frame_height < 1:
-        raise InvalidArgumentError("frame_height must be >= 1")
+    frame_height = _whole(frame_height, "frame_height", 1)
     if not np.isfinite(mod_depth):
         raise InvalidArgumentError(f"mod_depth must be finite, got {mod_depth}")
     ac_amp = 0.5 * mod_depth * _BASE_LUMA

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidArgumentError, QuorumError
+from .errors import InvalidArgumentError, QuorumError, _whole
 from .media_synth import EnfSeries, GridConfig, _same_nominal, gen_enf_truth
 
 
@@ -29,16 +29,11 @@ class CommitteeConfig:
     nominal_hz: float = 60.0
 
     def __post_init__(self):
-        if self.f < 0:
-            raise ConfigurationError("f must be >= 0")
-        if self.d < 2:
-            raise ConfigurationError("d must be >= 2")
-        if self.K < 2 * self.f + 3:
-            raise ConfigurationError(
-                f"K={self.K} violates quorum bound K >= 2f+3 (f={self.f})"
-            )
+        self.f = _whole(self.f, "f", 0)
+        self.d = _whole(self.d, "d", 2)
+        self.K = _whole(self.K, "K, at least 2f+3,", 2 * self.f + 3)
         if not (np.isfinite(self.round_duration_s) and self.round_duration_s > 0):
-            raise ConfigurationError(
+            raise InvalidArgumentError(
                 f"round_duration_s must be finite and > 0, got {self.round_duration_s}"
             )
 
@@ -170,7 +165,7 @@ class Honest:
 
     def __post_init__(self):
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ConfigurationError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+            raise InvalidArgumentError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
 
 @dataclass
@@ -207,7 +202,7 @@ def make_transaction(behavior, truth_vals, validator_id, round_no, rng, cfg):
         target = behavior.target_hz
         vec = np.full(cfg.d, cfg.nominal_hz + 0.9 if target is None else float(target))
     else:
-        raise ConfigurationError(f"unknown behavior: {behavior!r}")
+        raise InvalidArgumentError(f"unknown behavior: {behavior!r}")
     return EnfTransaction(validator_id, round_no, np.clip(vec, cfg.vector_lo, cfg.vector_hi))
 
 
@@ -221,14 +216,14 @@ def parse_behavior(spec: str):
     name, _, arg = spec.partition(":")
     cls = _BEHAVIORS.get(name.strip().lower())
     if cls is None:
-        raise ConfigurationError(f"unknown behavior spec: {spec!r}")
+        raise InvalidArgumentError(f"unknown behavior spec: {spec!r}")
     if not arg:
         return cls()
     if not fields(cls):
-        raise ConfigurationError(f"behavior {name!r} takes no argument, got {spec!r}")
+        raise InvalidArgumentError(f"behavior {name!r} takes no argument, got {spec!r}")
     value = float(arg)
     if not np.isfinite(value):
-        raise ConfigurationError(f"behavior argument must be finite, got {spec!r}")
+        raise InvalidArgumentError(f"behavior argument must be finite, got {spec!r}")
     return cls(value)
 
 
@@ -297,11 +292,11 @@ def play_round(
     decided by :func:`consensus_round` under full delivery.
     """
     if len(observers) != cfg.K:
-        raise ConfigurationError(f"need exactly K={cfg.K} observers, got {len(observers)}")
+        raise InvalidArgumentError(f"need exactly K={cfg.K} observers, got {len(observers)}")
     honest_ids = [v for v, b in enumerate(observers) if isinstance(b, Honest)]
     n_byz = cfg.K - len(honest_ids)
     if n_byz > cfg.f:
-        raise ConfigurationError(f"{n_byz} byzantine observers exceed f={cfg.f}")
+        raise InvalidArgumentError(f"{n_byz} byzantine observers exceed f={cfg.f}")
     txs = [
         make_transaction(b, bases[v], v, round_no, np.random.default_rng([*seed, v]), cfg)
         for v, b in enumerate(observers)
@@ -342,8 +337,7 @@ def round_rates(results: Sequence[RoundResult], honest_ids: Container[int]) -> d
 
 def simulate_rounds(grid, observers, cfg, rounds: int, seed: int):
     """Run consecutive rounds; returns (results, summary dict)."""
-    if rounds < 1:
-        raise InvalidArgumentError("rounds must be >= 1")
+    rounds = _whole(rounds, "rounds", 1)
     honest_ids = {i for i, b in enumerate(observers) if isinstance(b, Honest)}
     results = [run_round(grid, observers, cfg, seed=seed, round_no=r) for r in range(rounds)]
     return results, {**round_rates(results, honest_ids), "rounds": rounds}

@@ -180,6 +180,27 @@ def test_malformed_argument_strings_exit_2(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate",),
+        ("estimate", "--stream", "missing.json"),
+        ("detect", "--local", "missing.csv", "--truth", "missing.csv"),
+        ("consensus-sim",),
+        ("scenario", "--config", "missing.json"),
+        ("bench",),
+        ("roc",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_exits_2_at_parse_time(tmp_path, argv):
+    """numpy takes only seeds >= 0: no output directory is made, no input opened."""
+    out = tmp_path / "o"
+    argv = argv if argv[0] == "bench" else argv + ("--out", str(out))
+    assert run(*argv, "--seed", "-1") == 2
+    assert not out.exists()
+
+
 def _assert_within_truth(series, truth):
     lo, hi = truth.values_hz.min(), truth.values_hz.max()
     assert lo <= series.values_hz.min() and series.values_hz.max() <= hi
@@ -476,6 +497,26 @@ def test_malformed_scenario_config_exits_2(tmp_path, config):
     cfgp = tmp_path / "scen.json"
     cfgp.write_text(json.dumps(config))
     assert run("scenario", "--config", str(cfgp), "--out", str(tmp_path / "s")) == 2
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"committee": {**SCENARIO["committee"], "K": 5.0}},
+        {"committee": {**SCENARIO["committee"], "d": 60.0}},
+        {"committee": {**SCENARIO["committee"], "f": 1.0}},
+        {"rounds": 2.0},
+        {"byzantine": 0.5},
+        {"seed": 1.5},
+        {"estimator": {**SCENARIO["estimator"], "harmonics": [1.5]}},
+    ],
+    ids=["K", "d", "f", "rounds", "byzantine", "seed", "harmonics"],
+)
+def test_scenario_whole_number_given_a_fraction_exits_2(tmp_path, change, capsys):
+    cfgp = tmp_path / "scen.json"
+    cfgp.write_text(json.dumps({**SCENARIO, **change}))
+    assert run("scenario", "--config", str(cfgp), "--out", str(tmp_path / "s")) == 2
+    assert "and an integer" in capsys.readouterr().err
 
 
 def test_scenario_with_disagreeing_nominal_hz_exits_2(tmp_path):

@@ -106,6 +106,16 @@ def test_detect_window_times_match_their_samples():
         assert w.end_s == w.start_s + 4 * local.step_s  # 16 s window = 4 samples
 
 
+def test_detect_rejects_a_shift_shorter_than_the_step():
+    """Window starts are round(m * shift_s / step): a 0.2 s shift over a 1 s
+    step would read 138 windows, of which 28 are distinct."""
+    s = series(np.linspace(59.9, 60.1, 30))
+    with pytest.raises(InvalidArgumentError, match="shorter than the series step"):
+        sliding_window_detect(s, s, DetectorConfig(window_s=3.0, shift_s=0.2))
+    rep = sliding_window_detect(s, s, DetectorConfig(window_s=3.0, shift_s=1.0))
+    assert len({w.start_s for w in rep.windows}) == len(rep.windows) == 28
+
+
 def test_detect_threshold_floor_never_flags():
     rng = np.random.default_rng(1)
     a = series(rng.normal(60, 0.01, 100))

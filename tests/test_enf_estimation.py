@@ -182,10 +182,22 @@ def test_config_rejects_non_finite_or_non_positive(field, value):
         EstimatorConfig(**{field: value})
 
 
-@pytest.mark.parametrize("harmonics", [(), (0, 1), (2, 2)])
+@pytest.mark.parametrize("harmonics", [(), (0, 1), (2, 2), (1.5, 2.7), (2.0,)])
 def test_config_rejects_empty_non_positive_or_repeated_harmonics(harmonics):
     with pytest.raises(InvalidArgumentError, match="harmonics must be"):
         EstimatorConfig(harmonics=harmonics)
+
+
+def test_estimate_rejects_a_nominal_other_than_the_streams():
+    grid = GridConfig(nominal_hz=50.0, seed=3, max_dev_hz=0.5)
+    stream = embed_audio(gen_enf_truth(grid, 120.0, 1.0), 1000.0, ((1, 1.0), (2, 0.5)), 20.0,
+                         seed=3, grid=grid)
+    with pytest.raises(InvalidArgumentError, match=r"nominal_hz 60\.0 .* recorded 50\.0 Hz"):
+        estimate_enf(stream, EstimatorConfig())
+    # a stream that records no nominal is read at the estimator's
+    bare = dataclasses.replace(stream, meta={})
+    est = estimate_enf(bare, EstimatorConfig(nominal_hz=50.0))
+    assert np.all(np.abs(est.values_hz - 50.0) <= 0.5)
 
 
 def test_row_signal_shapes():

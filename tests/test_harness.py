@@ -11,7 +11,6 @@ import pytest
 from enfnet import harness
 from enfnet import (
     CommitteeConfig,
-    ConfigurationError,
     CorpusConfig,
     DetectorConfig,
     EstimatorConfig,
@@ -101,17 +100,17 @@ def test_scenario_is_deterministic():
 
 
 def test_scenario_config_invariants():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         small_scenario(byzantine=2)  # exceeds committee f
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         small_scenario(participants=4)  # committee K exceeds participants
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         small_scenario(deepfaked_participants={9})
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         small_scenario(rounds=0)
     # a forgery keeps 5 s clear of both ends, so a 60 s conference fits at most 50 s
     for flen in (56.0, -5.0, 0.0):
-        with pytest.raises(ConfigurationError, match="forgery length"):
+        with pytest.raises(InvalidArgumentError, match="forgery length"):
             small_scenario(rounds=1, forgery_len_s=flen)
         small_scenario(rounds=1, forgery_len_s=flen, deepfaked_participants=set())
     small_scenario(rounds=1, forgery_len_s=50.0)
@@ -138,11 +137,11 @@ def test_scenario_estar_is_the_winners_estimate_on_its_own_clock():
 
 def test_scenario_rejects_disagreeing_nominal_hz():
     # a 50 Hz grid estimated and voted on around 60 Hz flags every participant
-    with pytest.raises(ConfigurationError, match="nominal_hz"):
+    with pytest.raises(InvalidArgumentError, match="nominal_hz"):
         small_scenario(grid=GridConfig(nominal_hz=50.0, max_dev_hz=0.5))
-    with pytest.raises(ConfigurationError, match="nominal_hz"):
+    with pytest.raises(InvalidArgumentError, match="nominal_hz"):
         small_scenario(committee=CommitteeConfig(K=5, f=1, d=60, nominal_hz=50.0))
-    with pytest.raises(ConfigurationError, match="nominal_hz"):
+    with pytest.raises(InvalidArgumentError, match="nominal_hz"):
         small_scenario(estimator=EstimatorConfig(nominal_hz=50.0))
 
 
@@ -187,6 +186,8 @@ def test_bench_argument_validation():
         bench_consensus([10, 20], d=64, trials=1, seed=0)
     with pytest.raises(InvalidArgumentError, match="trials"):
         bench_d_ratio(K=10, d=64, trials=2, seed=0)
+    with pytest.raises(InvalidArgumentError, match="trials must be >= 3 and an integer"):
+        bench_d_ratio(K=10, d=64, trials=3.5, seed=0)
 
 
 def test_timing_rule_samples_warmed_pools_in_turn(monkeypatch):
@@ -259,7 +260,7 @@ def corpus_cfg(**kw):
     ],
 )
 def test_corpus_rejects_forgery_bounds_it_cannot_place(kw):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         corpus_cfg(**kw)
     corpus_cfg(duration_s=86.0)
 
@@ -296,7 +297,7 @@ def test_roc_sweep_structure_and_quality():
 
 def test_corpus_rejects_disagreeing_nominal_hz():
     # a 50 Hz corpus estimated around 60 Hz reads every stream 10 Hz off its reference
-    with pytest.raises(ConfigurationError, match="nominal_hz"):
+    with pytest.raises(InvalidArgumentError, match="nominal_hz"):
         corpus_cfg(grid=GridConfig(nominal_hz=50.0, max_dev_hz=0.5))
     corpus_cfg(
         grid=GridConfig(nominal_hz=50.0, max_dev_hz=0.5),
@@ -312,6 +313,16 @@ def test_roc_sweep_refuses_a_single_class_corpus_before_building_it(n_streams, m
     monkeypatch.setattr(harness, "make_detection_corpus", build)
     with pytest.raises(InvalidArgumentError, match="single-class"):
         roc_sweep([16.0], corpus_cfg(n_streams=n_streams))
+
+
+@pytest.mark.parametrize("windows", [[3.0], [8.0, float("nan")]], ids=["3", "8,nan"])
+def test_roc_sweep_checks_every_window_before_building_the_corpus(windows, monkeypatch):
+    def build(cc):
+        raise AssertionError("the corpus was built")
+
+    monkeypatch.setattr(harness, "make_detection_corpus", build)
+    with pytest.raises(InvalidArgumentError, match="window_s > shift_s"):
+        roc_sweep(windows, corpus_cfg())
 
 
 def test_roc_sweep_argument_validation():

@@ -190,6 +190,8 @@ def test_video_rejects_bad_args():
         embed_video(const_truth(), 0.0, 64, 20.0)
     with pytest.raises(InvalidArgumentError):
         embed_video(const_truth(), 25.0, 0, 20.0)
+    with pytest.raises(InvalidArgumentError, match="frame_height must be >= 1 and an integer"):
+        embed_video(const_truth(), 25.0, 64.0, 20.0)
 
 
 @pytest.mark.parametrize("shape", [(500,), (25, 20, 2)])

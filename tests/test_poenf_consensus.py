@@ -12,7 +12,6 @@ from enfnet import poenf_consensus
 from enfnet import (
     ColludingClone,
     CommitteeConfig,
-    ConfigurationError,
     EnfTransaction,
     GridConfig,
     Honest,
@@ -244,15 +243,15 @@ def test_round_silent_below_quorum_raises():
 
 def test_round_rejects_too_many_byzantines():
     obs = [Honest(), Honest(), Honest(), OffsetVector(), OffsetVector()]
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         run_round(GridConfig(seed=1), obs, CFG, seed=3)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         run_round(GridConfig(seed=1), [Honest()] * 4, CFG, seed=3)  # wrong K
 
 
 def test_round_rejects_a_grid_of_another_nominal():
     # a 50 Hz grid voted on in the 60 +- 1 Hz window clips every proof to 59 Hz
-    with pytest.raises(ConfigurationError, match="nominal_hz"):
+    with pytest.raises(InvalidArgumentError, match="nominal_hz"):
         run_round(GridConfig(nominal_hz=50.0), [Honest()] * 5, CommitteeConfig(K=5, f=1, d=10),
                   seed=0)
 
@@ -386,6 +385,8 @@ def test_simulate_rounds_summary():
     assert summary["honest_win_rate"] == 1.0
     with pytest.raises(InvalidArgumentError, match="rounds must be >= 1"):
         simulate_rounds(grid, obs, CFG, rounds=0, seed=99)
+    with pytest.raises(InvalidArgumentError, match="and an integer"):
+        simulate_rounds(grid, obs, CFG, rounds=2.0, seed=99)
 
 
 def test_parse_behavior_specs():
@@ -396,11 +397,11 @@ def test_parse_behavior_specs():
     assert isinstance(parse_behavior("silent"), Silent)
     assert parse_behavior("clone:60.9") == ColludingClone(60.9)
     assert parse_behavior("clone") == ColludingClone()
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         parse_behavior("mystery")
     for spec in ("random:5", "silent:x", "honest:-1", "honest:nan", "offset:nan", "offset:inf",
                  "offset:-inf", "clone:inf", "clone:nan"):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InvalidArgumentError):
             parse_behavior(spec)
 
 
@@ -409,15 +410,18 @@ def test_clone_scalar_target_broadcasts():
     rng = np.random.default_rng(0)
     t = make_transaction(parse_behavior("clone:60.9"), np.zeros(8), 3, 0, rng, cfg)
     np.testing.assert_array_equal(t.enf_vector, np.full(8, 60.9))
-    with pytest.raises(ConfigurationError, match="unknown behavior"):
+    with pytest.raises(InvalidArgumentError, match="unknown behavior"):
         make_transaction("clone", np.zeros(8), 3, 0, rng, cfg)
 
 
 def test_committee_config_quorum_arithmetic():
     CommitteeConfig(K=9, f=3, d=4)  # exactly 2f+3
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         CommitteeConfig(K=8, f=3, d=4)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         CommitteeConfig(K=5, f=-1, d=4)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidArgumentError):
         CommitteeConfig(K=5, f=1, d=1)
+    for kw in (dict(K=5.0), dict(f=1.0), dict(d=4.5)):
+        with pytest.raises(InvalidArgumentError, match="and an integer"):
+            CommitteeConfig(**{"K": 5, "f": 1, "d": 4, **kw})
