@@ -8,7 +8,6 @@ an artifact of the clamp model rather than of grid physics.
 """
 
 import filecmp
-import json
 import os
 import subprocess
 import sys
@@ -49,6 +48,8 @@ from enfnet import (
     video_row_signal,
 )
 from enfnet.harness import DEFAULT_HARMONICS
+
+from cli_cases import CASES, write_scenario
 
 WIDE_GRID = GridConfig(drift_std_hz=0.005, max_dev_hz=0.5)
 
@@ -209,32 +210,7 @@ def _run_cli(args, cwd):
 
 def test_criterion_8_cli_determinism(tmp_path):
     """Every file-producing subcommand, run twice with the same seed."""
-    scen = tmp_path / "scen.json"
-    scen.write_text(json.dumps({
-        "participants": 5,
-        "deepfaked_participants": [4],
-        "grid": {"drift_std_hz": 0.005, "max_dev_hz": 0.5},
-        "estimator": {"stft_window_s": 8.0, "stft_overlap_frac": 0.875},
-        "committee": {"K": 5, "f": 1, "d": 60, "round_duration_s": 60.0},
-        "rounds": 2,
-        "snr_db": 30.0,
-        "forgery_len_s": 30.0,
-    }))
-    cases = [
-        ("gen_g", ["generate", "--duration", "30", "--sample-rate", "8000",
-                   "--snr", "20", "--seed", "7", "--out", "{d}"]),
-        ("gen_f", ["generate", "--duration", "30", "--sample-rate", "8000",
-                   "--snr", "20", "--seed", "7", "--forge", "10:18:ReplaceEnf", "--out", "{d}"]),
-        ("est_g", ["estimate", "--stream", "{gen_g}/stream.json", "--seed", "7", "--out", "{d}"]),
-        ("est_f", ["estimate", "--stream", "{gen_f}/stream.json", "--seed", "7", "--out", "{d}"]),
-        ("detect", ["detect", "--local", "{est_f}/enf.csv", "--truth", "{est_g}/enf.csv",
-                    "--window", "12", "--shift", "4", "--seed", "7", "--out", "{d}"]),
-        ("consensus", ["consensus-sim", "--committee", "6", "--byzantine", "1", "--dim", "30",
-                       "--rounds", "5", "--behavior", "offset:1.0", "--seed", "7", "--out", "{d}"]),
-        ("scenario", ["scenario", "--config", str(scen), "--seed", "7", "--out", "{d}"]),
-        ("roc", ["roc", "--windows", "8,16", "--streams", "4", "--duration", "90",
-                 "--snr", "15", "--seed", "7", "--out", "{d}"]),
-    ]
+    scen = write_scenario(tmp_path)
     probe = subprocess.run(
         [sys.executable, "-c", "import enfnet; print(enfnet.__file__)"],
         cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
@@ -245,11 +221,11 @@ def test_criterion_8_cli_determinism(tmp_path):
         f"child imported {child_file}, not the tree under test {_ENFNET_FILE}"
     )
     paths = {"a": {}, "b": {}}
-    for name, argv in cases:
+    for name, argv in CASES:
         for rep in ("a", "b"):
             d = tmp_path / f"{name}-{rep}"
             d.mkdir()
-            argv_f = [a.format(d=d, **paths[rep]) for a in argv]
+            argv_f = [a.format(d=d, scen=scen, **paths[rep]) for a in argv]
             proc = _run_cli(argv_f, tmp_path)
             assert proc.returncode == 0, f"{name} ({rep}) failed:\n{proc.stderr}"
             paths[rep][name] = str(d)
@@ -258,4 +234,4 @@ def test_criterion_8_cli_determinism(tmp_path):
         assert files, f"{name} produced no files"
         match, mismatch, errors = filecmp.cmpfiles(da, db, files, shallow=False)
         assert not mismatch and not errors, f"{name}: non-deterministic files {mismatch or errors}"
-    print(f"PASS criterion 8: byte-identical outputs for {len(cases)} invocations")
+    print(f"PASS criterion 8: byte-identical outputs for {len(CASES)} invocations")
