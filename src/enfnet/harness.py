@@ -261,6 +261,9 @@ class CorpusConfig:
 
     def __post_init__(self):
         _same_nominal(grid=self.grid, estimator=self.estimator)
+        # 0 and 1 streams pass here: roc_sweep names them single-class
+        self.n_streams = _whole(self.n_streams, "n_streams", 0)
+        self.seed = _whole(self.seed, "seed", 0)
         hi = _FORGERY_LEN_BOUNDS_S[1]
         # make_detection_corpus draws a forgery's whole-second start from [20, D - 20 - len)
         if self.duration_s < hi + 41.0:

@@ -265,6 +265,17 @@ def test_corpus_rejects_forgery_bounds_it_cannot_place(kw):
     corpus_cfg(duration_s=86.0)
 
 
+@pytest.mark.parametrize(
+    "kw, field",
+    [(dict(n_streams=4.0), "n_streams"), (dict(n_streams=-1), "n_streams"),
+     (dict(seed=-1), "seed"), (dict(seed=1.5), "seed")],
+)
+def test_corpus_rejects_whole_number_fields_that_are_not(kw, field):
+    # n_streams 4.0 raised TypeError in range(), a seed of -1 numpy's ValueError
+    with pytest.raises(InvalidArgumentError, match=f"{field} must be >= 0 and an integer"):
+        corpus_cfg(**kw)
+
+
 def test_corpus_labels_and_alignment():
     entries = make_detection_corpus(corpus_cfg())
     assert len(entries) == 8

@@ -171,6 +171,14 @@ def test_audio_nyquist_guard():
         embed_audio(const_truth(), 1000.0, (), 20.0)
 
 
+@pytest.mark.parametrize("harmonics", [[(1.5, 1.0)], [(2.0, 1.0)], [(1, 1.0), (1, 0.5)]],
+                         ids=["fraction", "float", "repeated"])
+def test_audio_rejects_orders_that_are_not_distinct_whole_numbers(harmonics):
+    # an order of 1.5 was synthesized at 90 Hz and recorded in meta as order 1
+    with pytest.raises(InvalidArgumentError, match="harmonics must be"):
+        embed_audio(const_truth(), 1000.0, harmonics, 60.0)
+
+
 # ---------------------------------------------------------------------------
 # video embedding
 
@@ -460,7 +468,8 @@ def _audio_oracle(truth, rate_hz, harmonics, snr_db, seed):
     sig = np.zeros(len(phase))
     for k, amp in harmonics:
         sig += amp * np.sin(k * phase + rng.uniform(0.0, 2.0 * np.pi))
-    return _oracle_noise(sig, float(np.mean(sig**2)), snr_db, rng)
+    # distinct whole orders: the hum's power is sum(amp**2 / 2) in closed form
+    return _oracle_noise(sig, sum(amp**2 for _, amp in harmonics) / 2.0, snr_db, rng)
 
 
 def _video_oracle(truth, fps, height, snr_db, seed, mod_depth=0.1):
@@ -529,17 +538,17 @@ def _traced_peak(fn):
 
 
 def test_synthesis_memory_stays_within_a_multiple_of_its_output():
-    """Work arrays are block-sized: audio holds its output and one output-sized
-    temporary for the signal power, video little beyond its output, and ReplaceEnf
-    the replacement's synthesis alone, since the replacement becomes its output."""
+    """Work arrays are block-sized, so audio and video hold little beyond their
+    output, and ReplaceEnf the replacement's synthesis alone, since the replacement
+    becomes its output."""
     grid = GridConfig(seed=13)
     truth = gen_enf_truth(grid, 60.0, 1.0)
     audio, peak = _traced_peak(
         lambda: embed_audio(truth, 44100.0, HARMONICS_123, 20.0, seed=13, grid=grid))
-    assert peak <= 2.5 * audio.samples.nbytes
+    assert peak <= 1.5 * audio.samples.nbytes
     forged, peak = _traced_peak(
         lambda: forge_segments(audio, [(10.0, 30.0)], ForgeryMode.ReplaceEnf, seed=2))
-    assert peak <= 2.5 * forged.samples.nbytes
+    assert peak <= 1.5 * forged.samples.nbytes
     long_truth = gen_enf_truth(grid, 120.0, 1.0)
     video, peak = _traced_peak(lambda: embed_video(long_truth, 25.0, 360, 25.0, seed=13))
     assert peak <= 1.5 * video.frames.nbytes
