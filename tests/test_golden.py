@@ -39,13 +39,13 @@ def _summary(path):
         x = np.fromfile(path, dtype="<f4").astype(float)
         return {"len": len(x), "mean": float(np.mean(x)), "std": float(np.std(x)),
                 "min": float(np.min(x)), "max": float(np.max(x))}
-    lines = path.read_text().splitlines()
+    text = path.read_text()
     if path.suffix == ".json":
-        return json.loads("\n".join(lines))
+        return json.loads(text)
     if path.suffix == ".jsonl":
-        return [json.loads(line) for line in lines]
+        return [json.loads(line) for line in text.splitlines()]
     if path.suffix == ".csv":
-        return [[_cell(c) for c in line.split(",")] for line in lines]
+        return [[_cell(c) for c in line.split(",")] for line in text.splitlines()]
     raise ValueError(f"no summary rule for {path.name}")
 
 

@@ -271,7 +271,6 @@ def test_corpus_rejects_forgery_bounds_it_cannot_place(kw):
      (dict(seed=-1), "seed"), (dict(seed=1.5), "seed")],
 )
 def test_corpus_rejects_whole_number_fields_that_are_not(kw, field):
-    # n_streams 4.0 raised TypeError in range(), a seed of -1 numpy's ValueError
     with pytest.raises(InvalidArgumentError, match=f"{field} must be >= 0 and an integer"):
         corpus_cfg(**kw)
 

@@ -174,7 +174,7 @@ def test_audio_nyquist_guard():
 @pytest.mark.parametrize("harmonics", [[(1.5, 1.0)], [(2.0, 1.0)], [(1, 1.0), (1, 0.5)]],
                          ids=["fraction", "float", "repeated"])
 def test_audio_rejects_orders_that_are_not_distinct_whole_numbers(harmonics):
-    # an order of 1.5 was synthesized at 90 Hz and recorded in meta as order 1
+    # a fractional order hums off the grid's harmonics (order 1.5 at 90 Hz on 60 Hz)
     with pytest.raises(InvalidArgumentError, match="harmonics must be"):
         embed_audio(const_truth(), 1000.0, harmonics, 60.0)
 
