@@ -13,6 +13,18 @@ the phase integral from block to block and adds each block's noise while the
 block is in cache, so it holds its output plus block-sized work arrays. The
 noise is set against the waveform's power in closed form, never measured from
 the output. The streams are byte-identical to one whole-array pass.
+
+The phase integral is kept in float64 and counted in cycles; each value's
+fraction of a cycle becomes a float32 phase in [0, 2*pi], at which the hum and
+the flicker are evaluated in float32: numpy 2.4 runs float32 np.sin on SIMD
+kernels and float64 np.sin one value at a time, about 20 ns each on x86-64
+against 1.6 ns (AVX-512) or 3.7 ns (AVX2) in float32. The reduction keeps the
+float32 error from growing with the stream's length: a noiseless 300 s hum
+stays within 1.6e-6 of its float64 value throughout (four seeds measured),
+about -116 dB below the fundamental. numpy picks its float32 sine kernel by
+CPU; the AVX-512 and AVX2 kernels agree bit for bit, while the baseline one
+differs from them by an ulp in about one value in eight, so streams are
+bit-identical for one numpy on one kind of CPU, not on every CPU.
 """
 
 from __future__ import annotations
@@ -157,8 +169,10 @@ class VideoLumaStream:
 def gen_enf_truth(cfg: GridConfig, duration_s: float, step_s: float) -> EnfSeries:
     """Clamped Gaussian random walk around cfg.nominal_hz.
 
-    Per-step increments are N(0, drift_std_hz^2 * step_s); the accumulated
-    deviation is clipped to +-max_dev_hz at every step.
+    Per-step increments are N(0, drift_std_hz^2 * step_s). Their finished
+    cumulative sum is clipped to +-max_dev_hz, so once the unclipped walk passes
+    the bound the deviation stays pinned there until the walk comes back; a
+    per-step clamp is ROADMAP item 6.
     """
     for name, value in (("duration_s", duration_s), ("step_s", step_s)):
         if not (np.isfinite(value) and value > 0):
@@ -197,10 +211,13 @@ def _noise_sigma(signal_power: float, snr_db: float) -> float:
 def _synthesize(truth: EnfSeries, rate_hz: float, n: int, wave, power: float, snr_db: float,
                 rng) -> np.ndarray:
     """n values at rate_hz: wave(phase) plus white noise snr_db below power, the
-    waveform's power in closed form. phase is 2*pi times the cumulative integral of
-    f(t). Block by block, the running sum carries across blocks and the noise draws
-    continue one another, so the output equals one cumsum and one rng.normal over all
-    n, bit for bit; nothing is drawn at zero sigma."""
+    waveform's power in closed form. The cumulative integral of f(t) is a running
+    float64 sum, in cycles once divided by rate_hz; phase is 2*pi times its
+    fraction of a cycle, as float32, and wave evaluates in float32 what the float64
+    output then holds. Block by block, the unreduced running sum carries across
+    blocks and the noise draws continue one another, so the output equals one
+    cumsum and one rng.normal over all n, bit for bit; nothing is drawn at zero
+    sigma."""
     sigma = _noise_sigma(power, snr_db)
     out = np.empty(n)
     carry = np.zeros(1)
@@ -208,8 +225,10 @@ def _synthesize(truth: EnfSeries, rate_hz: float, n: int, wave, power: float, sn
         i1 = min(i0 + _BLOCK, n)
         integral = np.cumsum(np.concatenate((carry, truth.at(np.arange(i0, i1) / rate_hz))))[1:]
         carry = integral[-1:]
+        cycles = integral / rate_hz
+        cycles -= np.floor(cycles)
         block = out[i0:i1]
-        block[:] = wave(2.0 * np.pi * integral / rate_hz)
+        block[:] = wave((2.0 * np.pi * cycles).astype(np.float32))
         if sigma > 0.0:
             block += rng.normal(0.0, sigma, size=i1 - i0)
     return out
@@ -217,6 +236,9 @@ def _synthesize(truth: EnfSeries, rate_hz: float, n: int, wave, power: float, sn
 
 # mean luma of every synthesized video row, around which the lamp flickers
 _BASE_LUMA = 100.0
+
+# the waves are evaluated in float32, so their amplitudes must not overflow it
+_F32_MAX = float(np.finfo(np.float32).max)
 
 # the GridConfig fields a stream's meta records, so forgeries can rebuild the grid
 _GRID_KEYS = tuple(f.name for f in fields(GridConfig) if f.name != "seed")
@@ -243,16 +265,20 @@ def embed_audio(
     """Embed the truth trace as a sum of hum harmonics plus white noise.
 
     harmonics is a list of (order, amplitude) with distinct whole orders >= 1;
-    harmonic k oscillates at k * f(t) with phase equal to the cumulative
-    integral of the interpolated truth. Distinct orders make the hum's power
-    sum(amplitude**2 / 2), which sets the noise. grid (optional) records the
-    generating process so forgeries can re-synthesize matching content.
+    harmonic k oscillates at k * f(t): the sum of amplitude * sin(k * phase +
+    offset) is evaluated in float32 at the float32 phase _synthesize passes, the
+    fraction of a cycle the integral of the interpolated truth has reached, so
+    the amplitudes must sum in magnitude to at most float32's max. Distinct
+    orders make the hum's power sum(amplitude**2 / 2), which sets the noise.
+    grid (optional) records the generating process so forgeries can
+    re-synthesize matching content.
     """
     orders = [_whole(k, "harmonics", 1) for k, _ in harmonics]
     amps = np.array([a for _, a in harmonics], dtype=float)
-    if not orders or len(set(orders)) < len(orders) or not np.all(np.isfinite(amps)):
+    if not orders or len(set(orders)) < len(orders) or not np.sum(np.abs(amps)) <= _F32_MAX:
         raise InvalidArgumentError(
-            f"harmonics must be (order, finite amplitude) pairs, orders distinct, got {harmonics}"
+            f"harmonics must be (order, amplitude) pairs, orders distinct, amplitudes finite "
+            f"and summing in magnitude to at most float32's max, got {harmonics}"
         )
     n = _span(truth, sample_rate_hz, "sample_rate_hz")
     if sample_rate_hz <= 2.0 * max(orders) * float(np.max(truth.values_hz)):
@@ -263,9 +289,10 @@ def embed_audio(
         power = float(np.sum(amps**2) / 2.0)
     rng = np.random.default_rng(seed)
     offsets = [rng.uniform(0.0, 2.0 * np.pi) for _ in orders]
+    terms = np.array([orders, amps, offsets], dtype=np.float32).T  # a row per harmonic
     sig = _synthesize(
         truth, sample_rate_hz, n,
-        lambda phase: sum(a * np.sin(k * phase + u) for k, a, u in zip(orders, amps, offsets)),
+        lambda phase: sum(a * np.sin(k * phase + u) for k, a, u in terms),
         power, snr_db, rng,
     )
     meta = _provenance(grid, snr_db, seed, harmonics=[(k, float(a)) for k, a in zip(orders, amps)])
@@ -286,15 +313,21 @@ def embed_video(
     The lamp waveform is fully rectified (raised cosine), so its fundamental
     sits at twice the grid frequency. The rolling shutter exposes rows in
     turn, one flicker sample per row at rate fps * frame_height, around a
-    mean luma of _BASE_LUMA.
+    mean luma of _BASE_LUMA. The flicker is evaluated in float32 and added to
+    _BASE_LUMA in float64: float32 holds luma near 100 only to steps of 7.6e-6.
     """
     n_frames = _span(truth, fps, "fps")
     frame_height = _whole(frame_height, "frame_height", 1)
-    if not np.isfinite(mod_depth):
-        raise InvalidArgumentError(f"mod_depth must be finite, got {mod_depth}")
     ac_amp = 0.5 * mod_depth * _BASE_LUMA
-    flat = _synthesize(truth, fps * frame_height, n_frames * frame_height,
-                       lambda phase: _BASE_LUMA + ac_amp * (1.0 - np.cos(2.0 * phase)),
+    if not abs(2.0 * ac_amp) <= _F32_MAX:
+        raise InvalidArgumentError(
+            f"mod_depth must be finite, its flicker within float32's range, got {mod_depth}")
+    ac32 = np.float32(ac_amp)
+
+    def luma(phase):
+        return _BASE_LUMA + (ac32 * (1.0 - np.cos(2.0 * phase))).astype(float)
+
+    flat = _synthesize(truth, fps * frame_height, n_frames * frame_height, luma,
                        ac_amp**2 / 2.0, snr_db, np.random.default_rng(seed))
     meta = _provenance(grid, snr_db, seed, mod_depth=float(mod_depth))
     return VideoLumaStream(float(fps), flat.reshape(n_frames, frame_height), truth, meta=meta)

@@ -22,6 +22,7 @@ from enfnet import (
     gen_enf_truth,
 )
 from enfnet import media_synth
+from enfnet.harness import DEFAULT_HARMONICS
 from enfnet.media_synth import _BLOCK, sample_view
 
 HARMONICS_123 = ((1, 1.0), (2, 0.5), (3, 0.33))
@@ -453,7 +454,10 @@ VIDEO_FPS = 32.0
 
 
 def _phase_oracle(truth, rate_hz, n):
-    return 2.0 * np.pi * np.cumsum(truth.at(np.arange(n) / rate_hz)) / rate_hz
+    """The float32 phase each wave is evaluated at: 2*pi times the fraction of a cycle
+    that the float64 integral of f(t) has reached."""
+    cycles = np.cumsum(truth.at(np.arange(n) / rate_hz)) / rate_hz
+    return (2.0 * np.pi * np.mod(cycles, 1.0)).astype(np.float32)
 
 
 def _oracle_noise(x, power, snr_db, rng):
@@ -465,17 +469,20 @@ def _oracle_noise(x, power, snr_db, rng):
 def _audio_oracle(truth, rate_hz, harmonics, snr_db, seed):
     rng = np.random.default_rng(seed)
     phase = _phase_oracle(truth, rate_hz, int(round(truth.duration_s * rate_hz)))
-    sig = np.zeros(len(phase))
+    sig = np.zeros(len(phase), dtype=np.float32)
     for k, amp in harmonics:
-        sig += amp * np.sin(k * phase + rng.uniform(0.0, 2.0 * np.pi))
+        offset = np.float32(rng.uniform(0.0, 2.0 * np.pi))
+        sig += np.float32(amp) * np.sin(np.float32(k) * phase + offset)
     # distinct whole orders: the hum's power is sum(amp**2 / 2) in closed form
-    return _oracle_noise(sig, sum(amp**2 for _, amp in harmonics) / 2.0, snr_db, rng)
+    return _oracle_noise(sig.astype(float), sum(amp**2 for _, amp in harmonics) / 2.0, snr_db,
+                         rng)
 
 
 def _video_oracle(truth, fps, height, snr_db, seed, mod_depth=0.1):
     ac_amp = 0.5 * mod_depth * 100.0
     phase = _phase_oracle(truth, fps * height, int(round(truth.duration_s * fps)) * height)
-    flat = 100.0 + ac_amp * (1.0 - np.cos(2.0 * phase))
+    flicker = np.float32(ac_amp) * (np.float32(1.0) - np.cos(np.float32(2.0) * phase))
+    flat = 100.0 + flicker.astype(float)
     return _oracle_noise(flat, ac_amp**2 / 2.0, snr_db, np.random.default_rng(seed))
 
 
@@ -524,6 +531,43 @@ def test_forgery_across_a_block_boundary_equals_whole_array_formula(kind, mode):
         sigma = np.sqrt(np.mean((seg - centre) ** 2))
         expect[i0:i1] = np.random.default_rng([9, 0]).normal(centre, sigma, i1 - i0)
     assert _values(forged).tobytes() == expect.tobytes()
+
+
+def test_float32_waves_stay_as_close_to_float64_late_in_a_stream_as_early():
+    """Each wave sees its phase reduced to one cycle in float64, so its float32 error
+    does not grow with the stream: an unreduced float32 phase of this 300 s stream is
+    off by 5.7e-4 in its first 10 s and by 2.2e-2 in its last."""
+    grid = GridConfig(max_dev_hz=0.5, seed=14)
+    truth = gen_enf_truth(grid, 300.0, 1.0)
+    rate = 8000.0
+    samples = embed_audio(truth, rate, DEFAULT_HARMONICS, np.inf, seed=14).samples
+    phase = 2.0 * np.pi * np.cumsum(truth.at(np.arange(len(samples)) / rate)) / rate
+    rng = np.random.default_rng(14)
+    offsets = [rng.uniform(0.0, 2.0 * np.pi) for _ in DEFAULT_HARMONICS]
+    hum = sum(a * np.sin(k * phase + u) for (k, a), u in zip(DEFAULT_HARMONICS, offsets))
+    err = np.abs(samples - hum)
+    ten_s = int(10 * rate)
+    assert err.max() <= 4e-6  # 1.5e-6 measured, about -116 dB below the fundamental
+    assert err[-ten_s:].max() <= 2.0 * err[:ten_s].max()
+
+    video = embed_video(truth, 25.0, 360, np.inf, seed=14).frames.reshape(-1)
+    row_rate = 25.0 * 360
+    phase = 2.0 * np.pi * np.cumsum(truth.at(np.arange(len(video)) / row_rate)) / row_rate
+    flicker = 100.0 + 5.0 * (1.0 - np.cos(2.0 * phase))  # mod_depth 0.1 of a luma of 100
+    assert np.abs(video - flicker).max() <= 2e-5  # 3.0e-6 measured
+
+
+def test_waves_must_fit_float32_which_they_are_evaluated_in():
+    # float32 holds up to 3.4e38: a hum of amplitudes summing to 3e38 and a flicker
+    # peaking at 2 * 0.5 * mod_depth * 100 = 3e38 fit, and one step further does not
+    hum = embed_audio(const_truth(), 1000.0, [(1, 2e38), (2, 1e38)], np.inf).samples
+    luma = embed_video(const_truth(), 25.0, 8, np.inf, mod_depth=3e36).frames
+    assert np.all(np.isfinite(hum)) and np.all(np.isfinite(luma))
+    for harmonics in ([(1, 4e38)], [(1, 3e38), (2, 1e38)]):
+        with pytest.raises(InvalidArgumentError, match="float32's max"):
+            embed_audio(const_truth(), 1000.0, harmonics, np.inf)
+    with pytest.raises(InvalidArgumentError, match="float32's range"):
+        embed_video(const_truth(), 25.0, 8, np.inf, mod_depth=4e36)
 
 
 def _traced_peak(fn):
