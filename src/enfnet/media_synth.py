@@ -8,27 +8,35 @@ rolling-shutter sensor, and injects labeled forgeries.
 Everything here is a pure function of its arguments (including seeds), so
 identical calls give bit-identical streams.
 
-One kernel synthesizes both kinds in fixed blocks of _BLOCK values: it carries
-the phase integral from block to block and adds each block's noise while the
-block is in cache, so it holds its output plus block-sized work arrays. The
-noise is set against the waveform's power in closed form, never measured from
-the output. The streams are byte-identical to one whole-array pass.
+One kernel synthesizes both kinds in fixed blocks of _BLOCK values and adds each
+block's noise while the block is in cache, so it holds its output plus
+block-sized work arrays. The noise is set against the waveform's power in closed
+form, never measured from the output. Every value's phase is a function of its
+index alone, and the noise draws continue from block to block, so the streams do
+not depend on _BLOCK.
 
-The phase integral is kept in float64 and counted in cycles; each value's
+The phase is the closed-form integral of the truth as EnfSeries.at reads it,
+counted in cycles: quadratic between truth knots, linear before the first and
+past the last. The cycles reached at each knot are reduced mod 1 in float64, and
+each block evaluates one quadratic per knot segment it spans. Each value's
 fraction of a cycle becomes a float32 phase in [0, 2*pi], at which the hum and
 the flicker are evaluated in float32: numpy 2.4 runs float32 np.sin on SIMD
 kernels and float64 np.sin one value at a time, about 20 ns each on x86-64
 against 1.6 ns (AVX-512) or 3.7 ns (AVX2) in float32. The reduction keeps the
 float32 error from growing with the stream's length: a noiseless 300 s hum
 stays within 1.6e-6 of its float64 value throughout (four seeds measured),
-about -116 dB below the fundamental. numpy picks its float32 sine kernel by
-CPU; the AVX-512 and AVX2 kernels agree bit for bit, while the baseline one
-differs from them by an ulp in about one value in eight, so streams are
-bit-identical for one numpy on one kind of CPU, not on every CPU.
+about -116 dB below the fundamental.
+
+The noise is Box-Muller from float32 uniforms, evaluated in float32 and scaled
+by its sigma in float64; it never exceeds 5.77 sigma. numpy picks its float32
+kernels by CPU; the AVX-512 and AVX2 kernels agree bit for bit, while the
+baseline sine differs from them by an ulp in about one value in eight, so
+streams are bit-identical for one numpy on one kind of CPU, not on every CPU.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -189,7 +197,8 @@ def gen_enf_truth(cfg: GridConfig, duration_s: float, step_s: float) -> EnfSerie
 # values synthesized per block: work arrays hold this many, not a whole stream. At
 # 2**16, glibc handed each audio block's freed work arrays back to the OS and the
 # next block faulted them in again: 57 K minor page faults for a 120 s 44.1 kHz
-# stream, against 0.6 K at 2**14 (x86-64 Linux)
+# stream, against 0.6 K at 2**14 (x86-64 Linux). Even, so that no Box-Muller pair of
+# noise draws straddles two blocks
 _BLOCK = 2**14
 
 
@@ -208,29 +217,88 @@ def _noise_sigma(signal_power: float, snr_db: float) -> float:
     return float(sigma)
 
 
+def _phase_segments(truth: EnfSeries, rate_hz: float, n: int):
+    """The integral of truth.at from t = 0 at n values at rate_hz, as one quadratic per
+    segment of f(t): held at the first knot's value before it, linear between knots,
+    held at the last knot's value past it. Returns Python lists: each segment's first
+    index (ceil(knot * rate_hz), so a value's segment is a function of its index alone)
+    followed by n, and per segment its origin, f and half slope there, and the cycles
+    reached there reduced mod 1."""
+    knots, f = truth.times(), truth.values_hz
+    half_slope = np.append(np.diff(f) / truth.step_s, 0.0) / 2.0
+    # cycles gained from the first knot to each: a trapezoid per step, each reduced
+    # mod 1 before the sum so that the sum's rounding stays small
+    gain = truth.step_s * (f[:-1] + f[1:]) / 2.0
+    at_knot = np.concatenate(([0.0], np.cumsum(gain - np.floor(gain))))
+    # then counted from t = 0: f is held before the first knot, and a first knot at a
+    # negative time puts t = 0 inside a segment
+    if knots[0] >= 0.0:
+        at_zero = -f[0] * knots[0]
+    else:
+        j = int(np.searchsorted(knots, 0.0, side="right")) - 1
+        at_zero = at_knot[j] - knots[j] * (f[j] - half_slope[j] * knots[j])
+    at_knot -= at_zero - np.floor(at_zero)
+    at_knot -= np.floor(at_knot)
+    first = np.clip(np.ceil(knots * rate_hz), 0, n).astype(np.intp)
+    return ([0, *first.tolist(), n], [0.0, *knots.tolist()], [float(f[0]), *f.tolist()],
+            [0.0, *half_slope.tolist()], [0.0, *at_knot.tolist()])
+
+
+def _cycles(segments, rate_hz: float, i0: int, i1: int) -> np.ndarray:
+    """The fraction of a cycle at values i0 to i1 - 1, in float64: dt * (f + s/2 * dt)
+    plus the cycles at the origin, dt the time since the origin of the value's segment."""
+    first, origin, f, half_slope, at_origin = segments
+    t = np.arange(i0, i1) / rate_hz
+    cycles = np.empty(i1 - i0)
+    j = bisect.bisect_right(first, i0) - 1
+    while first[j] < i1:
+        a, b = max(first[j], i0) - i0, min(first[j + 1], i1) - i0
+        if a < b:
+            dt = t[a:b]
+            dt -= origin[j]
+            seg = cycles[a:b]
+            np.multiply(dt, half_slope[j], out=seg)
+            seg += f[j]
+            seg *= dt
+            seg += at_origin[j]
+        j += 1
+    cycles -= np.floor(cycles)
+    return cycles
+
+
+def _unit_normals(rng, m: int) -> np.ndarray:
+    """m standard normals in float32, by Box-Muller from m (rounded up to even) float32
+    uniforms u: pairs r*cos(theta), r*sin(theta) with r = sqrt(-2 log(1 - u[0::2])) and
+    theta = 2*pi*u[1::2]. Uniforms on a 2^-24 grid cap |z| at sqrt(48 ln 2) = 5.77,
+    which N(0, 1) passes with probability 8e-9. numpy's float32 log, sqrt, sin and cos
+    give the same bytes on its AVX-512 and AVX2 kernels (log1p and float64 log do not)."""
+    u = rng.random(m + (m & 1), dtype=np.float32)
+    r = np.sqrt(np.float32(-2.0) * np.log(np.float32(1.0) - u[0::2]))
+    theta = np.float32(2.0 * np.pi) * u[1::2]
+    z = np.empty_like(u)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    return z[:m]
+
+
 def _synthesize(truth: EnfSeries, rate_hz: float, n: int, wave, power: float, snr_db: float,
                 rng) -> np.ndarray:
     """n values at rate_hz: wave(phase) plus white noise snr_db below power, the
-    waveform's power in closed form. The cumulative integral of f(t) is a running
-    float64 sum, in cycles once divided by rate_hz; phase is 2*pi times its
-    fraction of a cycle, as float32, and wave evaluates in float32 what the float64
-    output then holds. Block by block, the unreduced running sum carries across
-    blocks and the noise draws continue one another, so the output equals one
-    cumsum and one rng.normal over all n, bit for bit; nothing is drawn at zero
-    sigma."""
-    sigma = _noise_sigma(power, snr_db)
+    waveform's power in closed form. The phase is 2*pi times the fraction of a cycle
+    that the integral of truth.at has reached (_cycles), as float32, and wave evaluates
+    in float32 what the float64 output then holds. The noise is sigma times
+    _unit_normals, scaled in float64 so that a sigma beyond float32's range stays
+    finite; the draws of one block continue those of the last, and _BLOCK is even, so
+    the output does not depend on _BLOCK, bit for bit. Nothing is drawn at zero sigma."""
+    sigma = np.float64(_noise_sigma(power, snr_db))
+    segments = _phase_segments(truth, rate_hz, n)
     out = np.empty(n)
-    carry = np.zeros(1)
     for i0 in range(0, n, _BLOCK):
         i1 = min(i0 + _BLOCK, n)
-        integral = np.cumsum(np.concatenate((carry, truth.at(np.arange(i0, i1) / rate_hz))))[1:]
-        carry = integral[-1:]
-        cycles = integral / rate_hz
-        cycles -= np.floor(cycles)
         block = out[i0:i1]
-        block[:] = wave((2.0 * np.pi * cycles).astype(np.float32))
+        block[:] = wave((2.0 * np.pi * _cycles(segments, rate_hz, i0, i1)).astype(np.float32))
         if sigma > 0.0:
-            block += rng.normal(0.0, sigma, size=i1 - i0)
+            block += sigma * _unit_normals(rng, i1 - i0)
     return out
 
 

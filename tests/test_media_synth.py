@@ -453,17 +453,45 @@ LENGTHS_S = {"sub-block": 2.0, "two-blocks": 8.0, "ragged": 23.0}
 VIDEO_FPS = 32.0
 
 
+def _integral_cycles(truth, t):
+    """The integral of truth.at from 0 to each t, in cycles. truth.at is linear between
+    its knots and constant outside them, so a trapezoid from breakpoint to breakpoint,
+    and from the last one below t to t, is exact."""
+    grid = np.union1d([0.0], truth.times())
+    f = truth.at(grid)
+    at_grid = np.concatenate(([0.0], np.cumsum(np.diff(grid) * (f[:-1] + f[1:]) / 2.0)))
+    at_grid -= at_grid[np.searchsorted(grid, 0.0)]
+    j = np.searchsorted(grid, t, side="right") - 1
+    return at_grid[j] + (t - grid[j]) * (f[j] + truth.at(t)) / 2.0
+
+
 def _phase_oracle(truth, rate_hz, n):
     """The float32 phase each wave is evaluated at: 2*pi times the fraction of a cycle
-    that the float64 integral of f(t) has reached."""
-    cycles = np.cumsum(truth.at(np.arange(n) / rate_hz)) / rate_hz
-    return (2.0 * np.pi * np.mod(cycles, 1.0)).astype(np.float32)
+    of the closed-form integral of truth.at, dt * (f + s/2 * dt) plus the cycles at the
+    segment's knot reduced mod 1, for the whole stream at once (truths from t = 0)."""
+    assert truth.start_time_s == 0.0
+    knots, f = truth.times(), truth.values_hz
+    half_slope = np.append(np.diff(f) / truth.step_s, 0.0) / 2.0
+    gain = truth.step_s * (f[:-1] + f[1:]) / 2.0
+    at_knot = np.concatenate(([0.0], np.cumsum(gain - np.floor(gain))))
+    at_knot -= np.floor(at_knot)
+    # each value's segment starts at the last knot at or before its index
+    j = np.searchsorted(np.ceil(knots * rate_hz), np.arange(n), side="right") - 1
+    dt = np.arange(n) / rate_hz - knots[j]
+    cycles = dt * (f[j] + half_slope[j] * dt) + at_knot[j]
+    return (2.0 * np.pi * (cycles - np.floor(cycles))).astype(np.float32)
 
 
 def _oracle_noise(x, power, snr_db, rng):
+    """x plus one whole-length Box-Muller draw from float32 uniforms, scaled in float64."""
     if snr_db == np.inf:
         return x
-    return x + rng.normal(0.0, np.sqrt(power / np.float64(10.0) ** (snr_db / 10.0)), len(x))
+    u = rng.random(len(x) + len(x) % 2, dtype=np.float32)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+    theta = 2.0 * np.pi * u[1::2]
+    z = np.empty_like(u)
+    z[0::2], z[1::2] = r * np.cos(theta), r * np.sin(theta)
+    return x + np.sqrt(power / np.float64(10.0) ** (snr_db / 10.0)) * z[:len(x)]
 
 
 def _audio_oracle(truth, rate_hz, harmonics, snr_db, seed):
@@ -541,20 +569,78 @@ def test_float32_waves_stay_as_close_to_float64_late_in_a_stream_as_early():
     truth = gen_enf_truth(grid, 300.0, 1.0)
     rate = 8000.0
     samples = embed_audio(truth, rate, DEFAULT_HARMONICS, np.inf, seed=14).samples
-    phase = 2.0 * np.pi * np.cumsum(truth.at(np.arange(len(samples)) / rate)) / rate
+    phase = 2.0 * np.pi * _integral_cycles(truth, np.arange(len(samples)) / rate)
     rng = np.random.default_rng(14)
     offsets = [rng.uniform(0.0, 2.0 * np.pi) for _ in DEFAULT_HARMONICS]
     hum = sum(a * np.sin(k * phase + u) for (k, a), u in zip(DEFAULT_HARMONICS, offsets))
     err = np.abs(samples - hum)
     ten_s = int(10 * rate)
-    assert err.max() <= 4e-6  # 1.5e-6 measured, about -116 dB below the fundamental
+    assert err.max() <= 4e-6  # 1.6e-6 measured, about -116 dB below the fundamental
     assert err[-ten_s:].max() <= 2.0 * err[:ten_s].max()
 
     video = embed_video(truth, 25.0, 360, np.inf, seed=14).frames.reshape(-1)
     row_rate = 25.0 * 360
-    phase = 2.0 * np.pi * np.cumsum(truth.at(np.arange(len(video)) / row_rate)) / row_rate
+    phase = 2.0 * np.pi * _integral_cycles(truth, np.arange(len(video)) / row_rate)
     flicker = 100.0 + 5.0 * (1.0 - np.cos(2.0 * phase))  # mod_depth 0.1 of a luma of 100
-    assert np.abs(video - flicker).max() <= 2e-5  # 3.0e-6 measured
+    assert np.abs(video - flicker).max() <= 2e-5  # 2.9e-6 measured
+
+
+@pytest.mark.parametrize(
+    "truth",
+    [gen_enf_truth(GridConfig(max_dev_hz=0.5, seed=15), 20.0, 1.0),
+     EnfSeries(0.3, 1.0, 60.0 + np.linspace(-0.4, 0.4, 20)),
+     EnfSeries(0.2, 0.37, 50.0 + 0.3 * np.sin(np.arange(54))),
+     EnfSeries(-1.2, 0.5, 60.0 + 0.2 * np.cos(np.arange(40)))],
+    ids=["walk", "late-start", "uneven-step", "early-start"])
+def test_phase_is_the_exact_integral_of_the_truth(truth):
+    """The phase is the integral of what EnfSeries.at returns from t = 0: held before
+    the first knot, linear between knots, held past the last. 997 Hz puts the knots of
+    the three made-up truths between samples."""
+    rate = 997.0
+    n = int(round(truth.duration_s * rate))
+    t = np.arange(n) / rate
+    knots = truth.times()
+    assert np.any(t > knots[-1])
+    if truth.start_time_s > 0.0:
+        assert np.any(t < knots[0])
+    cycles = media_synth._cycles(media_synth._phase_segments(truth, rate, n), rate, 0, n)
+    assert np.all((0.0 <= cycles) & (cycles < 1.0))
+    miss = np.mod(cycles - _integral_cycles(truth, t) + 0.5, 1.0) - 0.5
+    assert np.abs(miss).max() <= 1e-9
+
+
+@pytest.mark.parametrize("block", [2, 1000, 3 * 2**13])
+@pytest.mark.parametrize("kind", KINDS)
+def test_synthesis_bytes_do_not_depend_on_the_block_size(kind, block, monkeypatch):
+    """An odd-length stream, so the last block draws one uniform beyond it; an even
+    block keeps the Box-Muller pairs where they were."""
+    truth = gen_enf_truth(GridConfig(max_dev_hz=0.5, seed=16), 23.0, 1.0)
+
+    def make():
+        if kind == "audio":
+            return embed_audio(truth, 1001.0, HARMONICS_123, 20.0, seed=16).samples
+        return embed_video(truth, 25.0, 45, 20.0, seed=16).frames.reshape(-1)
+
+    whole = make()
+    assert len(whole) % 2 == 1
+    monkeypatch.setattr(media_synth, "_BLOCK", block)
+    assert make().tobytes() == whole.tobytes()
+
+
+def test_unit_normals_are_standard_normal():
+    """4M draws at a fixed seed: the mean and variance within five of their standard
+    errors, and a Kolmogorov-Smirnov statistic below its 1 % critical value. The float32
+    uniforms cap |z| at sqrt(48 ln 2)."""
+    from scipy.stats import kstest
+
+    m = 4_000_000
+    z = media_synth._unit_normals(np.random.default_rng(17), m)
+    assert z.dtype == np.float32 and len(z) == m
+    z = z.astype(float)
+    assert abs(np.mean(z)) <= 5.0 / np.sqrt(m)
+    assert abs(np.var(z) - 1.0) <= 5.0 * np.sqrt(2.0 / m)
+    assert kstest(z, "norm").statistic <= 1.63 / np.sqrt(m)
+    assert np.abs(z).max() <= np.sqrt(48.0 * np.log(2.0))
 
 
 def test_waves_must_fit_float32_which_they_are_evaluated_in():
