@@ -17,13 +17,15 @@ Exit codes follow the rule in ``errors``: 0 success, 2 an InvalidArgumentError
 argument strings (--harmonics, --forge, --behavior, --k-list, --windows) and
 --seed are parsed by argparse, so malformed ones and a negative seed exit 2
 before any work starts; main() returns the code instead of raising SystemExit.
-A scenario config whose nested configs name unknown fields or miss required
-ones, whose top level is not a JSON object, or whose whole-number field holds
-a fraction (committee K 5.0, rounds 2.0, a harmonic 1.5) also exits 2, as does
-a duration, rate, time step or frame rate that is not finite, and a detect
---shift shorter than the step of the series it reads. So do input files the
-stream records reject: a stream whose rate is not finite and > 0 or whose
-truth does not span its payload, and an ENF CSV whose times are not finite.
+Every config and record checks its numbers where it is built: a whole-number
+field takes only an integer at or above its bound (``errors._whole``; K 5.0 exits
+2), a real-valued one only a finite real number above its bound (``errors._real``;
+NaN, inf, a JSON string or null exits 2; max_dev_hz and snr_db may be +inf). So a
+scenario config or input file that breaks either exits 2 before any synthesis or
+estimation, as does a scenario config whose nested configs name unknown fields or
+miss required ones or whose top level is not a JSON object, a detect --shift
+shorter than the step of the series it reads, and a stream whose truth does not
+span its payload.
 """
 
 from __future__ import annotations
@@ -157,15 +159,8 @@ def _report_to_dict(rep):
     return {
         "overall_verdict": rep.overall_verdict.value,
         "forged_intervals": [[float(a), float(b)] for a, b in rep.forged_intervals],
-        "windows": [
-            {
-                "start_s": w.start_s,
-                "end_s": w.end_s,
-                "corr": w.corr,
-                "verdict": w.verdict.value,
-            }
-            for w in rep.windows
-        ],
+        "windows": [{"start_s": w.start_s, "end_s": w.end_s, "corr": w.corr,
+                     "verdict": w.verdict.value} for w in rep.windows],
     }
 
 

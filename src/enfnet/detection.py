@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _real
 from .media_synth import EnfSeries
 
 
@@ -25,10 +25,11 @@ class DetectorConfig:
     threshold: float = 0.8
 
     def __post_init__(self):
-        if not (self.window_s > self.shift_s > 0):
-            raise InvalidArgumentError("require window_s > shift_s > 0")
-        if not (-1.0 <= self.threshold <= 1.0):
-            raise InvalidArgumentError("threshold must lie in [-1, 1]")
+        _real(self.shift_s, "shift_s", 0)
+        _real(self.window_s, "require window_s > shift_s: window_s", self.shift_s)
+        # threshold in [-1, 1], the range of a correlation
+        _real(self.threshold, "threshold", -1, closed=True)
+        _real(1 - self.threshold, "1 - threshold", 0, closed=True)
 
 
 class Verdict(Enum):
@@ -106,9 +107,8 @@ def sliding_window_detect(
     local: EnfSeries, truth: EnfSeries, cfg: DetectorConfig
 ) -> DetectionReport:
     """Window-by-window Pearson comparison of a local estimate against truth."""
-    if abs(local.start_time_s - truth.start_time_s) > 1e-9 or abs(
-        local.step_s - truth.step_s
-    ) > 1e-9:
+    if (abs(local.start_time_s - truth.start_time_s) > 1e-9
+            or abs(local.step_s - truth.step_s) > 1e-9):
         raise InvalidArgumentError("series are not time-aligned (start/step mismatch)")
     n = min(len(local), len(truth))
     step = local.step_s
@@ -147,12 +147,6 @@ def roc_curve(genuine_scores, fake_scores):
     if len(g) == 0 or len(f) == 0:
         raise InvalidArgumentError("both score lists must be non-empty")
     thresholds = np.concatenate([np.unique(np.concatenate([g, f])), [np.inf]])
-    points = []
-    for t in thresholds:
-        tpr = float(np.mean(f < t))
-        fpr = float(np.mean(g < t))
-        points.append((float(t), tpr, fpr))
-    tprs = np.array([p[1] for p in points])
-    fprs = np.array([p[2] for p in points])
-    auc = float(np.trapezoid(tprs, fprs))
-    return points, auc
+    points = [(float(t), float(np.mean(f < t)), float(np.mean(g < t))) for t in thresholds]
+    _, tprs, fprs = np.array(points).T
+    return points, float(np.trapezoid(tprs, fprs))

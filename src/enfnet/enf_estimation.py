@@ -26,15 +26,14 @@ grid. At 60 Hz harmonics 1-4 are read at 500 Hz, harmonic 5 (edge 302.5 Hz) at 1
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, _whole
-from .media_synth import AudioStream, EnfSeries, VideoLumaStream
+from .errors import InvalidArgumentError, _real, _whole
+from .media_synth import AudioStream, EnfSeries, VideoLumaStream, _harmonic_orders
 
 _LOG_EPS = 1e-300
 _MAX_SNR_RATIO = 1e12
@@ -62,15 +61,15 @@ class EstimatorConfig:
     fft_size: Optional[int] = None  # None -> 4 x next power of two over the window
 
     def __post_init__(self):
-        if not (0.0 <= self.stft_overlap_frac < 1.0):
-            raise InvalidArgumentError("stft_overlap_frac must lie in [0, 1)")
-        hs = self.harmonics = tuple(_whole(k, "harmonics", 1) for k in self.harmonics)
-        if not hs or len(set(hs)) < len(hs):
-            raise InvalidArgumentError(f"harmonics must be distinct positive integers, got {hs}")
+        _real(self.stft_overlap_frac, "stft_overlap_frac", 0, closed=True)
+        _real(1 - self.stft_overlap_frac, "1 - stft_overlap_frac", 0)
+        self.harmonics = _harmonic_orders(self.harmonics)
         for name in ("nominal_hz", "stft_window_s", "band_halfwidth_hz"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidArgumentError(f"{name} must be finite and > 0, got {value}")
+            _real(getattr(self, name), name, 0)
+        if self.fft_size is not None:
+            n = self.fft_size = _whole(self.fft_size, "fft_size", 1)
+            if n & (n - 1):
+                raise InvalidArgumentError(f"fft_size must be a power of two, got {n}")
 
 
 @dataclass
@@ -84,13 +83,6 @@ class PowerSpectrumMatrix:
     def __post_init__(self):
         if self.power.ndim != 2 or self.power.shape[1] != len(self.freq_bins):
             raise InvalidArgumentError("power matrix dimensions inconsistent with bins")
-
-
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
 
 
 def _band_hz(k: int, cfg: EstimatorConfig, halfwidths: float = 1.0) -> Tuple[float, float]:
@@ -229,9 +221,10 @@ def spectrogram(samples, rate_hz: float, cfg: EstimatorConfig) -> PowerSpectrumM
             f"series length {len(x)} shorter than one STFT window ({w_len} samples)"
         )
     hop = max(1, int(round(w_len * (1.0 - cfg.stft_overlap_frac))))
-    nfft = cfg.fft_size if cfg.fft_size is not None else 4 * _next_pow2(w_len)
-    if nfft < w_len or (nfft & (nfft - 1)) != 0:
-        raise InvalidArgumentError("fft_size must be a power of two >= window sample count")
+    # by default 4 times the least power of two >= the window
+    nfft = cfg.fft_size if cfg.fft_size is not None else 4 << max(w_len - 1, 0).bit_length()
+    if nfft < w_len:
+        raise InvalidArgumentError(f"fft_size {nfft} is under the window's {w_len} samples")
     n_seg = (len(x) - w_len) // hop + 1
     freqs = np.fft.rfftfreq(nfft, 1.0 / rate_hz)
     bands = _band_table(freqs, cfg)

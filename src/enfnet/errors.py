@@ -1,10 +1,12 @@
-"""The package's one error for bad input, and the whole-number rule.
+"""The package's one error for bad input, and the whole-number and real-number rules.
 
 The CLI exit contract: an InvalidArgumentError, raised for a bad argument,
 config field or input file, exits 2; any other exception is a failure inside
 a well-configured pipeline and exits 3.
 """
 
+import math
+import numbers
 import operator
 
 
@@ -30,3 +32,16 @@ def _whole(value, name: str, low: int) -> int:
     if n is None or n < low:
         raise InvalidArgumentError(f"{name} must be >= {low} and an integer, got {value!r}")
     return n
+
+
+def _real(value, name: str, low: float, *, closed: bool = False):
+    """value unchanged, if it is a finite real number (``numbers.Real``, numpy scalars
+    included) > low, or >= low when closed; at low = -inf, any finite one."""
+    try:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond float64's range
+        ok = False
+    if not (ok and (value >= low if closed else value > low)):
+        rule = "a finite number" if low == -math.inf else f"finite and >{'=' * closed} {low}"
+        raise InvalidArgumentError(f"{name} must be {rule}, got {value!r}")
+    return value

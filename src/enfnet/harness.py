@@ -17,12 +17,13 @@ import numpy as np
 
 from .detection import DetectorConfig, Verdict, roc_curve, sliding_window_detect
 from .enf_estimation import EstimatorConfig, estimate_enf
-from .errors import InvalidArgumentError, _whole
+from .errors import InvalidArgumentError, _real, _whole
 from .media_synth import (
     AudioStream,
     EnfSeries,
     ForgeryMode,
     GridConfig,
+    _harmonic_spec,
     _same_nominal,
     embed_audio,
     forge_segments,
@@ -44,6 +45,15 @@ from .poenf_consensus import (
 DEFAULT_HARMONICS: Tuple[Tuple[int, float], ...] = ((1, 1.0), (2, 0.5), (3, 0.33))
 # a corpus forgery lasts a whole number of seconds drawn from these bounds
 _FORGERY_LEN_BOUNDS_S: Tuple[float, float] = (30.0, 45.0)
+
+
+def _check_hum(cfg) -> None:
+    """The hum fields ScenarioConfig and CorpusConfig share, checked as they are built:
+    a sample_rate_hz finite and > 0, an snr_db finite or +inf, a valid harmonic spec."""
+    _real(cfg.sample_rate_hz, "sample_rate_hz", 0)
+    if cfg.snr_db != np.inf:  # +inf is noiseless
+        _real(cfg.snr_db, "snr_db, unless +inf,", -np.inf)
+    _harmonic_spec(cfg.harmonics)
 
 
 @dataclass
@@ -71,6 +81,7 @@ class ScenarioConfig:
         self.rounds = _whole(self.rounds, "rounds", 1)
         self.seed = _whole(self.seed, "seed", 0)
         self.deepfaked_participants = set(self.deepfaked_participants)
+        _check_hum(self)
         if self.byzantine > self.committee.f:
             raise InvalidArgumentError("byzantine count exceeds committee.f")
         if self.committee.K > self.participants:
@@ -79,7 +90,7 @@ class ScenarioConfig:
             raise InvalidArgumentError("deepfaked_participants outside participant id range")
         # a forgery starts at least 5 s into the conference and ends 5 s before its end
         room = self.duration_s - 10.0
-        if self.deepfaked_participants and not 0.0 < self.forgery_span_s <= room:
+        if self.deepfaked_participants and _real(self.forgery_span_s, "forgery length", 0) > room:
             raise InvalidArgumentError(
                 f"forgery length {self.forgery_span_s} s outside (0, {room}] for a "
                 f"{self.duration_s} s conference"
@@ -137,25 +148,18 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 
     estar = EnfSeries(0.0, step, np.concatenate([rr.ground_truth_enf.values_hz for rr in rounds]))
     reports = {}
-    tp = fp = tn = fn = 0
-    for p in range(cfg.participants):
-        est = estimates[p]
+    for p, est in estimates.items():
         ref = EnfSeries(est.start_time_s, est.step_s, estar.at(est.times()))
-        rep = sliding_window_detect(est, ref, cfg.detector)
-        reports[p] = rep
-        flagged = rep.overall_verdict is Verdict.Fake
-        faked = p in cfg.deepfaked_participants
-        tp += int(flagged and faked)
-        fp += int(flagged and not faked)
-        tn += int(not flagged and not faked)
-        fn += int(not flagged and faked)
+        reports[p] = sliding_window_detect(est, ref, cfg.detector)
+    flagged = {p for p, rep in reports.items() if rep.overall_verdict is Verdict.Fake}
+    faked = cfg.deepfaked_participants
 
-    honest_committee = set(range(n_honest)) - cfg.deepfaked_participants
+    honest_committee = set(range(n_honest)) - faked
     summary = {
-        "tp": tp,
-        "fp": fp,
-        "tn": tn,
-        "fn": fn,
+        "tp": len(flagged & faked),
+        "fp": len(flagged - faked),
+        "tn": cfg.participants - len(flagged | faked),
+        "fn": len(faked - flagged),
         "participants": cfg.participants,
         **round_rates(rounds, range(n_honest)),
         "quorum_of_fakes_warning": len(honest_committee) < 2 * com.f + 3,
@@ -264,13 +268,10 @@ class CorpusConfig:
         # 0 and 1 streams pass here: roc_sweep names them single-class
         self.n_streams = _whole(self.n_streams, "n_streams", 0)
         self.seed = _whole(self.seed, "seed", 0)
+        _check_hum(self)
         hi = _FORGERY_LEN_BOUNDS_S[1]
         # make_detection_corpus draws a forgery's whole-second start from [20, D - 20 - len)
-        if self.duration_s < hi + 41.0:
-            raise InvalidArgumentError(
-                f"duration_s={self.duration_s} too short for forgeries up to {hi} s: "
-                f"need >= {hi + 41.0}"
-            )
+        _real(self.duration_s, f"duration_s, for forgeries up to {hi} s,", hi + 41.0, closed=True)
 
 
 @dataclass
@@ -348,22 +349,16 @@ def localization_accuracy(entries: Sequence[CorpusEntry], det: DetectorConfig):
     boundary errors must fall within the tolerance, one detector shift.
     """
     tol = det.shift_s
-    hits = 0
-    total = 0
     errors = []
     for e in entries:
         if not e.forged:
             continue
-        total += 1
         a, b = e.injected
         rep = sliding_window_detect(e.local, e.reference, det)
         cands = [(s, t) for s, t in rep.forged_intervals if t > a - tol and s < b + tol]
         if not cands:
             errors.append((np.nan, np.nan))
             continue
-        s = min(c[0] for c in cands)
-        t = max(c[1] for c in cands)
-        errors.append((s - a, t - b))
-        if abs(s - a) <= tol and abs(t - b) <= tol:
-            hits += 1
-    return hits, total, errors
+        errors.append((min(c[0] for c in cands) - a, max(c[1] for c in cands) - b))
+    hits = sum(abs(ds) <= tol and abs(dt) <= tol for ds, dt in errors)  # NaN never hits
+    return hits, len(errors), errors

@@ -44,7 +44,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, _whole
+from .errors import InvalidArgumentError, _real, _whole
 
 
 @dataclass
@@ -57,15 +57,11 @@ class GridConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # checked before any draw; max_dev_hz = inf is an unclamped walk
-        if not (np.isfinite(self.nominal_hz) and self.nominal_hz > 0):
-            raise InvalidArgumentError(f"nominal_hz must be finite and > 0, got {self.nominal_hz}")
-        if not (np.isfinite(self.drift_std_hz) and self.drift_std_hz >= 0):
-            raise InvalidArgumentError(
-                f"drift_std_hz must be finite and >= 0, got {self.drift_std_hz}"
-            )
-        if not self.max_dev_hz > 0:
-            raise InvalidArgumentError(f"max_dev_hz must be > 0, got {self.max_dev_hz}")
+        # checked before any draw; max_dev_hz = +inf is an unclamped walk
+        _real(self.nominal_hz, "nominal_hz", 0)
+        _real(self.drift_std_hz, "drift_std_hz", 0, closed=True)
+        if self.max_dev_hz != np.inf:
+            _real(self.max_dev_hz, "max_dev_hz, unless +inf,", 0)
 
 
 def _same_nominal(**configs) -> None:
@@ -89,8 +85,8 @@ class EnfSeries:
 
     def __post_init__(self):
         self.values_hz = np.asarray(self.values_hz, dtype=float)
-        if not (np.isfinite(self.start_time_s) and np.isfinite(self.step_s) and self.step_s > 0):
-            raise InvalidArgumentError("start_time_s must be finite, step_s finite and > 0")
+        _real(self.start_time_s, "start_time_s", -np.inf)
+        _real(self.step_s, "step_s", 0)
         if self.values_hz.ndim != 1 or len(self.values_hz) < 1:
             raise InvalidArgumentError("values_hz must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(self.values_hz)):
@@ -113,9 +109,7 @@ class EnfSeries:
 
 def _span(truth: EnfSeries, rate_hz: float, name: str) -> int:
     """Values a stream at finite rate_hz > 0 (field ``name``) holds over its truth."""
-    if not (np.isfinite(rate_hz) and rate_hz > 0):
-        raise InvalidArgumentError(f"{name} must be finite and > 0, got {rate_hz}")
-    return int(round(truth.duration_s * rate_hz))
+    return int(round(truth.duration_s * _real(rate_hz, name, 0)))
 
 
 class ForgeryMode(Enum):
@@ -182,10 +176,7 @@ def gen_enf_truth(cfg: GridConfig, duration_s: float, step_s: float) -> EnfSerie
     the bound the deviation stays pinned there until the walk comes back; a
     per-step clamp is ROADMAP item 6.
     """
-    for name, value in (("duration_s", duration_s), ("step_s", step_s)):
-        if not (np.isfinite(value) and value > 0):
-            raise InvalidArgumentError(f"{name} must be finite and > 0, got {value}")
-    n = int(round(duration_s / step_s))
+    n = int(round(_real(duration_s, "duration_s", 0) / _real(step_s, "step_s", 0)))
     if n < 1:
         raise InvalidArgumentError("duration_s must cover at least one step")
     rng = np.random.default_rng(cfg.seed)
@@ -322,6 +313,31 @@ def _provenance(grid: GridConfig | None, snr_db: float, seed, **kind_keys) -> di
     return meta
 
 
+def _harmonic_orders(orders) -> Tuple[int, ...]:
+    """orders as ints, if there is at least one and they are distinct whole numbers >= 1."""
+    out = tuple(_whole(k, "harmonics", 1) for k in orders)
+    if not out or len(set(out)) < len(out):
+        raise InvalidArgumentError(f"harmonics must be one or more distinct orders, got {out}")
+    return out
+
+
+def _harmonic_spec(harmonics) -> Tuple[Tuple[int, ...], np.ndarray]:
+    """A hum's (order, amplitude) pairs as (orders, amplitudes): orders as
+    _harmonic_orders takes them, amplitudes finite reals, as float64, whose magnitudes
+    sum to at most float32's max, the type the waves are evaluated in."""
+    try:
+        pairs = [(k, a) for k, a in harmonics]
+    except (TypeError, ValueError):  # not an iterable of pairs
+        raise InvalidArgumentError(
+            f"harmonics must be (order, amplitude) pairs, got {harmonics!r}") from None
+    orders = _harmonic_orders(k for k, _ in pairs)
+    amps = np.array([_real(a, "harmonic amplitudes", -np.inf) for _, a in pairs], dtype=float)
+    if not np.sum(np.abs(amps)) <= _F32_MAX:
+        raise InvalidArgumentError(f"harmonic amplitudes must sum in magnitude to at most "
+                                   f"float32's max, got {harmonics}")
+    return orders, amps
+
+
 def embed_audio(
     truth: EnfSeries,
     sample_rate_hz: float,
@@ -332,22 +348,15 @@ def embed_audio(
 ) -> AudioStream:
     """Embed the truth trace as a sum of hum harmonics plus white noise.
 
-    harmonics is a list of (order, amplitude) with distinct whole orders >= 1;
+    harmonics is a list of (order, amplitude), as _harmonic_spec takes it;
     harmonic k oscillates at k * f(t): the sum of amplitude * sin(k * phase +
     offset) is evaluated in float32 at the float32 phase _synthesize passes, the
-    fraction of a cycle the integral of the interpolated truth has reached, so
-    the amplitudes must sum in magnitude to at most float32's max. Distinct
-    orders make the hum's power sum(amplitude**2 / 2), which sets the noise.
+    fraction of a cycle the integral of the interpolated truth has reached.
+    Distinct orders make the hum's power sum(amplitude**2 / 2), which sets the noise.
     grid (optional) records the generating process so forgeries can
     re-synthesize matching content.
     """
-    orders = [_whole(k, "harmonics", 1) for k, _ in harmonics]
-    amps = np.array([a for _, a in harmonics], dtype=float)
-    if not orders or len(set(orders)) < len(orders) or not np.sum(np.abs(amps)) <= _F32_MAX:
-        raise InvalidArgumentError(
-            f"harmonics must be (order, amplitude) pairs, orders distinct, amplitudes finite "
-            f"and summing in magnitude to at most float32's max, got {harmonics}"
-        )
+    orders, amps = _harmonic_spec(harmonics)
     n = _span(truth, sample_rate_hz, "sample_rate_hz")
     if sample_rate_hz <= 2.0 * max(orders) * float(np.max(truth.values_hz)):
         raise InvalidArgumentError(
@@ -484,12 +493,8 @@ def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
         edges = [0, *(i for span in bounds for i in span), len(src)]
         for i0, i1 in zip(edges[::2], edges[1::2]):
             flat[i0:i1] = src[i0:i1]
-        values = stream.samples if isinstance(stream, AudioStream) else stream.frames
-        # a deep copy in which the replacement stands in for the input's array
-        out = copy.deepcopy(stream, {id(values): flat.reshape(values.shape)})
     elif mode is ForgeryMode.StripEnf:
-        out = copy.deepcopy(stream)
-        flat = sample_view(out)[0]
+        flat = src.copy()
         for si, (i0, i1) in enumerate(bounds):
             seg = src[i0:i1]
             centre = 0.0 if isinstance(stream, AudioStream) else np.mean(seg)
@@ -497,5 +502,8 @@ def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
             flat[i0:i1] = np.random.default_rng([int(seed), si]).normal(centre, sigma, i1 - i0)
     else:
         raise InvalidArgumentError(f"unknown forgery mode: {mode!r}")
+    values = stream.samples if isinstance(stream, AudioStream) else stream.frames
+    # a deep copy in which the forged values stand in for the input's array
+    out = copy.deepcopy(stream, {id(values): flat.reshape(values.shape)})
     out.forged_intervals = _merge_intervals(list(stream.forged_intervals) + segs)
     return out

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, QuorumError, _whole
+from .errors import InvalidArgumentError, QuorumError, _real, _whole
 from .media_synth import EnfSeries, GridConfig, _same_nominal, gen_enf_truth
 
 
@@ -32,10 +32,8 @@ class CommitteeConfig:
         self.f = _whole(self.f, "f", 0)
         self.d = _whole(self.d, "d", 2)
         self.K = _whole(self.K, "K, at least 2f+3,", 2 * self.f + 3)
-        if not (np.isfinite(self.round_duration_s) and self.round_duration_s > 0):
-            raise InvalidArgumentError(
-                f"round_duration_s must be finite and > 0, got {self.round_duration_s}"
-            )
+        _real(self.round_duration_s, "round_duration_s", 0)
+        _real(self.nominal_hz, "nominal_hz", 0)
 
     @property
     def vector_lo(self) -> float:
@@ -164,8 +162,7 @@ class Honest:
     noise_std: float = 0.005
 
     def __post_init__(self):
-        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise InvalidArgumentError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        _real(self.noise_std, "noise_std", 0, closed=True)
 
 
 @dataclass
@@ -177,10 +174,17 @@ class RandomVector:
 class OffsetVector:
     delta_hz: float = 1.0
 
+    def __post_init__(self):
+        _real(self.delta_hz, "delta_hz", -np.inf)
+
 
 @dataclass
 class ColludingClone:
     target_hz: Optional[float] = None  # None -> nominal_hz + 0.9
+
+    def __post_init__(self):
+        if self.target_hz is not None:
+            _real(self.target_hz, "target_hz", -np.inf)
 
 
 @dataclass
@@ -206,7 +210,7 @@ def make_transaction(behavior, truth_vals, validator_id, round_no, rng, cfg):
     return EnfTransaction(validator_id, round_no, np.clip(vec, cfg.vector_lo, cfg.vector_hi))
 
 
-# CLI behavior spec name -> class; a class with a field takes one finite argument
+# CLI behavior spec name -> class; a class with a field takes one argument, which it checks
 _BEHAVIORS = {"honest": Honest, "offset": OffsetVector, "random": RandomVector,
               "clone": ColludingClone, "silent": Silent}
 
@@ -221,10 +225,7 @@ def parse_behavior(spec: str):
         return cls()
     if not fields(cls):
         raise InvalidArgumentError(f"behavior {name!r} takes no argument, got {spec!r}")
-    value = float(arg)
-    if not np.isfinite(value):
-        raise InvalidArgumentError(f"behavior argument must be finite, got {spec!r}")
-    return cls(value)
+    return cls(float(arg))
 
 
 def consensus_round(
@@ -262,18 +263,8 @@ def consensus_round(
     views = views or {}
     distinct = {id(view): view for view in (views.get(v, pool) for v in honest_ids)}
     agreement = bool(distinct) and all(agrees(view) for view in distinct.values())
-    estar = EnfSeries(
-        start_time_s=round_no * cfg.round_duration_s,
-        step_s=cfg.round_duration_s / cfg.d,
-        values_hz=vec,
-    )
-    return RoundResult(
-        round=round_no,
-        ground_truth_id=winner,
-        ground_truth_enf=estar,
-        scores=scores,
-        honest_agreement=agreement,
-    )
+    estar = EnfSeries(round_no * cfg.round_duration_s, cfg.round_duration_s / cfg.d, vec)
+    return RoundResult(round_no, winner, estar, scores, agreement)
 
 
 def play_round(

@@ -291,11 +291,16 @@ def test_estimate_names_the_band_fault(tmp_path, small_inputs, capsys):
         # a repeated order breaks the closed-form hum power; 1e200**2 overflows float64
         ("generate", "--harmonics", "1:1.0,1:0.5"),
         ("generate", "--harmonics", "1:1e200"),
+        # a header holding a number as a JSON string
+        ("estimate", "--stream", "{inputs}/rate_str.json"),
+        ("estimate", "--stream", "{inputs}/step_str.json"),
     ],
 )
 def test_non_finite_times_and_rates_exit_2(tmp_path, small_inputs, argv):
     argv = [a.format(inputs=small_inputs) for a in argv]
-    assert run(*argv, "--out", str(tmp_path / "o")) == 2
+    out = tmp_path / "o"
+    assert run(*argv, "--out", str(out)) == 2
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("snr", ["3090", "-3240", "-800"])
@@ -383,6 +388,8 @@ def small_inputs(tmp_path_factory):
                             ("rate_0", stream, {"sample_rate_hz": 0.0}),
                             ("rate_nan", stream, {"sample_rate_hz": float("nan")}),
                             ("rate_2000", stream, {"sample_rate_hz": 2000.0}),
+                            ("rate_str", stream, {"sample_rate_hz": "1000"}),
+                            ("step_str", stream, {"truth": {**header["truth"], "step_s": "1.0"}}),
                             ("fps_0", video, {"fps": 0.0}), ("fps_50", video, {"fps": 50.0})]:
         path = root / f"{name}.json"
         save_stream(s, str(path))
@@ -520,6 +527,36 @@ def test_scenario_whole_number_given_a_fraction_exits_2(tmp_path, change, capsys
     cfgp.write_text(json.dumps({**SCENARIO, **change}))
     assert run("scenario", "--config", str(cfgp), "--out", str(tmp_path / "s")) == 2
     assert "and an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"snr_db": "20"}, "snr_db, unless +inf, must be a finite number, got '20'"),
+        ({"snr_db": None}, "snr_db, unless +inf, must be a finite number, got None"),
+        ({"sample_rate_hz": "1000"}, "sample_rate_hz must be finite and > 0, got '1000'"),
+        ({"estimator": {**SCENARIO["estimator"], "fft_size": 16384.0}},
+         "fft_size must be >= 1 and an integer, got 16384.0"),
+        ({"estimator": {**SCENARIO["estimator"], "fft_size": 12288}},
+         "fft_size must be a power of two, got 12288"),
+        ({"harmonics": [[1, "x"]]}, "harmonic amplitudes must be a finite number, got 'x'"),
+        ({"harmonics": [[1, 1.0, 2.0]]}, "harmonics must be (order, amplitude) pairs"),
+        ({"forgery_len_s": "30"}, "forgery length must be finite and > 0, got '30'"),
+    ],
+    ids=["snr-str", "snr-null", "rate-str", "fft-float", "fft-not-pow2", "amplitude-str",
+         "triple", "forgery-str"],
+)
+def test_scenario_number_of_the_wrong_kind_exits_2_before_synthesis(
+        tmp_path, monkeypatch, capsys, change, message):
+    # each field is checked where its config is built, so no truth or stream is made
+    monkeypatch.setattr(harness, "gen_enf_truth", _boom)
+    monkeypatch.setattr(harness, "embed_audio", _boom)
+    cfgp = tmp_path / "scen.json"
+    cfgp.write_text(json.dumps({**SCENARIO, **change}))
+    out = tmp_path / "s"
+    assert run("scenario", "--config", str(cfgp), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_scenario_with_disagreeing_nominal_hz_exits_2(tmp_path):

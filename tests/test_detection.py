@@ -182,6 +182,13 @@ def test_detector_config_validation():
         DetectorConfig(window_s=5.0, shift_s=5.0)
     with pytest.raises(InvalidArgumentError):
         DetectorConfig(window_s=16.0, shift_s=5.0, threshold=1.5)
+    for kw in (dict(threshold="0.8"), dict(threshold=np.nan), dict(threshold=-1.5),
+               dict(window_s="16"), dict(shift_s=None), dict(shift_s=np.nan)):
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            DetectorConfig(**kw)
+    # the threshold's bounds are a correlation's, both held
+    DetectorConfig(threshold=1.0)
+    DetectorConfig(threshold=np.float32(-1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,26 @@ def test_config_rejects_non_finite_or_non_positive(field, value):
         EstimatorConfig(**{field: value})
 
 
+@pytest.mark.parametrize("fft_size, message", [
+    (16384.0, "fft_size must be >= 1 and an integer"), ("16384", "fft_size must be >= 1"),
+    (0, "fft_size must be >= 1"), (12288, "fft_size must be a power of two, got 12288"),
+])
+def test_config_rejects_an_fft_size_that_is_not_a_whole_power_of_two(fft_size, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        EstimatorConfig(fft_size=fft_size)
+
+
+def test_config_keeps_a_whole_fft_size_as_an_int():
+    cfg = EstimatorConfig(fft_size=np.int64(16384))
+    assert cfg.fft_size == 16384 and type(cfg.fft_size) is int
+
+
+@pytest.mark.parametrize("frac", [-0.1, 1.0, np.nan, "0.5"])
+def test_config_rejects_an_overlap_outside_0_to_1(frac):
+    with pytest.raises(InvalidArgumentError, match="stft_overlap_frac must be finite"):
+        EstimatorConfig(stft_overlap_frac=frac)
+
+
 @pytest.mark.parametrize("harmonics", [(), (0, 1), (2, 2), (1.5, 2.7), (2.0,)])
 def test_config_rejects_empty_non_positive_or_repeated_harmonics(harmonics):
     with pytest.raises(InvalidArgumentError, match="harmonics must be"):

@@ -266,6 +266,30 @@ def test_corpus_rejects_forgery_bounds_it_cannot_place(kw):
 
 
 @pytest.mark.parametrize(
+    "kw, message",
+    [(dict(duration_s=np.nan), "duration_s, for forgeries up to 45.0 s, must be finite"),
+     (dict(duration_s="120"), "duration_s, for forgeries up to 45.0 s, must be finite"),
+     (dict(snr_db="10"), r"snr_db, unless \+inf, must be a finite number"),
+     (dict(snr_db=np.nan), r"snr_db, unless \+inf, must be a finite number"),
+     (dict(sample_rate_hz=None), "sample_rate_hz must be finite and > 0"),
+     (dict(harmonics=[(1, "x")]), "harmonic amplitudes must be a finite number"),
+     (dict(harmonics=[(1, 1.0), (1, 0.5)]), "harmonics must be one or more distinct")],
+)
+def test_corpus_and_scenario_check_their_hum_fields_when_built(kw, message):
+    """Checked where the config is built, before any stream is synthesized."""
+    with pytest.raises(InvalidArgumentError, match=message):
+        corpus_cfg(**kw)
+    if "duration_s" not in kw:
+        with pytest.raises(InvalidArgumentError, match=message):
+            small_scenario(**kw)
+
+
+def test_an_snr_of_plus_inf_is_noiseless_not_rejected():
+    assert corpus_cfg(snr_db=np.inf).snr_db == np.inf
+    assert small_scenario(snr_db=np.inf).snr_db == np.inf
+
+
+@pytest.mark.parametrize(
     "kw, field",
     [(dict(n_streams=4.0), "n_streams"), (dict(n_streams=-1), "n_streams"),
      (dict(seed=-1), "seed"), (dict(seed=1.5), "seed")],

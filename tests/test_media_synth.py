@@ -172,6 +172,33 @@ def test_audio_nyquist_guard():
         embed_audio(const_truth(), 1000.0, (), 20.0)
 
 
+@pytest.mark.parametrize(
+    "harmonics, message",
+    [([(1, "x")], "harmonic amplitudes must be a finite number"),
+     ([(1, None)], "harmonic amplitudes must be a finite number"),
+     ([(1, 1.0, 2.0)], r"harmonics must be \(order, amplitude\) pairs"),
+     ([1], r"harmonics must be \(order, amplitude\) pairs"),
+     (5, r"harmonics must be \(order, amplitude\) pairs")],
+    ids=["str-amplitude", "none-amplitude", "triple", "bare-order", "not-a-list"],
+)
+def test_audio_rejects_a_spec_that_is_not_real_pairs(harmonics, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        embed_audio(const_truth(), 1000.0, harmonics, 60.0)
+
+
+def test_grid_and_series_reject_numbers_of_the_wrong_kind():
+    for kw in (dict(nominal_hz="60"), dict(drift_std_hz=None), dict(max_dev_hz="0.05"),
+               dict(max_dev_hz=-np.inf)):
+        with pytest.raises(InvalidArgumentError, match=f"{next(iter(kw))}.* must be finite"):
+            GridConfig(**kw)
+    for start, step in (("0", 1.0), (0.0, "1.0"), (None, 1.0), (0.0, np.float32(np.inf))):
+        with pytest.raises(InvalidArgumentError, match="must be"):
+            EnfSeries(start, step, [60.0])
+    # numpy scalars are kept as given
+    s = EnfSeries(np.float32(0.5), np.float64(1.0), [60.0])
+    assert type(s.start_time_s) is np.float32 and type(s.step_s) is np.float64
+
+
 @pytest.mark.parametrize("harmonics", [[(1.5, 1.0)], [(2.0, 1.0)], [(1, 1.0), (1, 0.5)]],
                          ids=["fraction", "float", "repeated"])
 def test_audio_rejects_orders_that_are_not_distinct_whole_numbers(harmonics):

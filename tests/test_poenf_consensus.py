@@ -414,6 +414,19 @@ def test_clone_scalar_target_broadcasts():
         make_transaction("clone", np.zeros(8), 3, 0, rng, cfg)
 
 
+def test_committee_and_behaviors_reject_numbers_of_the_wrong_kind():
+    for kw in (dict(nominal_hz=np.nan), dict(nominal_hz="60"), dict(nominal_hz=0.0),
+               dict(round_duration_s="60")):
+        with pytest.raises(InvalidArgumentError, match=f"{next(iter(kw))} must be finite"):
+            CommitteeConfig(K=5, f=1, d=4, **kw)
+    for behavior in (lambda: OffsetVector("1"), lambda: OffsetVector(np.inf),
+                     lambda: ColludingClone(np.nan), lambda: ColludingClone("60.9"),
+                     lambda: Honest(None)):
+        with pytest.raises(InvalidArgumentError, match="must be (finite|a finite number)"):
+            behavior()
+    assert ColludingClone().target_hz is None and OffsetVector(-2).delta_hz == -2
+
+
 def test_committee_config_quorum_arithmetic():
     CommitteeConfig(K=9, f=3, d=4)  # exactly 2f+3
     with pytest.raises(InvalidArgumentError):
