@@ -25,7 +25,8 @@ scenario config or input file that breaks either exits 2 before any synthesis or
 estimation, as does a scenario config whose nested configs name unknown fields or
 miss required ones or whose top level is not a JSON object, a detect --shift
 shorter than the step of the series it reads, and a stream whose truth does not
-span its payload.
+span its payload. A parsed stream header or ENF CSV row that breaks the format
+``stream_io`` writes exits 2; a file that cannot be opened or is not JSON exits 3.
 """
 
 from __future__ import annotations
@@ -98,11 +99,6 @@ def _given(args, cls):
     return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name in args}
 
 
-def _write_jsonl(records, path):
-    with open(path, "w") as fh:
-        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
-
-
 def _round_record(rr, **extra):
     return {"round": rr.round, "ground_truth_id": rr.ground_truth_id,
             "honest_agreement": rr.honest_agreement, **extra}
@@ -112,15 +108,11 @@ def cmd_generate(args):
     grid = GridConfig(**_given(args, GridConfig))
     truth = gen_enf_truth(grid, args.duration, args.truth_step)
     if args.kind == "audio":
-        stream = embed_audio(
-            truth, args.sample_rate, args.harmonics, args.snr,
-            seed=args.seed + 1, grid=grid,
-        )
+        stream = embed_audio(truth, args.sample_rate, args.harmonics, args.snr,
+                             seed=args.seed + 1, grid=grid)
     else:
-        stream = embed_video(
-            truth, args.fps, args.height, args.snr,
-            seed=args.seed + 1, mod_depth=args.mod_depth, grid=grid,
-        )
+        stream = embed_video(truth, args.fps, args.height, args.snr, seed=args.seed + 1,
+                             mod_depth=args.mod_depth, grid=grid)
     # one call per mode, in order of first mention: StripEnf draws are numbered
     # per segment and ReplaceEnf resynthesizes once
     for mode in dict.fromkeys(mode for _, _, mode in args.forge):
@@ -144,12 +136,11 @@ def cmd_consensus_sim(args):
     cfg = CommitteeConfig(**_given(args, CommitteeConfig))
     observers = [Honest(**_given(args, Honest)) for _ in range(cfg.K - cfg.f)]
     observers += [dataclasses.replace(args.behavior) for _ in range(cfg.f)]
-    grid = GridConfig(seed=args.seed)
-    results, summary = simulate_rounds(grid, observers, cfg, rounds=args.rounds, seed=args.seed)
-    _write_jsonl(
-        (_round_record(rr, scores={str(k): v for k, v in rr.scores.items()})
-         for rr in results),
+    # run_round reseeds the grid with [seed, round_no]
+    results, summary = simulate_rounds(GridConfig(), observers, cfg, args.rounds, args.seed)
+    stream_io.save_jsonl(
         os.path.join(args.out, "rounds.jsonl"),
+        (_round_record(rr, scores={str(k): v for k, v in rr.scores.items()}) for rr in results),
     )
     stream_io.dump_json(summary, os.path.join(args.out, "summary.json"))
     return 0
@@ -169,10 +160,9 @@ def cmd_detect(args):
     truth = stream_io.load_enf_csv(args.truth)
     rep = sliding_window_detect(local, truth, DetectorConfig(**_given(args, DetectorConfig)))
     stream_io.dump_json(_report_to_dict(rep), os.path.join(args.out, "report.json"))
-    with open(os.path.join(args.out, "windows.csv"), "w") as fh:
-        fh.write("start_s,end_s,corr,verdict\n")
-        for w in rep.windows:
-            fh.write(f"{w.start_s!r},{w.end_s!r},{w.corr!r},{w.verdict.value}\n")
+    stream_io.save_csv(os.path.join(args.out, "windows.csv"),
+                       ("start_s", "end_s", "corr", "verdict"),
+                       ((w.start_s, w.end_s, w.corr, w.verdict.value) for w in rep.windows))
     return 0
 
 
@@ -202,11 +192,9 @@ def cmd_scenario(args):
         cfg = dataclasses.replace(cfg, seed=args.seed)
     res = harness.run_scenario(cfg)
     stream_io.dump_json(res["summary"], os.path.join(args.out, "summary.json"))
-    stream_io.dump_json(
-        {str(p): _report_to_dict(rep) for p, rep in res["reports"].items()},
-        os.path.join(args.out, "reports.json"),
-    )
-    _write_jsonl(map(_round_record, res["rounds"]), os.path.join(args.out, "rounds.jsonl"))
+    stream_io.dump_json({str(p): _report_to_dict(rep) for p, rep in res["reports"].items()},
+                        os.path.join(args.out, "reports.json"))
+    stream_io.save_jsonl(os.path.join(args.out, "rounds.jsonl"), map(_round_record, res["rounds"]))
     return 0
 
 
@@ -234,10 +222,8 @@ def cmd_roc(args):
         ],
         os.path.join(args.out, "roc.json"),
     )
-    with open(os.path.join(args.out, "auc.csv"), "w") as fh:
-        fh.write("window_s,auc\n")
-        for row in table:
-            fh.write(f"{row['window_s']!r},{row['auc']!r}\n")
+    stream_io.save_csv(os.path.join(args.out, "auc.csv"), ("window_s", "auc"),
+                       ((row["window_s"], row["auc"]) for row in table))
     return 0
 
 
@@ -348,7 +334,7 @@ def main(argv=None):
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # any other failure, unreadable or corrupt inputs included
+    except Exception as exc:  # any other failure, an unopenable or non-JSON input included
         print(f"pipeline error: {exc}", file=sys.stderr)
         return 3
 

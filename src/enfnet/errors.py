@@ -1,8 +1,9 @@
-"""The package's one error for bad input, and the whole-number and real-number rules.
+"""The package's one error for bad input, and the whole-number, real-number and seed rules.
 
 The CLI exit contract: an InvalidArgumentError, raised for a bad argument,
 config field or input file, exits 2; any other exception is a failure inside
-a well-configured pipeline and exits 3.
+a well-configured pipeline and exits 3. A seed is what numpy seeds a generator
+from without truncating it: a whole number >= 0 or a non-empty list of them.
 """
 
 import math
@@ -32,6 +33,14 @@ def _whole(value, name: str, low: int) -> int:
     if n is None or n < low:
         raise InvalidArgumentError(f"{name} must be >= {low} and an integer, got {value!r}")
     return n
+
+
+def _seed(value):
+    """value as numpy seeds a generator from it: a whole number >= 0, as an int, or a
+    non-empty list or tuple of them, as a list."""
+    if isinstance(value, (list, tuple)) and value:
+        return [_whole(v, "seed", 0) for v in value]
+    return _whole(value, "seed", 0)
 
 
 def _real(value, name: str, low: float, *, closed: bool = False):

@@ -19,7 +19,6 @@ from .detection import DetectorConfig, Verdict, roc_curve, sliding_window_detect
 from .enf_estimation import EstimatorConfig, estimate_enf
 from .errors import InvalidArgumentError, _real, _whole
 from .media_synth import (
-    AudioStream,
     EnfSeries,
     ForgeryMode,
     GridConfig,

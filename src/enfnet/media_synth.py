@@ -44,7 +44,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, _real, _whole
+from .errors import InvalidArgumentError, _real, _seed, _whole
 
 
 @dataclass
@@ -58,6 +58,7 @@ class GridConfig:
 
     def __post_init__(self):
         # checked before any draw; max_dev_hz = +inf is an unclamped walk
+        self.seed = _seed(self.seed)
         _real(self.nominal_hz, "nominal_hz", 0)
         _real(self.drift_std_hz, "drift_std_hz", 0, closed=True)
         if self.max_dev_hz != np.inf:
@@ -307,9 +308,7 @@ def _provenance(grid: GridConfig | None, snr_db: float, seed, **kind_keys) -> di
     """A stream's meta: the generating grid, snr_db, seed and the kind-specific keys."""
     g = grid if grid is not None else GridConfig()
     meta = {k: getattr(g, k) for k in _GRID_KEYS}
-    meta.update(
-        snr_db=float(snr_db), seed=seed if isinstance(seed, int) else list(seed), **kind_keys
-    )
+    meta.update(snr_db=float(snr_db), seed=seed, **kind_keys)
     return meta
 
 
@@ -356,6 +355,7 @@ def embed_audio(
     grid (optional) records the generating process so forgeries can
     re-synthesize matching content.
     """
+    seed = _seed(seed)
     orders, amps = _harmonic_spec(harmonics)
     n = _span(truth, sample_rate_hz, "sample_rate_hz")
     if sample_rate_hz <= 2.0 * max(orders) * float(np.max(truth.values_hz)):
@@ -393,6 +393,7 @@ def embed_video(
     mean luma of _BASE_LUMA. The flicker is evaluated in float32 and added to
     _BASE_LUMA in float64: float32 holds luma near 100 only to steps of 7.6e-6.
     """
+    seed = _seed(seed)
     n_frames = _span(truth, fps, "fps")
     frame_height = _whole(frame_height, "frame_height", 1)
     ac_amp = 0.5 * mod_depth * _BASE_LUMA
@@ -455,14 +456,14 @@ def _resynthesize(stream, seed) -> np.ndarray:
                if k not in meta]
     if missing:
         raise InvalidArgumentError(f"ReplaceEnf needs provenance; meta lacks {missing}")
-    grid = GridConfig(seed=[int(seed), 0x5EED], **{k: meta[k] for k in _GRID_KEYS})
+    grid = GridConfig(seed=[seed, 0x5EED], **{k: meta[k] for k in _GRID_KEYS})
     alt_truth = gen_enf_truth(grid, stream.truth.duration_s, stream.truth.step_s)
     if audio:
         alt = embed_audio(alt_truth, stream.sample_rate_hz, meta["harmonics"], meta["snr_db"],
-                          seed=int(seed) + 1, grid=grid)
+                          seed=seed + 1, grid=grid)
     else:
         alt = embed_video(alt_truth, stream.fps, stream.frame_height, meta["snr_db"],
-                          seed=int(seed) + 1, mod_depth=meta["mod_depth"], grid=grid)
+                          seed=seed + 1, mod_depth=meta["mod_depth"], grid=grid)
     return sample_view(alt)[0]
 
 
@@ -482,6 +483,7 @@ def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
     the replacement, which becomes the output's array; StripEnf adds
     segment-sized draws.
     """
+    seed = _whole(seed, "seed", 0)
     segs = _check_segments(segments, stream.duration_s)
     if not segs:
         return copy.deepcopy(stream)
@@ -499,7 +501,7 @@ def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
             seg = src[i0:i1]
             centre = 0.0 if isinstance(stream, AudioStream) else np.mean(seg)
             sigma = np.sqrt(np.mean((seg - centre) ** 2))
-            flat[i0:i1] = np.random.default_rng([int(seed), si]).normal(centre, sigma, i1 - i0)
+            flat[i0:i1] = np.random.default_rng([seed, si]).normal(centre, sigma, i1 - i0)
     else:
         raise InvalidArgumentError(f"unknown forgery mode: {mode!r}")
     values = stream.samples if isinstance(stream, AudioStream) else stream.frames

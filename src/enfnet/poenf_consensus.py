@@ -311,7 +311,7 @@ def run_round(
     once and honest_agreement compares each honest selection with E*.
     """
     _same_nominal(grid=grid, committee=cfg)
-    round_seed = [int(seed), int(round_no)]
+    round_seed = [_whole(seed, "seed", 0), _whole(round_no, "round_no", 0)]
     step = cfg.round_duration_s / cfg.d
     truth = gen_enf_truth(replace(grid, seed=round_seed), cfg.round_duration_s, step)
     return play_round(observers, [truth.values_hz] * cfg.K, cfg, round_no, round_seed)

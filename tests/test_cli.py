@@ -353,6 +353,67 @@ def test_missing_input_exits_3(tmp_path):
                "--out", str(tmp_path / "o")) == 3
 
 
+@pytest.fixture(scope="module")
+def saved_streams(tmp_path_factory):
+    """A 20 s 1 kHz audio stream and a 4 s 25 fps x 16-row video stream, as generate writes them."""
+    root = tmp_path_factory.mktemp("saved")
+    assert run("generate", "--duration", "20", "--sample-rate", "1000", "--out",
+               str(root / "audio")) == 0
+    assert run("generate", "--kind", "video", "--duration", "4", "--height", "16", "--out",
+               str(root / "video")) == 0
+    return root
+
+
+def _without(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        ("audio", lambda h: {**h, "n_samples": 20000.9}),
+        ("audio", lambda h: {**h, "n_samples": "20000"}),
+        ("audio", lambda h: {**h, "n_samples": "x"}),
+        ("audio", _without("kind")),
+        ("audio", _without("truth")),
+        ("video", lambda h: {**h, "frame_height": 16.0}),
+        ("video", _without("n_frames")),
+        ("audio", lambda h: {**h, "truth": {**h["truth"], "values_hz": list(
+            map(str, h["truth"]["values_hz"]))}}),
+        ("audio", lambda h: {**h, "forged_intervals": [["a", 1]]}),
+        ("audio", lambda h: [h]),
+        ("audio", lambda h: {**h, "meta": [h["meta"]]}),
+    ],
+    ids=["n_samples-fraction", "n_samples-str", "n_samples-x", "no-kind", "no-truth",
+         "frame_height-float", "no-n_frames", "values_hz-str", "forged_intervals-str",
+         "header-list", "meta-list"],
+)
+def test_malformed_stream_header_exits_2_before_estimation(
+    tmp_path, monkeypatch, capsys, saved_streams, kind, edit
+):
+    """A header that parses as JSON but breaks the format save_stream writes is bad
+    input: it exits 2, and nothing is estimated (that would exit 3 here) or written."""
+    monkeypatch.setattr(cli, "estimate_enf", _boom)
+    header = json.loads((saved_streams / kind / "stream.json").read_text())
+    path = tmp_path / "stream.json"
+    path.write_text(json.dumps(edit(header)))
+    (tmp_path / "stream.f32").write_bytes((saved_streams / kind / "stream.f32").read_bytes())
+    out = tmp_path / "o"
+    assert run("estimate", "--stream", str(path), "--out", str(out)) == 2
+    assert not (out / "enf.csv").exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unreadable_stream_files_exit_3(tmp_path, saved_streams):
+    """A header that is not JSON, or a payload that is not there, cannot be read at all."""
+    path = tmp_path / "stream.json"
+    path.write_text((saved_streams / "audio" / "stream.json").read_text()[:-20])
+    assert run("estimate", "--stream", str(path), "--out", str(tmp_path / "o")) == 3
+    path.write_text((saved_streams / "audio" / "stream.json").read_text())
+    assert not (tmp_path / "stream.f32").exists()
+    assert run("estimate", "--stream", str(path), "--out", str(tmp_path / "o")) == 3
+
+
 SCENARIO = {
     "participants": 5,
     "deepfaked_participants": [4],

@@ -199,6 +199,43 @@ def test_grid_and_series_reject_numbers_of_the_wrong_kind():
     assert type(s.start_time_s) is np.float32 and type(s.step_s) is np.float64
 
 
+def _boom(*args, **kwargs):
+    raise RuntimeError("synthesized")
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, [1, -1], []], ids=["negative", "fraction",
+                                                               "negative-in-list", "empty"])
+def test_seeds_are_checked_before_any_draw_or_synthesis(seed, monkeypatch):
+    with pytest.raises(InvalidArgumentError, match="seed must be"):
+        GridConfig(seed=seed)
+    monkeypatch.setattr(media_synth, "_synthesize", _boom)
+    with pytest.raises(InvalidArgumentError, match="seed must be"):
+        embed_audio(const_truth(), 1000.0, [(1, 1.0)], 20.0, seed=seed)
+    with pytest.raises(InvalidArgumentError, match="seed must be"):
+        embed_video(const_truth(), 25.0, 16, 20.0, seed=seed)
+
+
+def test_numpy_integer_seeds_synthesize_as_ints():
+    grid = GridConfig(seed=np.int64(3))
+    assert grid.seed == 3 and type(grid.seed) is int
+    truth = gen_enf_truth(grid, 10.0, 1.0)
+    same = gen_enf_truth(GridConfig(seed=3), 10.0, 1.0)
+    assert truth.values_hz.tobytes() == same.values_hz.tobytes()
+    for embed, args in ((embed_audio, (1000.0, [(1, 1.0)], 20.0)), (embed_video, (25.0, 16, 20.0))):
+        a, b = embed(truth, *args, seed=np.int64(3)), embed(truth, *args, seed=3)
+        assert sample_view(a)[0].tobytes() == sample_view(b)[0].tobytes()
+        assert a.meta == b.meta and a.meta["seed"] == 3
+
+
+@pytest.mark.parametrize("mode", list(ForgeryMode))
+def test_forge_segments_rejects_a_seed_that_is_not_whole(mode):
+    grid = GridConfig(seed=2)
+    stream = embed_audio(gen_enf_truth(grid, 10.0, 1.0), 1000.0, [(1, 1.0)], 20.0, grid=grid)
+    for seed in (2.7, -1, "2"):
+        with pytest.raises(InvalidArgumentError, match="seed must be"):
+            forge_segments(stream, [(2.0, 4.0)], mode, seed=seed)
+
+
 @pytest.mark.parametrize("harmonics", [[(1.5, 1.0)], [(2.0, 1.0)], [(1, 1.0), (1, 0.5)]],
                          ids=["fraction", "float", "repeated"])
 def test_audio_rejects_orders_that_are_not_distinct_whole_numbers(harmonics):

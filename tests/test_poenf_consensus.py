@@ -249,6 +249,12 @@ def test_round_rejects_too_many_byzantines():
         run_round(GridConfig(seed=1), [Honest()] * 4, CFG, seed=3)  # wrong K
 
 
+def test_round_rejects_a_seed_or_round_that_is_not_whole():
+    for kw in (dict(seed=1.5), dict(seed=-1), dict(seed=1, round_no=0.5)):
+        with pytest.raises(InvalidArgumentError, match="must be >= 0 and an integer"):
+            run_round(GridConfig(), [Honest()] * 5, CFG, **kw)
+
+
 def test_round_rejects_a_grid_of_another_nominal():
     # a 50 Hz grid voted on in the 60 +- 1 Hz window clips every proof to 59 Hz
     with pytest.raises(InvalidArgumentError, match="nominal_hz"):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,60 @@ def test_enf_csv_rejects_garbage(tmp_path):
     p.write_text("time_s,freq_hz\n4.0,60.01\n")
     with pytest.raises(InvalidArgumentError, match="one row holds no step"):
         load_enf_csv(str(p))
+
+
+@pytest.mark.parametrize("row", ["abc,60.0", "4.5,60.0,1.0", "4.5"],
+                         ids=["not-a-number", "three-columns", "one-column"])
+def test_enf_csv_rejects_a_row_that_is_not_two_numbers(tmp_path, row):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"time_s,freq_hz\n4.0,60.01\n{row}\n5.0,60.02\n")
+    with pytest.raises(InvalidArgumentError, match="rows of two numbers"):
+        load_enf_csv(str(p))
+
+
+def test_enf_csv_header_only_raises_without_a_warning(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_text("time_s,freq_hz\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="fewer than two rows"):
+            load_enf_csv(str(p))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"n_samples": 5000.5}, "n_samples must be >= 0 and an integer, got 5000.5"),
+        ({"kind": None}, "unknown stream kind: None"),
+        ({"meta": "x"}, "meta must be an object"),
+        ({"truth": {"start_time_s": 0.0, "step_s": 1.0, "values_hz": ["60"] * 5}},
+         "truth values_hz must be a finite number, got '60'"),
+        ({"truth": None}, "malformed stream header: TypeError"),
+        ({"forged_intervals": [[1.0, 2.0, 3.0]]}, "malformed stream header: ValueError"),
+    ],
+    ids=["n_samples-fraction", "kind-null", "meta-str", "values_hz-str", "truth-null",
+         "interval-of-three"],
+)
+def test_load_stream_reads_the_header_by_the_package_rules(tmp_path, edit, message):
+    grid = GridConfig(seed=1)
+    stream = embed_audio(gen_enf_truth(grid, 5.0, 1.0), 1000.0, [(1, 1.0)], 20.0, grid=grid)
+    path = tmp_path / "a.json"
+    save_stream(stream, str(path))
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    with pytest.raises(InvalidArgumentError, match=message):
+        load_stream(str(path))
+
+
+def test_load_stream_defaults_the_optional_keys(tmp_path):
+    grid = GridConfig(seed=1)
+    stream = embed_audio(gen_enf_truth(grid, 5.0, 1.0), 1000.0, [(1, 1.0)], 20.0, grid=grid)
+    path = tmp_path / "a.json"
+    save_stream(stream, str(path))
+    header = json.loads(path.read_text())
+    del header["meta"], header["forged_intervals"]
+    path.write_text(json.dumps(header))
+    back = load_stream(str(path))
+    assert back.meta == {} and back.forged_intervals == []
 
 
 def test_load_stream_rejects_truncated_audio_payload(tmp_path):
