@@ -1,15 +1,19 @@
 """Deepfake detection by sliding-window ENF correlation.
 
 A participant's local ENF estimate is compared window-by-window against the
-consensus ground truth; windows whose Pearson correlation falls below the
-threshold are flagged Fake and consecutive Fake windows are merged into
-localized forged intervals. Also provides the ROC utility.
+consensus ground truth. One array pass slices every window of both series and
+scores each row pair by one Pearson rule, of which ``correlation`` is the
+one-window case; a window constant on either side reads exactly 0. Windows
+whose correlation falls below the threshold are flagged Fake and consecutive
+Fake windows are merged into localized forged intervals. Also provides the
+ROC utility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -55,21 +59,30 @@ class DetectionReport:
         return Verdict.Fake if self.forged_intervals else Verdict.Genuine
 
 
-def correlation(a, b) -> float:
-    """Pearson correlation coefficient of two equal-length segments.
+def _pearson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pearson correlation of each row pair of two equal-shape (..., n) arrays. A row
+    constant on either side (exactly: its centred values all equal) carries no
+    fingerprint information and reads 0."""
+    a = a - a.mean(axis=-1, keepdims=True)
+    b = b - b.mean(axis=-1, keepdims=True)
+    flat = (np.ptp(a, axis=-1) == 0) | (np.ptp(b, axis=-1) == 0)
+    ab, aa, bb = (np.einsum("...i,...i->...", x, y) for x, y in ((a, b), (a, a), (b, b)))
+    r = np.divide(ab, np.sqrt(aa) * np.sqrt(bb), out=np.zeros_like(ab), where=~flat)
+    return np.clip(r, -1.0, 1.0)
 
-    Degenerate constant segments (zero variance on either side) carry no
-    fingerprint information and map to 0.
-    """
+
+def correlation(a, b) -> float:
+    """Pearson correlation coefficient of two equal-length segments: the
+    one-window case of the rule sliding_window_detect scores windows by."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise InvalidArgumentError(f"length mismatch: {a.shape} vs {b.shape}")
     if a.ndim != 1 or len(a) < 3:
         raise InvalidArgumentError("segments must be 1-D with length >= 3")
-    if np.std(a) == 0.0 or np.std(b) == 0.0:
-        return 0.0
-    return float(np.clip(np.corrcoef(a, b)[0, 1], -1.0, 1.0))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidArgumentError("segments must be finite")
+    return float(_pearson(a, b))
 
 
 def merge_fake_windows(
@@ -84,22 +97,17 @@ def merge_fake_windows(
     reasoning trims the tail (step_s is the estimate spacing).
     """
     intervals: List[Tuple[float, float]] = []
-    i = 0
-    while i < len(windows):
-        if windows[i].verdict is Verdict.Fake:
-            j = i
-            while j + 1 < len(windows) and windows[j + 1].verdict is Verdict.Fake:
-                j += 1
-            start = windows[i].start_s + (cfg.window_s - cfg.shift_s)
-            end = windows[j].start_s + cfg.shift_s - step_s
-            if start >= end:
-                # run too short to trim; report a centered shift-wide interval
-                mid = (windows[i].start_s + windows[j].start_s + cfg.window_s) / 2.0
-                start, end = mid - cfg.shift_s / 2.0, mid + cfg.shift_s / 2.0
-            intervals.append((start, end))
-            i = j + 1
-        else:
-            i += 1
+    for verdict, run in groupby(windows, key=lambda w: w.verdict):
+        if verdict is not Verdict.Fake:
+            continue
+        run = list(run)
+        start = run[0].start_s + (cfg.window_s - cfg.shift_s)
+        end = run[-1].start_s + cfg.shift_s - step_s
+        if start >= end:
+            # run too short to trim; report a centered shift-wide interval
+            mid = (run[0].start_s + run[-1].start_s + cfg.window_s) / 2.0
+            start, end = mid - cfg.shift_s / 2.0, mid + cfg.shift_s / 2.0
+        intervals.append((start, end))
     return intervals
 
 
@@ -119,19 +127,20 @@ def sliding_window_detect(
     if n * step < cfg.window_s:
         raise InvalidArgumentError("series shorter than one detection window")
     w_len = int(round(cfg.window_s / step))
-    windows: List[WindowVerdict] = []
-    m = 0
-    while True:
-        si = int(round(m * cfg.shift_s / step))
-        if si + w_len > n:
-            break
-        c = correlation(local.values_hz[si : si + w_len], truth.values_hz[si : si + w_len])
-        verdict = Verdict.Fake if c < cfg.threshold else Verdict.Genuine
-        # report the times of the samples read, not m * shift_s: the two
-        # differ when step does not divide the shift
-        t0 = local.start_time_s + si * step
-        windows.append(WindowVerdict(t0, t0 + w_len * step, c, verdict))
-        m += 1
+    if w_len < 3:
+        raise InvalidArgumentError(
+            f"window_s={cfg.window_s} holds {w_len} samples at the series step {step} s;"
+            " a window needs >= 3")
+    si = np.round(np.arange(n) * cfg.shift_s / step)
+    si = si[si + w_len <= n]
+    a, b = (np.lib.stride_tricks.sliding_window_view(x.values_hz[:n], w_len)[si.astype(int)]
+            for x in (local, truth))
+    # report the times of the samples read, not m * shift_s: the two differ
+    # when step does not divide the shift
+    t0 = local.start_time_s + si * step
+    corrs = _pearson(a, b).tolist()
+    windows = [WindowVerdict(s, e, c, Verdict.Fake if c < cfg.threshold else Verdict.Genuine)
+               for s, e, c in zip(t0.tolist(), (t0 + w_len * step).tolist(), corrs)]
     return DetectionReport(windows, merge_fake_windows(windows, cfg, step))
 
 
@@ -146,6 +155,8 @@ def roc_curve(genuine_scores, fake_scores):
     f = np.asarray(fake_scores, dtype=float)
     if len(g) == 0 or len(f) == 0:
         raise InvalidArgumentError("both score lists must be non-empty")
+    if not (np.isfinite(g).all() and np.isfinite(f).all()):
+        raise InvalidArgumentError("scores must be finite")
     thresholds = np.concatenate([np.unique(np.concatenate([g, f])), [np.inf]])
     points = [(float(t), float(np.mean(f < t)), float(np.mean(g < t))) for t in thresholds]
     _, tprs, fprs = np.array(points).T

@@ -8,10 +8,10 @@ import json
 import numpy as np
 import pytest
 
-from enfnet import cli, embed_video, harness
+from enfnet import EnfSeries, cli, embed_video, harness
 from enfnet.cli import main
 from enfnet.enf_estimation import estimate_enf
-from enfnet.stream_io import load_enf_csv, load_stream, save_stream
+from enfnet.stream_io import load_enf_csv, load_stream, save_enf_csv, save_stream
 
 
 def run(*argv):
@@ -114,6 +114,15 @@ def test_detect_flow_and_exit_codes(tmp_path):
         "detect", "--local", str(est / "enf.csv"), "--truth", str(gen / "truth.csv"),
         "--out", str(tmp_path / "d2"),
     ) == 2
+
+
+def test_detect_names_a_window_under_three_samples(tmp_path, capsys):
+    csv = str(tmp_path / "enf.csv")
+    save_enf_csv(EnfSeries(0.0, 1.0, 60.0 + 0.01 * np.sin(np.arange(30.0))), csv)
+    assert run("detect", "--local", csv, "--truth", csv, "--window", "2", "--shift", "1",
+               "--out", str(tmp_path / "d")) == 2
+    err = capsys.readouterr().err
+    assert "window_s=2.0 holds 2 samples at the series step 1.0 s; a window needs >= 3" in err
 
 
 def test_consensus_sim_outputs(tmp_path):

@@ -1,5 +1,8 @@
-"""Detector tests: exact correlation identities, window bookkeeping, interval
-merging, and ROC arithmetic against hand-computable score sets."""
+"""Detector tests: exact correlation identities, window bookkeeping, the array
+pass against a per-window loop, interval merging, and ROC arithmetic against
+hand-computable score sets."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +52,25 @@ def test_correlation_degenerate_and_errors():
         correlation(x[:2], x[:2])
     with pytest.raises(InvalidArgumentError):
         correlation(np.ones((2, 3)), np.ones((2, 3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            correlation(x, np.array([1.0, bad, 3.0]))
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            correlation(np.array([bad, 2.0, 3.0]), x)
+
+
+def test_correlation_of_a_constant_segment_is_exactly_zero():
+    """The mean of a constant need not equal it in floating point, so a
+    variance test done in floating point lets a constant through (np.std of
+    53 copies of 60.05 is 2e-14); constancy is tested exactly."""
+    rng = np.random.default_rng(0)
+    for n, level in ((53, 60.05), (3, 59.95), (12, 60.05)):
+        flat = np.full(n, level)
+        for _ in range(5):
+            b = 60.0 + rng.normal(0, 0.01, n)
+            assert correlation(b, flat) == 0.0
+            assert correlation(flat, b) == 0.0
+        assert correlation(flat, flat) == 0.0
 
 
 @settings(max_examples=80, deadline=None)
@@ -123,6 +145,57 @@ def test_detect_threshold_floor_never_flags():
     cfg = DetectorConfig(window_s=16.0, shift_s=5.0, threshold=-1.0)
     rep = sliding_window_detect(a, b, cfg)
     assert rep.overall_verdict is Verdict.Genuine
+
+
+def test_detect_scores_a_flat_reference_stretch_exactly_zero():
+    """The clamped grid pins the reference at nominal + max_dev_hz for a while:
+    every window wholly inside such a stretch reads 0 and flags Fake."""
+    rng = np.random.default_rng(4)
+    truth = 60.0 + np.cumsum(rng.normal(0, 0.005, 120))
+    truth[40:80] = 60.05
+    local = truth + rng.normal(0, 0.0005, 120)
+    cfg = DetectorConfig(window_s=12.0, shift_s=4.0)
+    rep = sliding_window_detect(series(local), series(truth), cfg)
+    inside = [w for w in rep.windows if 40.0 <= w.start_s and w.end_s <= 80.0]
+    assert len(inside) == 8
+    assert all(w.corr == 0.0 and w.verdict is Verdict.Fake for w in inside)
+
+
+def reference_windows(local, truth, cfg):
+    """One np.corrcoef call per window, read at round(m * shift_s / step):
+    the per-window loop the array pass replaces."""
+    step, n = local.step_s, min(len(local), len(truth))
+    w_len = int(round(cfg.window_s / step))
+    out, m = [], 0
+    while (si := int(round(m * cfg.shift_s / step))) + w_len <= n:
+        a, b = local.values_hz[si : si + w_len], truth.values_hz[si : si + w_len]
+        t0 = local.start_time_s + si * step
+        out.append((t0, t0 + w_len * step, float(np.corrcoef(a, b)[0, 1])))
+        m += 1
+    return out
+
+
+@pytest.mark.parametrize("step", [1.0, 0.5, 0.3, 1 / 3, 0.37])
+@pytest.mark.parametrize("shift", [1.0, 2.0, 5.0, 1.7])
+def test_array_pass_matches_a_per_window_loop(step, shift):
+    rng = np.random.default_rng(int(step * 1000 + shift * 10))
+    n = int(round(150.0 / step))
+    truth = 60.0 + np.cumsum(rng.normal(0, 0.01, n))
+    local = truth + rng.normal(0, 0.004, n)
+    local[n // 3 : n // 2] = 60.0 + np.cumsum(rng.normal(0, 0.01, n // 2 - n // 3))  # splice
+    local_s, truth_s = series(local, step, 2.0), series(truth, step, 2.0)
+    cfg = DetectorConfig(window_s=16.0, shift_s=shift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = sliding_window_detect(local_s, truth_s, cfg)
+        ref = reference_windows(local_s, truth_s, cfg)
+    assert len(rep.windows) == len(ref)
+    assert {w.verdict for w in rep.windows} == {Verdict.Fake, Verdict.Genuine}
+    for w, (t0, t1, c) in zip(rep.windows, ref):
+        assert (w.start_s, w.end_s) == (t0, t1)
+        assert w.corr == pytest.approx(c, abs=1e-12)
+        if abs(c - cfg.threshold) > 1e-12:
+            assert w.verdict is (Verdict.Fake if c < cfg.threshold else Verdict.Genuine)
 
 
 def test_detect_rejects_misaligned_series():
@@ -248,6 +321,16 @@ def test_roc_rejects_empty_classes():
         roc_curve([], [0.1])
     with pytest.raises(InvalidArgumentError):
         roc_curve([0.9], [])
+
+
+def test_roc_rejects_non_finite_scores():
+    """A NaN score is below no threshold, +inf included, so the sweep would
+    never flag it: [0.9, nan] against [0.1] read AUC 0.25."""
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            roc_curve([0.9, bad], [0.1])
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            roc_curve([0.9], [bad, 0.1])
 
 
 def test_report_verdict_is_fake_iff_an_interval_was_flagged():
