@@ -164,7 +164,7 @@ def _at_working_rate(x: np.ndarray, rate_hz: float, cfg: EstimatorConfig):
 
 def preprocess_audio(a: AudioStream, cfg: EstimatorConfig) -> Tuple[np.ndarray, float]:
     """The samples at the working rate: (samples, rate_hz)."""
-    return _at_working_rate(np.asarray(a.samples, dtype=float), a.sample_rate_hz, cfg)
+    return _at_working_rate(a.samples, a.sample_rate_hz, cfg)
 
 
 def video_row_signal(v: VideoLumaStream) -> Tuple[np.ndarray, float]:
@@ -175,8 +175,7 @@ def video_row_signal(v: VideoLumaStream) -> Tuple[np.ndarray, float]:
 
     Returns (samples, rate_hz).
     """
-    frames = np.asarray(v.frames, dtype=float)
-    resid = frames - frames.mean(axis=0, keepdims=True)
+    resid = v.frames - v.frames.mean(axis=0, keepdims=True)
     return resid.reshape(-1), v.fps * v.frame_height
 
 

@@ -113,6 +113,16 @@ def _span(truth: EnfSeries, rate_hz: float, name: str) -> int:
     return int(round(truth.duration_s * _real(rate_hz, name, 0)))
 
 
+def _values(values, ndim: int, truth: EnfSeries, rate_hz, rate_field: str, name: str):
+    """A record's values as float64 in C order, of ndim axes, the first spanning truth."""
+    arr = np.asarray(values, dtype=float, order="C")
+    if arr.ndim != ndim:
+        raise InvalidArgumentError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if len(arr) != (n := _span(truth, rate_hz, rate_field)):
+        raise InvalidArgumentError(f"truth spans {n} {name}, the stream {len(arr)}")
+    return arr
+
+
 class ForgeryMode(Enum):
     ReplaceEnf = "ReplaceEnf"
     StripEnf = "StripEnf"
@@ -129,11 +139,8 @@ class AudioStream:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if np.ndim(self.samples) != 1:
-            raise InvalidArgumentError(f"samples must be 1-D, got shape {np.shape(self.samples)}")
-        n = _span(self.truth, self.sample_rate_hz, "sample_rate_hz")
-        if len(self.samples) != n:
-            raise InvalidArgumentError(f"truth spans {n} samples, the stream {len(self.samples)}")
+        self.samples = _values(self.samples, 1, self.truth, self.sample_rate_hz,
+                               "sample_rate_hz", "samples")
 
     @property
     def duration_s(self) -> float:
@@ -152,13 +159,7 @@ class VideoLumaStream:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # sample_view flattens frames without a copy, which needs C order
-        self.frames = np.ascontiguousarray(self.frames)
-        if self.frames.ndim != 2:
-            raise InvalidArgumentError(f"frames must be 2-D, got shape {self.frames.shape}")
-        n = _span(self.truth, self.fps, "fps")
-        if len(self.frames) != n:
-            raise InvalidArgumentError(f"truth spans {n} frames, the stream {len(self.frames)}")
+        self.frames = _values(self.frames, 2, self.truth, self.fps, "fps", "frames")
 
     @property
     def frame_height(self) -> int:
@@ -490,7 +491,7 @@ def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
     src, rate = sample_view(stream)
     bounds = [(int(round(a * rate)), int(round(b * rate))) for a, b in segs]
     if mode is ForgeryMode.ReplaceEnf:
-        flat = _resynthesize(stream, seed).astype(src.dtype, copy=False)
+        flat = _resynthesize(stream, seed)
         # the gaps between segments, including before the first and after the last
         edges = [0, *(i for span in bounds for i in span), len(src)]
         for i0, i1 in zip(edges[::2], edges[1::2]):

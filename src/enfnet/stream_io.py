@@ -110,7 +110,7 @@ def load_stream(header_path: str):
         meta = header.get("meta", {})
         if not isinstance(meta, dict):
             raise InvalidArgumentError(f"{header_path}: meta must be an object, got {meta!r}")
-        raw = np.fromfile(_payload_path(header_path), dtype="<f4").astype(float)
+        raw = np.fromfile(_payload_path(header_path), dtype="<f4")
         if len(raw) != math.prod(shape):
             raise InvalidArgumentError(f"{header_path}: payload holds {len(raw)} values, "
                                        f"header declares {math.prod(shape)}")
