@@ -3,7 +3,9 @@
 A participant's local ENF estimate is compared window-by-window against the
 consensus ground truth. One array pass slices every window of both series and
 scores each row pair by one Pearson rule, of which ``correlation`` is the
-one-window case; a window constant on either side reads exactly 0. Windows
+one-window case; a window constant on either side reads exactly 0, and each
+centred window is scaled by its largest magnitude, so that the squares of
+large or tiny values neither overflow nor underflow. Windows
 whose correlation falls below the threshold are flagged Fake and consecutive
 Fake windows are merged into localized forged intervals. Also provides the
 ROC utility.
@@ -62,10 +64,14 @@ class DetectionReport:
 def _pearson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pearson correlation of each row pair of two equal-shape (..., n) arrays. A row
     constant on either side (exactly: its centred values all equal) carries no
-    fingerprint information and reads 0."""
+    fingerprint information and reads 0. Each centred row is divided by its largest
+    magnitude (an all-zero row stays as it is), so that no product overflows or
+    underflows: a row of +-1e160 or of +-1e-170 still correlates with itself."""
     a = a - a.mean(axis=-1, keepdims=True)
     b = b - b.mean(axis=-1, keepdims=True)
     flat = (np.ptp(a, axis=-1) == 0) | (np.ptp(b, axis=-1) == 0)
+    a, b = (x / np.abs(x).max(axis=-1, keepdims=True).clip(min=np.finfo(float).tiny)
+            for x in (a, b))
     ab, aa, bb = (np.einsum("...i,...i->...", x, y) for x, y in ((a, b), (a, a), (b, b)))
     r = np.divide(ab, np.sqrt(aa) * np.sqrt(bb), out=np.zeros_like(ab), where=~flat)
     return np.clip(r, -1.0, 1.0)

@@ -6,7 +6,9 @@ harmonics and into video as illumination flicker sampled row by row by a
 rolling-shutter sensor, and injects labeled forgeries.
 
 Everything here is a pure function of its arguments (including seeds), so
-identical calls give bit-identical streams.
+identical calls give bit-identical streams. Both stream records hold their
+values as float64 in C order, set by one rule (_values) where the record is
+built, so every later reader takes them as they are.
 
 One kernel synthesizes both kinds in fixed blocks of _BLOCK values and adds each
 block's noise while the block is in cache, so it holds its output plus
@@ -113,7 +115,7 @@ def _span(truth: EnfSeries, rate_hz: float, name: str) -> int:
     return int(round(truth.duration_s * _real(rate_hz, name, 0)))
 
 
-def _values(values, ndim: int, truth: EnfSeries, rate_hz, rate_field: str, name: str):
+def _values(values, ndim: int, truth: EnfSeries, rate_hz: float, rate_field: str, name: str):
     """A record's values as float64 in C order, of ndim axes, the first spanning truth."""
     arr = np.asarray(values, dtype=float, order="C")
     if arr.ndim != ndim:
@@ -130,7 +132,8 @@ class ForgeryMode(Enum):
 
 @dataclass
 class AudioStream:
-    """Mono amplitude stream carrying an embedded ENF hum."""
+    """Mono amplitude stream carrying an embedded ENF hum: samples is 1-D, float64
+    in C order, sample_rate_hz values per second of the truth."""
 
     sample_rate_hz: float
     samples: np.ndarray
@@ -149,8 +152,9 @@ class AudioStream:
 
 @dataclass
 class VideoLumaStream:
-    """Per-row mean luminance of a rolling-shutter video; frames has shape
-    (n_frames, frame_height), rows exposed in turn at fps * frame_height per second."""
+    """Per-row mean luminance of a rolling-shutter video: frames is float64 in C order,
+    of shape (n_frames, frame_height), fps frames per second of the truth, whose rows
+    are exposed in turn at fps * frame_height per second."""
 
     fps: float
     frames: np.ndarray
@@ -437,8 +441,8 @@ def _merge_intervals(intervals):
 def sample_view(stream) -> Tuple[np.ndarray, float]:
     """The stream's values as one flat 1-D array: (flat, rate_hz).
 
-    flat is the stream's own array reshaped without a copy, so writes to it
-    land in the stream (video frames are held in C order for this). Audio
+    flat is the stream's own float64 array, which both records hold in C
+    order, reshaped without a copy, so writes to it land in the stream. Audio
     has one sample per value at sample_rate_hz, video one row per value at
     fps * frame_height.
     """
@@ -475,9 +479,10 @@ def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
     StripEnf substitutes matched-power white noise around a centre of 0 for
     audio and the segment mean for video (luma is never zero-mean), one draw
     per value. Segment bounds are rounded to whole values of
-    :func:`sample_view`: audio samples or video rows. Values outside the
-    segments are untouched, and forged_intervals is extended with the new
-    labels.
+    :func:`sample_view`: audio samples or video rows; a segment whose bounds
+    round to one value forges nothing and raises InvalidArgumentError. Values
+    outside the segments are untouched, the output holds float64 like every
+    record, and forged_intervals is extended with the new labels.
 
     Memory: the input and the output. ReplaceEnf adds the replacement's
     synthesis and then writes the input's values outside the segments into
@@ -490,6 +495,9 @@ def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
         return copy.deepcopy(stream)
     src, rate = sample_view(stream)
     bounds = [(int(round(a * rate)), int(round(b * rate))) for a, b in segs]
+    for (a, b), (i0, i1) in zip(segs, bounds):
+        if i0 == i1:
+            raise InvalidArgumentError(f"segment ({a}, {b}) holds no value at {rate} values/s")
     if mode is ForgeryMode.ReplaceEnf:
         flat = _resynthesize(stream, seed)
         # the gaps between segments, including before the first and after the last

@@ -15,7 +15,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import enfnet
 from enfnet import (

@@ -312,6 +312,16 @@ def test_non_finite_times_and_rates_exit_2(tmp_path, small_inputs, argv):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("mode", ["StripEnf", "ReplaceEnf"])
+def test_forged_segment_that_rounds_to_no_sample_exits_2(tmp_path, capsys, mode):
+    # 1e-4 s is a tenth of a sample at 1 kHz: no value would be forged under the label
+    out = tmp_path / "o"
+    assert run("generate", "--duration", "30", "--sample-rate", "1000",
+               "--forge", f"10:10.0001:{mode}", "--out", str(out)) == 2
+    assert "segment (10.0, 10.0001) holds no value at 1000.0" in capsys.readouterr().err
+    assert not (out / "stream.json").exists()
+
+
 @pytest.mark.parametrize("snr", ["3090", "-3240", "-800"])
 def test_snr_beyond_float_range_exits_2_and_writes_no_stream(tmp_path, snr):
     # 10^(snr/10) overflows float64 at +3090 dB and is 0 at -3240 dB; at -800 dB

@@ -73,6 +73,21 @@ def test_correlation_of_a_constant_segment_is_exactly_zero():
         assert correlation(flat, flat) == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_correlation_of_values_whose_squares_leave_float64_range(scale):
+    """Squares of 1e160 overflow float64 and squares of 1e-170 underflow it; each
+    row is scaled by its largest magnitude first, so neither warns or reads NaN."""
+    x = scale * np.array([1.0, -1.0, 0.0])
+    y = scale * np.array([0.5, 2.0, -1.0])
+    assert correlation(x, x) == pytest.approx(1.0, abs=1e-15)
+    assert correlation(x, -x) == pytest.approx(-1.0, abs=1e-15)
+    assert correlation(x, y) == pytest.approx(correlation(x / scale, y / scale), abs=1e-15)
+    assert correlation(x, np.full(3, scale)) == 0.0
+    windows = sliding_window_detect(series(np.tile(x, 4)), series(np.tile(x, 4)),
+                                    DetectorConfig(window_s=6.0, shift_s=3.0)).windows
+    assert [w.corr for w in windows] == pytest.approx([1.0] * len(windows), abs=1e-15)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     vals=st.lists(st.floats(-100, 100), min_size=3, max_size=40),

@@ -18,6 +18,7 @@ from enfnet import (
     VideoLumaStream,
     embed_audio,
     embed_video,
+    estimate_enf,
     forge_segments,
     gen_enf_truth,
 )
@@ -158,10 +159,10 @@ def test_audio_measured_snr_within_half_db():
         assert abs(got - target) < 0.5
 
 
-@pytest.mark.parametrize("shape", [(10_000, 2), (2, 10_000), ()])
+@pytest.mark.parametrize("shape", [(10_000, 2), (2, 10_000), (), (10_000, 1, 1)])
 def test_audio_stream_rejects_samples_that_are_not_1d(shape):
     # (10_000, 2) has as many rows as the 10 s truth spans at 1 kHz
-    with pytest.raises(InvalidArgumentError, match="1-D"):
+    with pytest.raises(InvalidArgumentError, match="samples must be 1-D"):
         AudioStream(1000.0, np.zeros(shape), const_truth())
 
 
@@ -267,9 +268,10 @@ def test_video_rejects_bad_args():
         embed_video(const_truth(), 25.0, 64.0, 20.0)
 
 
-@pytest.mark.parametrize("shape", [(500,), (25, 20, 2)])
+@pytest.mark.parametrize("shape", [(500,), (25, 20, 2), (), (250, 20, 1)])
 def test_video_stream_rejects_frames_that_are_not_2d(shape):
-    with pytest.raises(InvalidArgumentError):
+    # (250, 20, 1) has as many frames as the 10 s truth spans at 25 fps
+    with pytest.raises(InvalidArgumentError, match="frames must be 2-D"):
         VideoLumaStream(25.0, np.zeros(shape), const_truth())
 
 
@@ -380,6 +382,80 @@ def test_sample_view_is_the_flat_stream_without_a_copy(kind, rate):
         assert np.shares_memory(sample_view(f_order)[0], f_order.frames)
     with pytest.raises(InvalidArgumentError):
         sample_view(np.zeros(4))
+
+
+_FIELD = {"audio": "samples", "video": "frames"}
+
+# how a record's values may be handed over: each comes back float64 in C order
+HANDED_OVER = {
+    "list": lambda v: v.tolist(),
+    "int16": lambda v: v.astype(np.int16),
+    "float32": lambda v: v.astype(np.float32),
+    "fortran": np.asfortranarray,
+}
+
+
+@pytest.mark.parametrize("how", list(HANDED_OVER))
+@pytest.mark.parametrize("kind", KINDS)
+def test_records_hold_float64_in_c_order_however_handed_over(kind, how):
+    stream = _stream_of(kind)
+    # whole numbers, which int16 holds exactly
+    base = np.round(getattr(stream, _FIELD[kind]))
+    stream = dataclasses.replace(stream, **{_FIELD[kind]: HANDED_OVER[how](base)})
+    values = getattr(stream, _FIELD[kind])
+    assert values.dtype == np.float64 and values.flags.c_contiguous
+    np.testing.assert_array_equal(values, base)
+    assert np.shares_memory(sample_view(stream)[0], values)
+
+
+def test_strip_enf_of_a_list_built_record_returns_float64():
+    truth = const_truth()
+    samples = np.random.default_rng(1).normal(size=10_000).tolist()
+    forged = forge_segments(AudioStream(1000.0, samples, truth), [(2.0, 4.0)],
+                            ForgeryMode.StripEnf, seed=1)
+    assert forged.samples.dtype == np.float64
+    assert forged.samples[:2000].tolist() == samples[:2000]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_replace_enf_of_an_int16_record_writes_the_replacement_as_float64(kind):
+    stream = _stream_of(kind)
+    as_int16 = getattr(stream, _FIELD[kind]).astype(np.int16)
+    record = dataclasses.replace(stream, **{_FIELD[kind]: as_int16})
+    forged = forge_segments(record, [(4.26, 9.74)], ForgeryMode.ReplaceEnf, seed=5)
+    alt = sample_view(forge_segments(stream, [(0.0, 20.0)], ForgeryMode.ReplaceEnf, seed=5))[0]
+    i0, i1 = SPANS[kind]
+    out = _values(forged)
+    assert out.dtype == np.float64
+    assert out[i0:i1].tobytes() == alt[i0:i1].tobytes()
+    assert out[:i0].tobytes() == as_int16.reshape(-1)[:i0].astype(float).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_estimate_of_a_float32_built_record_is_that_of_its_float64_copy(kind):
+    grid = GridConfig(seed=3)
+    truth = gen_enf_truth(grid, 20.0, 1.0)
+    if kind == "audio":
+        stream = embed_audio(truth, 1000.0, HARMONICS_123, 20.0, seed=3, grid=grid)
+    else:
+        stream = embed_video(truth, 25.0, 48, 20.0, seed=3, grid=grid)
+    f32 = getattr(stream, _FIELD[kind]).astype(np.float32)
+    a = estimate_enf(dataclasses.replace(stream, **{_FIELD[kind]: f32}))
+    b = estimate_enf(dataclasses.replace(stream, **{_FIELD[kind]: f32.astype(float)}))
+    assert a.values_hz.tobytes() == b.values_hz.tobytes()
+
+
+@pytest.mark.parametrize("mode", list(ForgeryMode))
+@pytest.mark.parametrize("kind", KINDS)
+def test_forge_segments_rejects_a_segment_that_rounds_to_no_value(kind, mode):
+    """1e-4 s is 0.1 audio samples at 1 kHz and 0.016 video rows at 160 rows/s: the
+    bounds round to one index, so nothing would be forged under the label."""
+    stream = _stream_of(kind)
+    rate = sample_view(stream)[1]
+    for segments in ([(10.0, 10.0001)], [(2.0, 5.0), (10.0, 10.0001)]):
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"segment \(10.0, 10.0001\) holds no value at {rate}"):
+            forge_segments(stream, segments, mode, seed=1)
 
 
 # the forged span 4.26-9.74 s in flat indices: audio samples at 1 kHz and

@@ -1,5 +1,5 @@
-"""Every top-level import of an enfnet module is used in it (the package's
-``__init__`` re-exports, so it is left out)."""
+"""Every top-level import of an enfnet module or of a test file is used in it (the
+package's ``__init__`` re-exports, so it is left out)."""
 
 import ast
 from pathlib import Path
@@ -8,7 +8,11 @@ import pytest
 
 import enfnet
 
-_MODULES = sorted(p for p in Path(enfnet.__file__).parent.glob("*.py") if p.name != "__init__.py")
+_PACKAGE, _TESTS = Path(enfnet.__file__).parent, Path(__file__).parent
+# each file named by its path under its directory: "cli.py", "golden/rewrite_manifest.py"
+_FILES = [pytest.param(p, id=p.relative_to(root).as_posix())
+          for root, pattern in ((_PACKAGE, "*.py"), (_TESTS, "*.py"), (_TESTS, "golden/*.py"))
+          for p in sorted(root.glob(pattern)) if p != _PACKAGE / "__init__.py"]
 
 
 def _unused_imports(source):
@@ -24,7 +28,7 @@ def _unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", _FILES)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
 
