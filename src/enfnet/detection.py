@@ -3,9 +3,10 @@
 A participant's local ENF estimate is compared window-by-window against the
 consensus ground truth. One array pass slices every window of both series and
 scores each row pair by one Pearson rule, of which ``correlation`` is the
-one-window case; a window constant on either side reads exactly 0, and each
-centred window is scaled by its largest magnitude, so that the squares of
-large or tiny values neither overflow nor underflow. Windows
+one-window case; a window constant on either side reads exactly 0. Each
+window is scaled by the power of two at its largest magnitude before its mean
+is taken, and each centred window by its largest magnitude, so that neither
+the mean nor the squares of large or tiny values overflow or underflow. Windows
 whose correlation falls below the threshold are flagged Fake and consecutive
 Fake windows are merged into localized forged intervals. Also provides the
 ROC utility.
@@ -64,9 +65,12 @@ class DetectionReport:
 def _pearson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pearson correlation of each row pair of two equal-shape (..., n) arrays. A row
     constant on either side (exactly: its centred values all equal) carries no
-    fingerprint information and reads 0. Each centred row is divided by its largest
-    magnitude (an all-zero row stays as it is), so that no product overflows or
-    underflows: a row of +-1e160 or of +-1e-170 still correlates with itself."""
+    fingerprint information and reads 0. Each row is first multiplied by the power of
+    two that brings its largest magnitude into [0.5, 1), which is exact, so that its
+    mean cannot overflow: a row of 1.5e308 correlates. Each centred row is then divided
+    by its largest magnitude (an all-zero row stays as it is), so that no product
+    overflows or underflows: a row of +-1e160 or of +-1e-170 still correlates with itself."""
+    a, b = (np.ldexp(x, -np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1]) for x in (a, b))
     a = a - a.mean(axis=-1, keepdims=True)
     b = b - b.mean(axis=-1, keepdims=True)
     flat = (np.ptp(a, axis=-1) == 0) | (np.ptp(b, axis=-1) == 0)

@@ -76,7 +76,7 @@ def test_correlation_of_a_constant_segment_is_exactly_zero():
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
 def test_correlation_of_values_whose_squares_leave_float64_range(scale):
     """Squares of 1e160 overflow float64 and squares of 1e-170 underflow it; each
-    row is scaled by its largest magnitude first, so neither warns or reads NaN."""
+    centred row is scaled by its largest magnitude first, so neither warns or reads NaN."""
     x = scale * np.array([1.0, -1.0, 0.0])
     y = scale * np.array([0.5, 2.0, -1.0])
     assert correlation(x, x) == pytest.approx(1.0, abs=1e-15)
@@ -84,6 +84,21 @@ def test_correlation_of_values_whose_squares_leave_float64_range(scale):
     assert correlation(x, y) == pytest.approx(correlation(x / scale, y / scale), abs=1e-15)
     assert correlation(x, np.full(3, scale)) == 0.0
     windows = sliding_window_detect(series(np.tile(x, 4)), series(np.tile(x, 4)),
+                                    DetectorConfig(window_s=6.0, shift_s=3.0)).windows
+    assert [w.corr for w in windows] == pytest.approx([1.0] * len(windows), abs=1e-15)
+
+
+def test_correlation_of_values_near_the_largest_float64():
+    """The mean of a row holding 1.5e308 twice overflows float64 unless the row is
+    scaled first; scaling by a power of two is exact, so it moves no bit."""
+    assert correlation([1.5e308, 1.5e308, 0.0], [1.0, 2.0, 3.0]) == pytest.approx(
+        -np.sqrt(3.0) / 2.0, abs=1e-15)
+    x = 60.0 + np.random.default_rng(1).normal(0, 0.01, 16)
+    y = 60.0 + np.random.default_rng(2).normal(0, 0.01, 16)
+    for k in (1000, 1, -1, -1000):
+        assert correlation(np.ldexp(x, k), y) == correlation(x, y)
+    big = np.tile([1.5e308, 1.5e308, 0.0], 4)
+    windows = sliding_window_detect(series(big), series(big),
                                     DetectorConfig(window_s=6.0, shift_s=3.0)).windows
     assert [w.corr for w in windows] == pytest.approx([1.0] * len(windows), abs=1e-15)
 
