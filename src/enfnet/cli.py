@@ -111,8 +111,7 @@ def cmd_generate(args):
         stream = embed_audio(truth, args.sample_rate, args.harmonics, args.snr,
                              seed=args.seed + 1, grid=grid)
     else:
-        stream = embed_video(truth, args.fps, args.height, args.snr, seed=args.seed + 1,
-                             mod_depth=args.mod_depth, grid=grid)
+        stream = embed_video(truth, args.fps, args.height, args.snr, seed=args.seed + 1, grid=grid)
     # one call per mode, in order of first mention: StripEnf draws are numbered
     # per segment and ReplaceEnf resynthesizes once
     for mode in dict.fromkeys(mode for _, _, mode in args.forge):
@@ -251,7 +250,6 @@ def build_parser():
     g.add_argument("--snr", type=float, default=20.0)
     g.add_argument("--fps", type=float, default=25.0)
     g.add_argument("--height", type=int, default=360)
-    g.add_argument("--mod-depth", type=float, default=0.1)
     g.add_argument("--forge", type=_spec(_parse_forge, "start:end:mode[;...]"), default="",
                    help="start:end:mode[;...] e.g. 60:90:ReplaceEnf")
     g.set_defaults(func=cmd_generate)
@@ -267,7 +265,6 @@ def build_parser():
     e.add_argument("--band-halfwidth", dest="band_halfwidth_hz", type=float)
     e.add_argument("--window", dest="stft_window_s", type=float)
     e.add_argument("--overlap", dest="stft_overlap_frac", type=float)
-    e.add_argument("--fft-size", dest="fft_size", type=int)
     e.set_defaults(func=cmd_estimate)
 
     c = sub.add_parser("consensus-sim", help="run seeded PoENF consensus rounds", **configured)

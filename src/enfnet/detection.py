@@ -5,11 +5,10 @@ consensus ground truth. One array pass slices every window of both series and
 scores each row pair by one Pearson rule, of which ``correlation`` is the
 one-window case; a window constant on either side reads exactly 0. Each
 window is scaled by the power of two at its largest magnitude before its mean
-is taken, and each centred window by its largest magnitude, so that neither
-the mean nor the squares of large or tiny values overflow or underflow. Windows
-whose correlation falls below the threshold are flagged Fake and consecutive
-Fake windows are merged into localized forged intervals. Also provides the
-ROC utility.
+is taken, so that neither the mean nor the squares of large or tiny values
+overflow or underflow. Windows whose correlation falls below the threshold are
+flagged Fake and consecutive Fake windows are merged into localized forged
+intervals. Also provides the ROC utility.
 """
 
 from __future__ import annotations
@@ -67,15 +66,14 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     constant on either side (exactly: its centred values all equal) carries no
     fingerprint information and reads 0. Each row is first multiplied by the power of
     two that brings its largest magnitude into [0.5, 1), which is exact, so that its
-    mean cannot overflow: a row of 1.5e308 correlates. Each centred row is then divided
-    by its largest magnitude (an all-zero row stays as it is), so that no product
-    overflows or underflows: a row of +-1e160 or of +-1e-170 still correlates with itself."""
+    mean cannot overflow: a row of 1.5e308 correlates. Its centred values then lie in
+    (-2, 2) and, unless the row is flat, spread at least the float spacing near 0.5,
+    so no product overflows or underflows: a row of +-1e160 or of +-1e-170 still
+    correlates with itself."""
     a, b = (np.ldexp(x, -np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1]) for x in (a, b))
     a = a - a.mean(axis=-1, keepdims=True)
     b = b - b.mean(axis=-1, keepdims=True)
     flat = (np.ptp(a, axis=-1) == 0) | (np.ptp(b, axis=-1) == 0)
-    a, b = (x / np.abs(x).max(axis=-1, keepdims=True).clip(min=np.finfo(float).tiny)
-            for x in (a, b))
     ab, aa, bb = (np.einsum("...i,...i->...", x, y) for x, y in ((a, b), (a, a), (b, b)))
     r = np.divide(ab, np.sqrt(aa) * np.sqrt(bb), out=np.zeros_like(ab), where=~flat)
     return np.clip(r, -1.0, 1.0)

@@ -5,12 +5,13 @@ SNR weights, (iii) per-harmonic peaks refined by a 3-point parabola on log
 power, each divided by its order and averaged with weights w_k * k**2. The
 peak of the strongest harmonic anchors the others: harmonic k starts at the
 bin nearest k times the anchor and moves to the largest of it and its two
-neighbours. Zero padding is 2 times the window's next power of two: refining
-each harmonic on its own grid, not rescaled onto the fundamental's, keeps the
-noiseless bias near 0.1 mHz at that padding. Audio, or video flattened to rows
-with static scene content removed, is read at the working rate: the lowest
-500 * 2**j Hz whose Nyquist holds every band edge k * (nominal_hz +
-band_halfwidth_hz), or at its own rate when that is slower.
+neighbours. Zero padding is fixed at 2 times the window's next power of two:
+refining each harmonic on its own grid, not rescaled onto the fundamental's,
+keeps the noiseless bias near 0.1 mHz at that padding, and less padding voids
+that bound. Audio, or video flattened to rows with static scene content
+removed, is read at the working rate: the lowest 500 * 2**j Hz whose Nyquist
+holds every band edge k * (nominal_hz + band_halfwidth_hz), or at its own rate
+when that is slower.
 
 Bringing a stream down by up/down, the fraction nearest target / rate whose
 denominator is at most 10**6, computes scipy.signal.resample_poly's default:
@@ -37,7 +38,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, _real, _whole
+from .errors import InvalidArgumentError, _real
 from .media_synth import AudioStream, EnfSeries, VideoLumaStream, _harmonic_orders
 
 _LOG_EPS = 1e-300
@@ -64,7 +65,6 @@ class EstimatorConfig:
     band_halfwidth_hz: float = 0.5  # halfwidth at order 1; order k uses k * this
     stft_window_s: float = 8.0
     stft_overlap_frac: float = 0.5
-    fft_size: Optional[int] = None  # None -> 2 x next power of two over the window
 
     def __post_init__(self):
         _real(self.stft_overlap_frac, "stft_overlap_frac", 0, closed=True)
@@ -72,10 +72,6 @@ class EstimatorConfig:
         self.harmonics = _harmonic_orders(self.harmonics)
         for name in ("nominal_hz", "stft_window_s", "band_halfwidth_hz"):
             _real(getattr(self, name), name, 0)
-        if self.fft_size is not None:
-            n = self.fft_size = _whole(self.fft_size, "fft_size", 1)
-            if n & (n - 1):
-                raise InvalidArgumentError(f"fft_size must be a power of two, got {n}")
 
 
 @dataclass
@@ -202,14 +198,14 @@ def _band_table(freqs: np.ndarray, cfg: EstimatorConfig) -> dict:
         hi, s_hi = (int(i) for i in np.searchsorted(freqs, [band_hz[1], surround_hz[1]], "right"))
         if hi - lo < 3:
             raise InvalidArgumentError(
-                f"{band} holds {hi - lo} bins, fewer than 3; increase fft_size")
+                f"{band} holds {hi - lo} bins, fewer than 3; lengthen stft_window_s")
         table[k] = (lo, hi, s_lo, s_hi)
     return table
 
 
-def _fft_size(w_len: int, cfg: EstimatorConfig) -> int:
-    """cfg.fft_size, by default 2 times the least power of two >= the window."""
-    return cfg.fft_size if cfg.fft_size is not None else 2 << max(w_len - 1, 0).bit_length()
+def _fft_size(w_len: int) -> int:
+    """The STFT's FFT size: 2 times the least power of two >= the window."""
+    return 2 << max(w_len - 1, 0).bit_length()
 
 
 def spectrogram(samples, rate_hz: float, cfg: EstimatorConfig) -> PowerSpectrumMatrix:
@@ -227,9 +223,7 @@ def spectrogram(samples, rate_hz: float, cfg: EstimatorConfig) -> PowerSpectrumM
             f"series length {len(x)} shorter than one STFT window ({w_len} samples)"
         )
     hop = max(1, int(round(w_len * (1.0 - cfg.stft_overlap_frac))))
-    nfft = _fft_size(w_len, cfg)
-    if nfft < w_len:
-        raise InvalidArgumentError(f"fft_size {nfft} is under the window's {w_len} samples")
+    nfft = _fft_size(w_len)
     n_seg = (len(x) - w_len) // hop + 1
     freqs = np.fft.rfftfreq(nfft, 1.0 / rate_hz)
     bands = _band_table(freqs, cfg)

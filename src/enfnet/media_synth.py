@@ -301,6 +301,9 @@ def _synthesize(truth: EnfSeries, rate_hz: float, n: int, wave, power: float, sn
 
 # mean luma of every synthesized video row, around which the lamp flickers
 _BASE_LUMA = 100.0
+# the flicker's amplitude, half a 0.1 modulation depth of _BASE_LUMA: the noise is
+# set against its power and estimation removes each row's mean, so no depth is an option
+_FLICKER_AMP = 0.5 * 0.1 * _BASE_LUMA
 
 # the waves are evaluated in float32, so their amplitudes must not overflow it
 _F32_MAX = float(np.finfo(np.float32).max)
@@ -387,7 +390,6 @@ def embed_video(
     frame_height: int,
     snr_db: float,
     seed: int = 0,
-    mod_depth: float = 0.1,
     grid: GridConfig | None = None,
 ) -> VideoLumaStream:
     """Embed illumination flicker at 2*f(t) into per-row mean luminance.
@@ -395,24 +397,21 @@ def embed_video(
     The lamp waveform is fully rectified (raised cosine), so its fundamental
     sits at twice the grid frequency. The rolling shutter exposes rows in
     turn, one flicker sample per row at rate fps * frame_height, around a
-    mean luma of _BASE_LUMA. The flicker is evaluated in float32 and added to
-    _BASE_LUMA in float64: float32 holds luma near 100 only to steps of 7.6e-6.
+    mean luma of _BASE_LUMA at amplitude _FLICKER_AMP. The flicker is evaluated
+    in float32 and added to _BASE_LUMA in float64: float32 holds luma near 100
+    only to steps of 7.6e-6.
     """
     seed = _seed(seed)
     n_frames = _span(truth, fps, "fps")
     frame_height = _whole(frame_height, "frame_height", 1)
-    ac_amp = 0.5 * mod_depth * _BASE_LUMA
-    if not abs(2.0 * ac_amp) <= _F32_MAX:
-        raise InvalidArgumentError(
-            f"mod_depth must be finite, its flicker within float32's range, got {mod_depth}")
-    ac32 = np.float32(ac_amp)
+    ac32 = np.float32(_FLICKER_AMP)
 
     def luma(phase):
         return _BASE_LUMA + (ac32 * (1.0 - np.cos(2.0 * phase))).astype(float)
 
     flat = _synthesize(truth, fps * frame_height, n_frames * frame_height, luma,
-                       ac_amp**2 / 2.0, snr_db, np.random.default_rng(seed))
-    meta = _provenance(grid, snr_db, seed, mod_depth=float(mod_depth))
+                       _FLICKER_AMP**2 / 2.0, snr_db, np.random.default_rng(seed))
+    meta = _provenance(grid, snr_db, seed)
     return VideoLumaStream(float(fps), flat.reshape(n_frames, frame_height), truth, meta=meta)
 
 
@@ -455,10 +454,11 @@ def sample_view(stream) -> Tuple[np.ndarray, float]:
 
 def _resynthesize(stream, seed) -> np.ndarray:
     """Same-kind content embedding an independent ENF truth, flat as in sample_view,
-    made as the stream's meta records it was: its grid, snr_db and kind keys."""
+    made as the stream's meta records it was: its grid, snr_db and, for audio, its
+    harmonics."""
     meta, audio = stream.meta, isinstance(stream, AudioStream)
-    missing = [k for k in (*_GRID_KEYS, "snr_db", "harmonics" if audio else "mod_depth")
-               if k not in meta]
+    keys = [*_GRID_KEYS, "snr_db"] + (["harmonics"] if audio else [])
+    missing = [k for k in keys if k not in meta]
     if missing:
         raise InvalidArgumentError(f"ReplaceEnf needs provenance; meta lacks {missing}")
     grid = GridConfig(seed=[seed, 0x5EED], **{k: meta[k] for k in _GRID_KEYS})
@@ -468,7 +468,7 @@ def _resynthesize(stream, seed) -> np.ndarray:
                           seed=seed + 1, grid=grid)
     else:
         alt = embed_video(alt_truth, stream.fps, stream.frame_height, meta["snr_db"],
-                          seed=seed + 1, mod_depth=meta["mod_depth"], grid=grid)
+                          seed=seed + 1, grid=grid)
     return sample_view(alt)[0]
 
 

@@ -25,8 +25,11 @@ CASES = [
                "--snr", "20", "--seed", "7", "--out", "{d}"]),
     ("gen_f", ["generate", "--duration", "30", "--sample-rate", "8000",
                "--snr", "20", "--seed", "7", "--forge", "10:18:ReplaceEnf", "--out", "{d}"]),
-    ("est_g", ["estimate", "--stream", "{gen_g}/stream.json", "--seed", "7", "--out", "{d}"]),
-    ("est_f", ["estimate", "--stream", "{gen_f}/stream.json", "--seed", "7", "--out", "{d}"]),
+    # a 1 s hop, so each 12 s detect window correlates 12 estimates
+    ("est_g", ["estimate", "--stream", "{gen_g}/stream.json", "--overlap", "0.875",
+               "--seed", "7", "--out", "{d}"]),
+    ("est_f", ["estimate", "--stream", "{gen_f}/stream.json", "--overlap", "0.875",
+               "--seed", "7", "--out", "{d}"]),
     ("detect", ["detect", "--local", "{est_f}/enf.csv", "--truth", "{est_g}/enf.csv",
                 "--window", "12", "--shift", "4", "--seed", "7", "--out", "{d}"]),
     ("consensus", ["consensus-sim", "--committee", "6", "--byzantine", "1", "--dim", "30",
@@ -36,8 +39,10 @@ CASES = [
              "--snr", "15", "--seed", "7", "--out", "{d}"]),
 ]
 
-# pins the rolling-shutter path, with both forgery modes
+# pin the estimator's default config, and the rolling-shutter path with both
+# forgery modes
 GOLDEN_EXTRA = [
+    ("est_d", ["estimate", "--stream", "{gen_f}/stream.json", "--seed", "7", "--out", "{d}"]),
     ("gen_v", ["generate", "--kind", "video", "--duration", "12", "--fps", "25",
                "--height", "48", "--snr", "20", "--seed", "7",
                "--forge", "3:5:ReplaceEnf;7:9:StripEnf", "--out", "{d}"]),

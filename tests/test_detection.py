@@ -76,7 +76,8 @@ def test_correlation_of_a_constant_segment_is_exactly_zero():
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
 def test_correlation_of_values_whose_squares_leave_float64_range(scale):
     """Squares of 1e160 overflow float64 and squares of 1e-170 underflow it; each
-    centred row is scaled by its largest magnitude first, so neither warns or reads NaN."""
+    row is scaled by the power of two at its largest magnitude first, so neither warns
+    or reads NaN."""
     x = scale * np.array([1.0, -1.0, 0.0])
     y = scale * np.array([0.5, 2.0, -1.0])
     assert correlation(x, x) == pytest.approx(1.0, abs=1e-15)

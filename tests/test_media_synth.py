@@ -490,11 +490,12 @@ def test_forgery_changes_exactly_the_segment(kind, mode):
 @pytest.mark.parametrize("kind", KINDS)
 def test_replace_enf_needs_the_recorded_provenance(kind):
     stream = _stream_of(kind)
-    kind_key = "harmonics" if kind == "audio" else "mod_depth"
+    kind_keys = ["harmonics"] if kind == "audio" else []  # video records no kind key
+    last = (["snr_db"] + kind_keys)[-1]
     bare = dataclasses.replace(stream, meta={})
-    with pytest.raises(InvalidArgumentError, match=rf"meta lacks \['nominal_hz', .*'{kind_key}'\]"):
+    with pytest.raises(InvalidArgumentError, match=rf"meta lacks \['nominal_hz', .*'{last}'\]"):
         forge_segments(bare, [(4.0, 8.0)], ForgeryMode.ReplaceEnf)
-    for key in ("snr_db", kind_key, "max_dev_hz"):
+    for key in ("snr_db", "max_dev_hz", *kind_keys):
         partial = dataclasses.replace(stream, meta={k: v for k, v in stream.meta.items() if k != key})
         with pytest.raises(InvalidArgumentError, match=rf"meta lacks \['{key}'\]"):
             forge_segments(partial, [(4.0, 8.0)], ForgeryMode.ReplaceEnf)
@@ -646,8 +647,8 @@ def _audio_oracle(truth, rate_hz, harmonics, snr_db, seed):
                          rng)
 
 
-def _video_oracle(truth, fps, height, snr_db, seed, mod_depth=0.1):
-    ac_amp = 0.5 * mod_depth * 100.0
+def _video_oracle(truth, fps, height, snr_db, seed):
+    ac_amp = 5.0  # a modulation depth of 0.1 of a luma of 100, halved
     phase = _phase_oracle(truth, fps * height, int(round(truth.duration_s * fps)) * height)
     flicker = np.float32(ac_amp) * (np.float32(1.0) - np.cos(np.float32(2.0) * phase))
     flat = 100.0 + flicker.astype(float)
@@ -721,7 +722,7 @@ def test_float32_waves_stay_as_close_to_float64_late_in_a_stream_as_early():
     video = embed_video(truth, 25.0, 360, np.inf, seed=14).frames.reshape(-1)
     row_rate = 25.0 * 360
     phase = 2.0 * np.pi * _integral_cycles(truth, np.arange(len(video)) / row_rate)
-    flicker = 100.0 + 5.0 * (1.0 - np.cos(2.0 * phase))  # mod_depth 0.1 of a luma of 100
+    flicker = 100.0 + 5.0 * (1.0 - np.cos(2.0 * phase))  # a depth of 0.1 of a luma of 100
     assert np.abs(video - flicker).max() <= 2e-5  # 2.9e-6 measured
 
 
@@ -784,16 +785,13 @@ def test_unit_normals_are_standard_normal():
 
 
 def test_waves_must_fit_float32_which_they_are_evaluated_in():
-    # float32 holds up to 3.4e38: a hum of amplitudes summing to 3e38 and a flicker
-    # peaking at 2 * 0.5 * mod_depth * 100 = 3e38 fit, and one step further does not
+    # float32 holds up to 3.4e38: a hum of amplitudes summing to 3e38 fits, and one
+    # step further does not
     hum = embed_audio(const_truth(), 1000.0, [(1, 2e38), (2, 1e38)], np.inf).samples
-    luma = embed_video(const_truth(), 25.0, 8, np.inf, mod_depth=3e36).frames
-    assert np.all(np.isfinite(hum)) and np.all(np.isfinite(luma))
+    assert np.all(np.isfinite(hum))
     for harmonics in ([(1, 4e38)], [(1, 3e38), (2, 1e38)]):
         with pytest.raises(InvalidArgumentError, match="float32's max"):
             embed_audio(const_truth(), 1000.0, harmonics, np.inf)
-    with pytest.raises(InvalidArgumentError, match="float32's range"):
-        embed_video(const_truth(), 25.0, 8, np.inf, mod_depth=4e36)
 
 
 def _traced_peak(fn):
