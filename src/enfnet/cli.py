@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: generate, estimate, consensus-sim, detect, scenario, bench, roc.
-Every subcommand takes --seed; identical invocations write byte-identical
+generate, consensus-sim, scenario, bench and roc take --seed; estimate and
+detect draw no random numbers. Identical invocations write byte-identical
 output files. bench prints to stdout only (wall-clock timings are not
 reproducible, so they never land in files).
 
@@ -257,7 +258,6 @@ def build_parser():
     e = sub.add_parser("estimate", help="recover the ENF series from a stream file", **configured)
     e.add_argument("--stream", required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--seed", type=seed, default=0)
     e.add_argument("--nominal", dest="nominal_hz", type=float,
                    help="default: the stream header's nominal_hz")
     e.add_argument("--harmonics", type=_spec(_parse_ints, "comma-separated integer orders"),
@@ -286,7 +286,6 @@ def build_parser():
     d.add_argument("--window", dest="window_s", type=float)
     d.add_argument("--shift", dest="shift_s", type=float)
     d.add_argument("--threshold", type=float)
-    d.add_argument("--seed", type=seed, default=0)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_detect)
 

@@ -46,9 +46,10 @@ _MAX_SNR_RATIO = 1e12
 # harmonic_weights' noise surround spans +-4 band halfwidths around each
 # harmonic; these are also the only columns the spectrogram keeps
 _SURROUND_HALFWIDTHS = 4.0
-# complex values per rfft block: 32 windows at nfft 16384 (a 16 s window at
-# 500 Hz), 64 at 8192 (an 8 s window at 500 Hz)
-_STFT_BLOCK_VALUES = 2**19
+# complex values per rfft block: 8 windows at nfft 16384 (a 16 s window at
+# 500 Hz), 16 at 8192 (an 8 s window at 500 Hz). The padded frames and their
+# transform are allocated once per call, about 2 MB together at this size
+_STFT_BLOCK_VALUES = 2**17
 # _resample's matrix products: output phases (columns), output rows, and inputs
 # summed per value. Holding the sum to 128 terms keeps it inside one block of
 # the BLAS's reduction, so threads split only rows and columns and the values do
@@ -237,11 +238,16 @@ def spectrogram(samples, rate_hz: float, cfg: EstimatorConfig) -> PowerSpectrumM
     win = np.hanning(w_len)
     segs = np.lib.stride_tricks.sliding_window_view(x, w_len)[::hop][:n_seg]
     power = np.empty((n_seg, len(fold)))
-    # rfft transforms each row on its own, so blocking changes no bit
-    rows = max(1, _STFT_BLOCK_VALUES // nfft)
+    # rfft transforms each row on its own, so blocking changes no bit; one
+    # block of frames is reused, its zero padding past w_len written once
+    rows = min(n_seg, max(1, _STFT_BLOCK_VALUES // nfft))
+    frames = np.zeros((rows, nfft))
+    spec = np.empty((rows, nfft // 2 + 1), dtype=complex)
     for r in range(0, n_seg, rows):
-        spec = np.fft.rfft(segs[r : r + rows] * win, n=nfft, axis=1)[:, cols]
-        power[r : r + rows] = np.abs(spec) ** 2 * fold / nfft
+        m = min(rows, n_seg - r)
+        np.multiply(segs[r : r + m], win, out=frames[:m, :w_len])
+        np.fft.rfft(frames[:m], axis=1, out=spec[:m])
+        power[r : r + m] = np.abs(spec[:m, cols]) ** 2 * fold / nfft
     return PowerSpectrumMatrix(freqs[cols], power, bands, w_len / 2.0 / rate_hz, hop / rate_hz)
 
 

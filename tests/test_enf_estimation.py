@@ -334,7 +334,7 @@ def test_band_only_columns_equal_full_columns(kw, rate_hz, duration_s):
     assert combine_and_track(band, w).values_hz.tobytes() == e_full.tobytes()
 
 
-@pytest.mark.parametrize("n_seg", [1, 5, 19])  # 16 s at 1 kHz: 16 windows per rfft block
+@pytest.mark.parametrize("n_seg", [1, 5, 9])  # 16 s at 1 kHz: 4 windows per rfft block
 def test_spectrogram_block_edges(n_seg):
     cfg = EstimatorConfig(stft_window_s=16.0, stft_overlap_frac=0.5)
     x = _hum(1000.0, 16 + 8 * (n_seg - 1))
@@ -347,6 +347,36 @@ def test_spectrogram_block_edges(n_seg):
         p[1:-1] *= 2.0
         p /= 32768
         assert full.power[i].tobytes() == p.tobytes()
+
+
+def test_spectrogram_block_size_changes_no_bit(monkeypatch):
+    """The reused block of frames holds no stale row and no dirty padding: one
+    window per block, and 3 per block over 11 windows (a partial last block),
+    give the bytes of the default blocks and of the whole matrix's columns."""
+    cfg = EstimatorConfig(**CORPUS)
+    x = np.random.default_rng(31).normal(size=500 * 26)  # 11 windows of 16 s
+    _, ref = _assert_band_columns_match(x, 500.0, cfg)
+    assert ref.power.shape[0] == 11
+    nfft = enf_estimation._fft_size(8000)
+    for block in (nfft, 3 * nfft):
+        monkeypatch.setattr(enf_estimation, "_STFT_BLOCK_VALUES", block)
+        assert spectrogram(x, 500.0, cfg).power.tobytes() == ref.power.tobytes()
+
+
+def test_spectrogram_memory_is_its_output_plus_one_block():
+    """The padded frames and their transform are one block each, reused, so a
+    300 s corpus-config call holds little beyond the power it returns."""
+    cfg = EstimatorConfig(**CORPUS)
+    x = _hum(500.0, 300)
+    spectrogram(x[:8000], 500.0, cfg)  # the first call in a process imports numpy.fft
+    tracemalloc.start()
+    try:
+        psm = spectrogram(x, 500.0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert psm.power.shape[0] == 285
+    assert peak <= psm.power.nbytes + 3 * 2**20
 
 
 def test_estimate_equals_full_matrix_pipeline():
