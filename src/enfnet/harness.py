@@ -1,6 +1,6 @@
 """End-to-end scenario runner, benchmarks, and evaluation corpora.
 
-Ties the synthedia, estimation, consensus, and detection modules together:
+Ties the synthesis, estimation, consensus, and detection modules together:
 conference-style scenarios with deepfaked participants, the consensus
 latency/scaling benchmark, labeled detection corpora, ROC sweeps over
 detector window sizes, and forged-interval localization scoring.
@@ -53,6 +53,14 @@ def _check_hum(cfg) -> None:
     if cfg.snr_db != np.inf:  # +inf is noiseless
         _real(cfg.snr_db, "snr_db, unless +inf,", -np.inf)
     _harmonic_spec(cfg.harmonics)
+
+
+def _estimate_stream(cfg, truth, grid, seed, splice, forge_seed) -> EnfSeries:
+    """Embed truth's hum as cfg sets it, replace its ENF over splice unless None, estimate."""
+    stream = embed_audio(truth, cfg.sample_rate_hz, cfg.harmonics, cfg.snr_db, seed=seed, grid=grid)
+    if splice is not None:
+        stream = forge_segments(stream, [splice], ForgeryMode.ReplaceEnf, seed=forge_seed)
+    return estimate_enf(stream, cfg.estimator)
 
 
 @dataclass
@@ -122,19 +130,15 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     forged_at: Dict[int, Tuple[float, float]] = {}
     estimates: Dict[int, EnfSeries] = {}
     for p in range(cfg.participants):
-        stream = embed_audio(
-            truth, cfg.sample_rate_hz, cfg.harmonics, cfg.snr_db, seed=[cfg.seed, 1, p], grid=grid
-        )
         if p in cfg.deepfaked_participants:
             rng = np.random.default_rng([cfg.seed, 2, p])
             flen = cfg.forgery_span_s
             lo, hi = 5.0, cfg.duration_s - 5.0 - flen
             a = float(lo + (hi - lo) * rng.random())
-            stream = forge_segments(
-                stream, [(a, a + flen)], ForgeryMode.ReplaceEnf, seed=cfg.seed * 1000 + p
-            )
             forged_at[p] = (a, a + flen)
-        estimates[p] = estimate_enf(stream, cfg.estimator)
+        estimates[p] = _estimate_stream(
+            cfg, truth, grid, [cfg.seed, 1, p], forged_at.get(p), cfg.seed * 1000 + p
+        )
 
     n_honest = com.K - cfg.byzantine
     observers = [Honest(0.0)] * n_honest + [OffsetVector(1.0)] * cfg.byzantine
@@ -284,29 +288,25 @@ class CorpusEntry:
         return self.injected is not None
 
 
+def _corpus_entry(cc: CorpusConfig, i: int, forged: bool) -> CorpusEntry:
+    """Stream i of cc, genuine or with one ReplaceEnf splice, seeded by cc.seed and i alone."""
+    grid = dataclasses.replace(cc.grid, seed=[cc.seed, i])
+    truth = gen_enf_truth(grid, cc.duration_s, step_s=1.0)
+    injected = None
+    if forged:
+        rng = np.random.default_rng([cc.seed, i, 2])
+        flo, fhi = _FORGERY_LEN_BOUNDS_S
+        flen = float(rng.integers(int(flo), int(fhi) + 1))
+        a = float(rng.integers(20, int(cc.duration_s - 20 - flen)))
+        injected = (a, a + flen)
+    est = _estimate_stream(cc, truth, grid, [cc.seed, i, 1], injected, cc.seed * 100003 + i)
+    ref = EnfSeries(est.start_time_s, est.step_s, truth.at(est.times()))
+    return CorpusEntry(local=est, reference=ref, injected=injected)
+
+
 def make_detection_corpus(cc: CorpusConfig) -> List[CorpusEntry]:
-    """Labeled streams, alternating genuine/forged, estimated and aligned."""
-    entries: List[CorpusEntry] = []
-    for i in range(cc.n_streams):
-        grid = dataclasses.replace(cc.grid, seed=[cc.seed, i])
-        truth = gen_enf_truth(grid, cc.duration_s, step_s=1.0)
-        stream = embed_audio(
-            truth, cc.sample_rate_hz, cc.harmonics, cc.snr_db, seed=[cc.seed, i, 1], grid=grid
-        )
-        injected = None
-        if i % 2 == 1:
-            rng = np.random.default_rng([cc.seed, i, 2])
-            flo, fhi = _FORGERY_LEN_BOUNDS_S
-            flen = float(rng.integers(int(flo), int(fhi) + 1))
-            a = float(rng.integers(20, int(cc.duration_s - 20 - flen)))
-            injected = (a, a + flen)
-            stream = forge_segments(
-                stream, [injected], ForgeryMode.ReplaceEnf, seed=cc.seed * 100003 + i
-            )
-        est = estimate_enf(stream, cc.estimator)
-        ref = EnfSeries(est.start_time_s, est.step_s, truth.at(est.times()))
-        entries.append(CorpusEntry(local=est, reference=ref, injected=injected))
-    return entries
+    """Labeled streams alternating genuine/forged; entry i depends only on cc.seed and i."""
+    return [_corpus_entry(cc, i, forged=i % 2 == 1) for i in range(cc.n_streams)]
 
 
 def stream_score(entry: CorpusEntry, det: DetectorConfig) -> float:

@@ -20,12 +20,10 @@ import enfnet
 from enfnet import (
     CommitteeConfig,
     CorpusConfig,
-    CorpusEntry,
     DetectorConfig,
     EnfSeries,
     EnfTransaction,
     EstimatorConfig,
-    ForgeryMode,
     GridConfig,
     Honest,
     OffsetVector,
@@ -38,7 +36,6 @@ from enfnet import (
     embed_audio,
     embed_video,
     estimate_enf,
-    forge_segments,
     gen_enf_truth,
     localization_accuracy,
     roc_sweep,
@@ -46,7 +43,7 @@ from enfnet import (
     validate_transaction,
     video_row_signal,
 )
-from enfnet.harness import DEFAULT_HARMONICS
+from enfnet.harness import DEFAULT_HARMONICS, _corpus_entry
 
 from cli_cases import CASES, write_scenario
 
@@ -88,29 +85,13 @@ def test_criterion_3_detection_auc():
     assert auc >= 0.95
 
 
-def _localization_corpus(n=200, seed0=777):
-    """Forged-only corpus: 300 s streams, SNR 20 dB, one splice each."""
-    est_cfg = EstimatorConfig(stft_window_s=4.0, stft_overlap_frac=0.75)
-    entries = []
-    for i in range(n):
-        grid = GridConfig(
-            drift_std_hz=WIDE_GRID.drift_std_hz, max_dev_hz=WIDE_GRID.max_dev_hz,
-            seed=[seed0, i],
-        )
-        truth = gen_enf_truth(grid, 300.0, 1.0)
-        stream = embed_audio(truth, 1000.0, DEFAULT_HARMONICS, 20.0, seed=[seed0, i, 1], grid=grid)
-        rng = np.random.default_rng([seed0, i, 2])
-        flen = float(rng.integers(30, 46))
-        a = float(rng.integers(20, int(300 - 20 - flen)))
-        stream = forge_segments(stream, [(a, a + flen)], ForgeryMode.ReplaceEnf, seed=seed0 * 100003 + i)
-        est = estimate_enf(stream, est_cfg)
-        ref = EnfSeries(est.start_time_s, est.step_s, truth.at(est.times()))
-        entries.append(CorpusEntry(local=est, reference=ref, injected=(a, a + flen)))
-    return entries
-
-
 def test_criterion_4_localization():
-    entries = _localization_corpus()
+    """200 five-minute streams, one splice each, SNR 20 dB, estimated at 4 s / 0.75."""
+    cc = CorpusConfig(
+        n_streams=200, duration_s=300.0, snr_db=20.0, seed=777, grid=WIDE_GRID,
+        estimator=EstimatorConfig(stft_window_s=4.0, stft_overlap_frac=0.75),
+    )
+    entries = [_corpus_entry(cc, i, forged=True) for i in range(cc.n_streams)]
     hits, total, _ = localization_accuracy(entries, DetectorConfig(window_s=16.0, shift_s=5.0))
     print(f"PASS criterion 4: boundaries within +-5 s in {hits}/{total} segments")
     assert total == 200

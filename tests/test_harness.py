@@ -397,3 +397,19 @@ def test_corpus_is_deterministic():
     for ea, eb in zip(a, b):
         np.testing.assert_array_equal(ea.local.values_hz, eb.local.values_hz)
         assert ea.injected == eb.injected
+
+
+def _entry_bytes(e):
+    return (e.local.values_hz.tobytes(), e.reference.values_hz.tobytes(),
+            e.local.start_time_s, e.local.step_s, e.reference.start_time_s,
+            e.reference.step_s, e.injected)
+
+
+def test_corpus_entry_depends_only_on_the_seed_and_its_index():
+    """A shorter corpus is a prefix of a longer one, and entry i can be built alone."""
+    short = make_detection_corpus(corpus_cfg(n_streams=3))
+    long = make_detection_corpus(corpus_cfg(n_streams=5))
+    assert [_entry_bytes(e) for e in short] == [_entry_bytes(e) for e in long[:3]]
+    alone = harness._corpus_entry(corpus_cfg(n_streams=5), 3, forged=True)
+    assert _entry_bytes(alone) == _entry_bytes(long[3])
+    assert long[3].forged
