@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -227,6 +228,7 @@ def cmd_roc(args):
     return 0
 
 
+@functools.cache  # every add_argument asks the terminal its size: build once per process
 def build_parser():
     p = argparse.ArgumentParser(prog="enfnet", description="ENF deepfake detection toolkit")
     sub = p.add_subparsers(dest="command", required=True)

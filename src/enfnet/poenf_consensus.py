@@ -9,6 +9,7 @@ whole round driver is deterministic in its seed.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Container
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -16,7 +17,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, QuorumError, _real, _whole
+from .errors import InvalidArgumentError, QuorumError, _real, _seed, _whole
 from .media_synth import EnfSeries, GridConfig, _same_nominal, gen_enf_truth
 
 
@@ -112,13 +113,8 @@ def validate_transaction(
     if tx.validator_id in pool.entries:
         return ValidationResult(RejectReason.Duplicate)
     v = tx.enf_vector
-    if (
-        v.ndim != 1
-        or len(v) != cfg.d
-        or not np.all(np.isfinite(v))
-        or np.any(v < cfg.vector_lo)
-        or np.any(v > cfg.vector_hi)
-    ):
+    # a NaN makes min() NaN, which fails the comparison; an infinity fails a bound
+    if v.ndim != 1 or len(v) != cfg.d or not (cfg.vector_lo <= v.min() and v.max() <= cfg.vector_hi):
         return ValidationResult(RejectReason.Malformed)
     return ValidationResult()
 
@@ -196,10 +192,14 @@ def make_transaction(behavior, truth_vals, validator_id, round_no, rng, cfg):
     """Produce (or withhold) one transaction per the validator's behavior."""
     if isinstance(behavior, Silent):
         return None
+    # the arithmetic runs in place on the drawn array: a + b is b + a, bit for bit
     if isinstance(behavior, Honest):
-        vec = truth_vals + rng.normal(0.0, behavior.noise_std, size=cfg.d)
+        vec = rng.normal(0.0, behavior.noise_std, size=cfg.d)
+        vec += truth_vals
     elif isinstance(behavior, OffsetVector):
-        vec = truth_vals + rng.normal(0.0, 0.005, size=cfg.d) + behavior.delta_hz
+        vec = rng.normal(0.0, 0.005, size=cfg.d)
+        vec += truth_vals
+        vec += behavior.delta_hz
     elif isinstance(behavior, RandomVector):
         vec = rng.uniform(cfg.vector_lo, cfg.vector_hi, size=cfg.d)
     elif isinstance(behavior, ColludingClone):
@@ -207,7 +207,7 @@ def make_transaction(behavior, truth_vals, validator_id, round_no, rng, cfg):
         vec = np.full(cfg.d, cfg.nominal_hz + 0.9 if target is None else float(target))
     else:
         raise InvalidArgumentError(f"unknown behavior: {behavior!r}")
-    return EnfTransaction(validator_id, round_no, np.clip(vec, cfg.vector_lo, cfg.vector_hi))
+    return EnfTransaction(validator_id, round_no, np.clip(vec, cfg.vector_lo, cfg.vector_hi, out=vec))
 
 
 # CLI behavior spec name -> class; a class with a field takes one argument, which it checks
@@ -267,6 +267,77 @@ def consensus_round(
     return RoundResult(round_no, winner, estar, scores, agreement)
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx); numpy keeps them
+# fixed, since every seed must keep its stream
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+@functools.cache
+def _known_state():
+    """An ISeedSequence that hands over state words computed beforehand (made on first
+    use: numpy.random loads only when a round is played)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KnownState(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for its four 64-bit words
+
+    return KnownState
+
+
+def _generators(seed: Sequence[int], K: int) -> list:
+    """default_rng([*seed, v]) for v in 0..K-1, byte for byte, without K SeedSequences.
+
+    Entropy word i of validator v is column i: the 32-bit words, lowest first, that
+    SeedSequence makes of each entry of [*seed, v]. SeedSequence's pool mixing and
+    state generation then run in numpy's order on whole columns, and each validator's
+    PCG64 seeds itself from its four 64-bit words, as it would from a SeedSequence.
+    """
+    u32 = np.uint32
+    entropy = []
+    for s in seed:
+        entropy.append(np.full(K, s & 0xFFFFFFFF, dtype=u32))
+        while s := s >> 32:
+            entropy.append(np.full(K, s & 0xFFFFFFFF, dtype=u32))
+    entropy.append(np.arange(K, dtype=u32))  # K < 2**32: every v is one word
+    const = _INIT_A
+
+    def hashmix(x):
+        nonlocal const
+        x = x ^ u32(const)
+        const = const * _MULT_A & 0xFFFFFFFF
+        x *= u32(const)
+        return x ^ (x >> u32(16))
+
+    def mix(x, y):
+        r = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return r ^ (r >> u32(16))
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(K, dtype=u32))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for x in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(x))
+    state = np.empty((K, 8), dtype="<u4")
+    const = _INIT_B
+    for i in range(8):
+        x = pool[i % 4] ^ u32(const)
+        const = const * _MULT_B & 0xFFFFFFFF
+        x *= u32(const)
+        state[:, i] = x ^ (x >> u32(16))
+    known = _known_state()  # 64-bit words pair the 32-bit ones little-endian, as numpy's do
+    return [np.random.Generator(np.random.PCG64(known(words)))
+            for words in state.view("<u8").astype(np.uint64)]
+
+
 def play_round(
     observers: Sequence,
     bases: Sequence[np.ndarray],
@@ -278,19 +349,30 @@ def play_round(
 
     observers[v] is validator v's behavior; bases[v] is the d-vector it
     measured for the round, read on the round's own clock (the times E*
-    reports). v's transaction draws from default_rng([*seed, v]). The honest
+    reports). v's transaction draws from default_rng([*seed, v]); the round
+    seeds all K generators at once from the 32-bit words numpy's SeedSequence
+    makes of those lists (:func:`_generators`), byte for byte. The honest
     validators are those whose behavior is :class:`Honest`, and the round is
-    decided by :func:`consensus_round` under full delivery.
+    decided by :func:`consensus_round` under full delivery. K observers, K
+    bases each 1-D of length d, and a seed of whole numbers >= 0 are
+    required; anything else raises InvalidArgumentError before any draw.
     """
     if len(observers) != cfg.K:
         raise InvalidArgumentError(f"need exactly K={cfg.K} observers, got {len(observers)}")
+    if len(bases) != cfg.K:
+        raise InvalidArgumentError(f"need exactly K={cfg.K} bases, got {len(bases)}")
+    for v, base in enumerate(bases):
+        if np.shape(base) != (cfg.d,):
+            raise InvalidArgumentError(f"bases[{v}] must be 1-D of length d={cfg.d}, "
+                                       f"got shape {np.shape(base)}")
+    seed = _seed(list(seed))
     honest_ids = [v for v, b in enumerate(observers) if isinstance(b, Honest)]
     n_byz = cfg.K - len(honest_ids)
     if n_byz > cfg.f:
         raise InvalidArgumentError(f"{n_byz} byzantine observers exceed f={cfg.f}")
     txs = [
-        make_transaction(b, bases[v], v, round_no, np.random.default_rng([*seed, v]), cfg)
-        for v, b in enumerate(observers)
+        make_transaction(b, bases[v], v, round_no, rng, cfg)
+        for v, (b, rng) in enumerate(zip(observers, _generators(seed, cfg.K)))
     ]
     return consensus_round([t for t in txs if t is not None], cfg, round_no, honest_ids)
 

@@ -215,6 +215,23 @@ def test_negative_seed_exits_2_at_parse_time(tmp_path, argv):
     assert not out.exists()
 
 
+def test_a_call_that_exits_2_leaves_the_next_call_unchanged(tmp_path):
+    """main parses with one parser per process: a call rejected at parse time, after
+    setting other flags of the same subcommand, changes no byte of the next call."""
+    argv = ("consensus-sim", "--committee", "6", "--byzantine", "1", "--dim", "24",
+            "--rounds", "2", "--seed", "5", "--out")
+    cli.build_parser.cache_clear()
+    assert run(*argv, str(tmp_path / "alone")) == 0
+    cli.build_parser.cache_clear()
+    assert run("consensus-sim", "--rounds", "7", "--behavior", "offset:0.5", "--dim", "30",
+               "--seed", "-1", "--out", str(tmp_path / "bad")) == 2
+    assert run(*argv, str(tmp_path / "after")) == 0
+    assert cli.build_parser() is cli.build_parser()
+    alone, after = sorted((tmp_path / "alone").iterdir()), sorted((tmp_path / "after").iterdir())
+    assert [p.name for p in alone] == [p.name for p in after] and alone
+    assert all(a.read_bytes() == b.read_bytes() for a, b in zip(alone, after))
+
+
 def _assert_within_truth(series, truth):
     lo, hi = truth.values_hz.min(), truth.values_hz.max()
     assert lo <= series.values_hz.min() and series.values_hz.max() <= hi

@@ -97,14 +97,26 @@ def test_validate_rejection_order():
         np.full(5, 60.0),
         np.array([60.0, np.nan, 60.0, 60.0]),
         np.array([60.0, np.inf, 60.0, 60.0]),
+        np.array([60.0, -np.inf, 60.0, 60.0]),
+        np.array([np.nan, 60.0, 60.0, 60.0]),  # a NaN first and last: min() and max()
+        np.array([60.0, 60.0, 60.0, np.nan]),
         np.full(4, 61.5),  # outside nominal +- 1
         np.full(4, 58.9),
+        np.full((2, 4), 60.0),  # not 1-D
+        np.array(60.0),
     ],
 )
 def test_validate_malformed_vectors(vec):
     pool = TransactionPool(round=0)
     r = validate_transaction(tx(vec=vec), pool, CFG)
     assert r.reason is RejectReason.Malformed
+
+
+def test_validate_accepts_vectors_on_the_bounds():
+    """The well-formed range is closed: nominal - 1 and nominal + 1 are in it."""
+    for vec in (np.full(4, CFG.vector_lo), np.full(4, CFG.vector_hi),
+                [CFG.vector_lo, 60.0, 60.0, CFG.vector_hi]):
+        assert validate_transaction(tx(vec=vec), TransactionPool(round=0), CFG).accepted
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +229,54 @@ def test_play_round_selects_the_central_view():
     assert rr.honest_agreement
     others = [s for v, s in rr.scores.items() if v != 4]
     assert rr.scores[4] < min(others)  # a strict winner, not a tie broken by id
+
+
+@pytest.mark.parametrize("seed", [[9, 2], [0, 0], [2**32 - 1, 7], [2**32 + 5, 3],
+                                  [2**70 + 12345, 1]])
+def test_play_round_seeds_validator_v_with_seed_then_v(monkeypatch, seed):
+    """Every proof play_round builds is, byte for byte, make_transaction with
+    default_rng([*seed, v]): seeds of one word, of two and of three, and all five
+    behaviours."""
+    cfg = CommitteeConfig(K=12, f=4, d=6, round_duration_s=60.0)  # 11 proofs: a quorum
+    observers = [Honest()] * 8 + [OffsetVector(0.3), RandomVector(), ColludingClone(), Silent()]
+    bases = [np.linspace(59.9, 60.1, cfg.d) + 0.001 * v for v in range(cfg.K)]
+    submitted = []
+    kernel = poenf_consensus.consensus_round
+
+    def capture(txs, *args):
+        submitted.extend(txs)
+        return kernel(txs, *args)
+
+    monkeypatch.setattr(poenf_consensus, "consensus_round", capture)
+    play_round(observers, bases, cfg, round_no=3, seed=seed)
+    expected = [make_transaction(b, bases[v], v, 3, np.random.default_rng([*seed, v]), cfg)
+                for v, b in enumerate(observers)]
+    expected = [t for t in expected if t is not None]
+    assert [t.validator_id for t in submitted] == [t.validator_id for t in expected] == list(range(11))
+    for got, want in zip(submitted, expected):
+        assert got.round == want.round == 3
+        assert got.enf_vector.tobytes() == want.enf_vector.tobytes()
+
+
+def _no_draws(*args):
+    raise AssertionError("a proof was built before the inputs were checked")
+
+
+@pytest.mark.parametrize(
+    "bases, seed, match",
+    [
+        ([np.full(1, 60.0)] * CFG.K, [9, 2], r"bases\[0\] must be 1-D of length d=4"),
+        ([np.full(CFG.d, 60.0)] * (CFG.K - 1), [9, 2], "need exactly K=5 bases, got 4"),
+        ([np.full(CFG.d, 60.0)] * CFG.K, [9, -2], "seed must be >= 0"),
+    ],
+    ids=["length-1 base", "K-1 bases", "negative seed entry"],
+)
+def test_play_round_rejects_bad_inputs_before_any_draw(monkeypatch, bases, seed, match):
+    """A base numpy would broadcast, a missing base and a seed numpy rejects all
+    raise InvalidArgumentError before a proof is built."""
+    monkeypatch.setattr(poenf_consensus, "make_transaction", _no_draws)
+    with pytest.raises(InvalidArgumentError, match=match):
+        play_round([Honest()] * CFG.K, bases, CFG, round_no=0, seed=seed)
 
 
 def test_round_is_deterministic():
