@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -254,16 +254,17 @@ def bench_d_ratio(K: int, d: int, trials: int, seed: int) -> float:
 
 @dataclass
 class CorpusConfig:
+    sample_rate_hz: ClassVar[float] = 1000.0
+    harmonics: ClassVar[Tuple[Tuple[int, float], ...]] = DEFAULT_HARMONICS
+    shift_s: ClassVar[float] = DetectorConfig.shift_s
+
     n_streams: int = 24
     duration_s: float = 120.0
     snr_db: float = 10.0
-    sample_rate_hz: float = 1000.0
-    harmonics: Tuple[Tuple[int, float], ...] = DEFAULT_HARMONICS
     grid: GridConfig = field(default_factory=GridConfig)
     estimator: EstimatorConfig = field(
         default_factory=lambda: EstimatorConfig(stft_window_s=16.0, stft_overlap_frac=0.9375)
     )
-    shift_s: float = 5.0
     seed: int = 0
 
     def __post_init__(self):

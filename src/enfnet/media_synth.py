@@ -6,9 +6,9 @@ harmonics and into video as illumination flicker sampled row by row by a
 rolling-shutter sensor, and injects labeled forgeries.
 
 Everything here is a pure function of its arguments (including seeds), so
-identical calls give bit-identical streams. Both stream records hold their
-values as float64 in C order, set by one rule (_values) where the record is
-built, so every later reader takes them as they are.
+identical calls give bit-identical streams. Both stream records follow one
+rule (_Record): each names its rate and values fields and holds its values as
+float64 in C order, so every later reader takes them as they are.
 
 One kernel synthesizes both kinds in fixed blocks of _BLOCK values and adds each
 block's noise while the block is in cache, so it holds its output plus
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import List, Sequence, Tuple
@@ -115,25 +116,36 @@ def _span(truth: EnfSeries, rate_hz: float, name: str) -> int:
     return int(round(truth.duration_s * _real(rate_hz, name, 0)))
 
 
-def _values(values, ndim: int, truth: EnfSeries, rate_hz: float, rate_field: str, name: str):
-    """A record's values as float64 in C order, of ndim axes, the first spanning truth."""
-    arr = np.asarray(values, dtype=float, order="C")
-    if arr.ndim != ndim:
-        raise InvalidArgumentError(f"{name} must be {ndim}-D, got shape {arr.shape}")
-    if len(arr) != (n := _span(truth, rate_hz, rate_field)):
-        raise InvalidArgumentError(f"truth spans {n} {name}, the stream {len(arr)}")
-    return arr
-
-
 class ForgeryMode(Enum):
     ReplaceEnf = "ReplaceEnf"
     StripEnf = "StripEnf"
 
 
+class _Record:
+    """The rule both stream records follow. Class constants name the layout: _RATE the
+    rate field (first-axis entries per second of the truth), _VALUES the values field,
+    _NDIM their rank. Built, the values are float64 in C order spanning the truth."""
+
+    def __post_init__(self):
+        name = self._VALUES
+        arr = np.asarray(getattr(self, name), dtype=float, order="C")
+        if arr.ndim != self._NDIM:
+            raise InvalidArgumentError(f"{name} must be {self._NDIM}-D, got shape {arr.shape}")
+        if len(arr) != (n := _span(self.truth, getattr(self, self._RATE), self._RATE)):
+            raise InvalidArgumentError(f"truth spans {n} {name}, the stream {len(arr)}")
+        setattr(self, name, arr)
+
+    @property
+    def duration_s(self) -> float:
+        return len(getattr(self, self._VALUES)) / getattr(self, self._RATE)
+
+
 @dataclass
-class AudioStream:
+class AudioStream(_Record):
     """Mono amplitude stream carrying an embedded ENF hum: samples is 1-D, float64
     in C order, sample_rate_hz values per second of the truth."""
+
+    _RATE, _VALUES, _NDIM = "sample_rate_hz", "samples", 1
 
     sample_rate_hz: float
     samples: np.ndarray
@@ -141,20 +153,14 @@ class AudioStream:
     forged_intervals: List[Tuple[float, float]] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.samples = _values(self.samples, 1, self.truth, self.sample_rate_hz,
-                               "sample_rate_hz", "samples")
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
 
 @dataclass
-class VideoLumaStream:
+class VideoLumaStream(_Record):
     """Per-row mean luminance of a rolling-shutter video: frames is float64 in C order,
     of shape (n_frames, frame_height), fps frames per second of the truth, whose rows
     are exposed in turn at fps * frame_height per second."""
+
+    _RATE, _VALUES, _NDIM = "fps", "frames", 2
 
     fps: float
     frames: np.ndarray
@@ -162,16 +168,9 @@ class VideoLumaStream:
     forged_intervals: List[Tuple[float, float]] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.frames = _values(self.frames, 2, self.truth, self.fps, "fps", "frames")
-
     @property
     def frame_height(self) -> int:
         return self.frames.shape[1]
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.frames) / self.fps
 
 
 def gen_enf_truth(cfg: GridConfig, duration_s: float, step_s: float) -> EnfSeries:
@@ -440,16 +439,15 @@ def _merge_intervals(intervals):
 def sample_view(stream) -> Tuple[np.ndarray, float]:
     """The stream's values as one flat 1-D array: (flat, rate_hz).
 
-    flat is the stream's own float64 array, which both records hold in C
-    order, reshaped without a copy, so writes to it land in the stream. Audio
-    has one sample per value at sample_rate_hz, video one row per value at
-    fps * frame_height.
+    flat is the record's own float64 array, held in C order, reshaped without
+    a copy, so writes to it land in the stream; its rate is the record's times
+    the values per entry of the first axis. Audio has one sample per value at
+    sample_rate_hz, video one row per value at fps * frame_height.
     """
-    if isinstance(stream, AudioStream):
-        return stream.samples, stream.sample_rate_hz
-    if isinstance(stream, VideoLumaStream):
-        return stream.frames.reshape(-1), stream.fps * stream.frame_height
-    raise InvalidArgumentError(f"unsupported stream type: {type(stream).__name__}")
+    if not isinstance(stream, _Record):
+        raise InvalidArgumentError(f"unsupported stream type: {type(stream).__name__}")
+    values = getattr(stream, stream._VALUES)
+    return values.reshape(-1), getattr(stream, stream._RATE) * math.prod(values.shape[1:])
 
 
 def _resynthesize(stream, seed) -> np.ndarray:
@@ -479,7 +477,7 @@ def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
     StripEnf substitutes matched-power white noise around a centre of 0 for
     audio and the segment mean for video (luma is never zero-mean), one draw
     per value. Segment bounds are rounded to whole values of
-    :func:`sample_view`: audio samples or video rows; a segment whose bounds
+    :func:`sample_view` (one per audio sample or video row); a segment whose bounds
     round to one value forges nothing and raises InvalidArgumentError. Values
     outside the segments are untouched, the output holds float64 like every
     record, and forged_intervals is extended with the new labels.
@@ -513,7 +511,7 @@ def forge_segments(stream, segments, mode: ForgeryMode, seed: int = 0):
             flat[i0:i1] = np.random.default_rng([seed, si]).normal(centre, sigma, i1 - i0)
     else:
         raise InvalidArgumentError(f"unknown forgery mode: {mode!r}")
-    values = stream.samples if isinstance(stream, AudioStream) else stream.frames
+    values = getattr(stream, stream._VALUES)
     # a deep copy in which the forged values stand in for the input's array
     out = copy.deepcopy(stream, {id(values): flat.reshape(values.shape)})
     out.forged_intervals = _merge_intervals(list(stream.forged_intervals) + segs)

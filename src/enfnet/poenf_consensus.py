@@ -343,19 +343,19 @@ def play_round(
     bases: Sequence[np.ndarray],
     cfg: CommitteeConfig,
     round_no: int,
-    seed: Sequence[int],
+    seed: int | Sequence[int],
 ) -> RoundResult:
     """One round in which validator v's proof is built from its own view bases[v].
 
     observers[v] is validator v's behavior; bases[v] is the d-vector it
     measured for the round, read on the round's own clock (the times E*
-    reports). v's transaction draws from default_rng([*seed, v]); the round
-    seeds all K generators at once from the 32-bit words numpy's SeedSequence
-    makes of those lists (:func:`_generators`), byte for byte. The honest
-    validators are those whose behavior is :class:`Honest`, and the round is
-    decided by :func:`consensus_round` under full delivery. K observers, K
-    bases each 1-D of length d, and a seed of whole numbers >= 0 are
-    required; anything else raises InvalidArgumentError before any draw.
+    reports). v's transaction draws from default_rng([*seed, v]), an int seed s
+    standing for [s]; the round seeds all K generators at once from the 32-bit
+    words numpy's SeedSequence makes of those lists (:func:`_generators`), byte
+    for byte. The honest validators are those whose behavior is :class:`Honest`,
+    and the round is decided by :func:`consensus_round` under full delivery. K
+    observers, K bases each 1-D of length d, and a seed of whole numbers >= 0
+    are required; anything else raises InvalidArgumentError before any draw.
     """
     if len(observers) != cfg.K:
         raise InvalidArgumentError(f"need exactly K={cfg.K} observers, got {len(observers)}")
@@ -365,7 +365,7 @@ def play_round(
         if np.shape(base) != (cfg.d,):
             raise InvalidArgumentError(f"bases[{v}] must be 1-D of length d={cfg.d}, "
                                        f"got shape {np.shape(base)}")
-    seed = _seed(list(seed))
+    seed = _seed(seed if isinstance(seed, (list, tuple)) else [seed])
     honest_ids = [v for v, b in enumerate(observers) if isinstance(b, Honest)]
     n_byz = cfg.K - len(honest_ids)
     if n_byz > cfg.f:

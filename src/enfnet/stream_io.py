@@ -1,14 +1,14 @@
 """File formats: every file enfnet writes goes through this module.
 
 Streams are stored as a JSON header plus a little-endian float32 sidecar
-(same stem, .f32 extension) holding the raw samples / row means; one table,
-_KINDS, names each kind's header keys for writing and reading. ENF series of
-two or more values round-trip through two-column CSV (time_s,freq_hz), and
-all are also written as JSON. All writers are deterministic: keys are sorted
-and floats use shortest-round-trip repr. Files are read back by the rules
-they are written by: a parsed header or CSV row that breaks them raises
-InvalidArgumentError, while a file that cannot be opened, or a header that
-is not JSON, raises what ``open`` or ``json`` raises.
+(same stem, .f32 extension) holding the record's values; one table, _KINDS,
+names each kind's record class and the header keys of its values' shape. ENF
+series of two or more values round-trip through two-column CSV (time_s,
+freq_hz), and all are also written as JSON. All writers are deterministic:
+keys are sorted and floats use shortest-round-trip repr. Files are read back
+by the rules they are written by: a parsed header or CSV row that breaks
+them raises InvalidArgumentError, while a file that cannot be opened, or a
+header that is not JSON, raises what ``open`` or ``json`` raises.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import numpy as np
 from .errors import InvalidArgumentError, _real, _whole
 from .media_synth import AudioStream, EnfSeries, VideoLumaStream, sample_view
 
-# kind -> (record class, rate field, values field, one header key per axis of the values)
+# kind -> (record class, one header key per axis of its values)
 _KINDS = {
-    "audio": (AudioStream, "sample_rate_hz", "samples", ("n_samples",)),
-    "video": (VideoLumaStream, "fps", "frames", ("n_frames", "frame_height")),
+    "audio": (AudioStream, ("n_samples",)),
+    "video": (VideoLumaStream, ("n_frames", "frame_height")),
 }
 
 
@@ -75,10 +75,9 @@ def save_stream(stream: Union[AudioStream, VideoLumaStream], header_path: str):
     bad = np.count_nonzero(~np.isfinite(payload))
     if bad:
         raise InvalidArgumentError(f"{bad} of {payload.size} values are not finite as float32")
-    kind = next(k for k, (cls, *_) in _KINDS.items() if isinstance(stream, cls))
-    _, rate_key, values_key, shape_keys = _KINDS[kind]
-    header = {"kind": kind, rate_key: float(getattr(stream, rate_key)),
-              **dict(zip(shape_keys, map(int, getattr(stream, values_key).shape))),
+    kind = next(k for k, (cls, _) in _KINDS.items() if isinstance(stream, cls))
+    header = {"kind": kind, stream._RATE: float(getattr(stream, stream._RATE)),
+              **dict(zip(_KINDS[kind][1], map(int, getattr(stream, stream._VALUES).shape))),
               "forged_intervals": [[float(a), float(b)] for a, b in stream.forged_intervals],
               "truth": _series_to_dict(stream.truth), "meta": stream.meta,
               "payload": os.path.basename(_payload_path(header_path))}
@@ -103,7 +102,7 @@ def load_stream(header_path: str):
         kind = header["kind"]
         if kind not in _KINDS:
             raise InvalidArgumentError(f"unknown stream kind: {kind!r}")
-        cls, rate_key, _, shape_keys = _KINDS[kind]
+        cls, shape_keys = _KINDS[kind]
         if kind == "video" and header.get("shutter", "RollingCMOS") != "RollingCMOS":
             raise InvalidArgumentError(f"unsupported video shutter: {header['shutter']!r}")
         shape = tuple(_whole(header[k], k, 0) for k in shape_keys)
@@ -115,7 +114,7 @@ def load_stream(header_path: str):
             raise InvalidArgumentError(f"{header_path}: payload holds {len(raw)} values, "
                                        f"header declares {math.prod(shape)}")
         intervals = [(float(a), float(b)) for a, b in header.get("forged_intervals", [])]
-        return cls(header[rate_key], raw.reshape(shape), truth=_series_from_dict(header["truth"]),
+        return cls(header[cls._RATE], raw.reshape(shape), truth=_series_from_dict(header["truth"]),
                    forged_intervals=intervals, meta=meta)
     except InvalidArgumentError:
         raise

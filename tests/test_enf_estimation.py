@@ -249,6 +249,12 @@ def full_spectrogram(x, rate_hz, cfg):
         hop / rate_hz)
 
 
+@pytest.mark.parametrize("power", [np.zeros((2, 4)), np.zeros(3)], ids=["4 columns", "1-D"])
+def test_power_matrix_must_match_its_bins(power):
+    with pytest.raises(InvalidArgumentError, match="inconsistent with bins"):
+        enf_estimation.PowerSpectrumMatrix(np.arange(3.0), power, {}, 0.0, 1.0)
+
+
 def test_spectrogram_parseval_energy():
     rng = np.random.default_rng(0)
     x = rng.normal(size=4000)

@@ -276,12 +276,21 @@ def test_corpus_rejects_forgery_bounds_it_cannot_place(kw):
      (dict(harmonics=[(1, 1.0), (1, 0.5)]), "harmonics must be one or more distinct")],
 )
 def test_corpus_and_scenario_check_their_hum_fields_when_built(kw, message):
-    """Checked where the config is built, before any stream is synthesized."""
-    with pytest.raises(InvalidArgumentError, match=message):
-        corpus_cfg(**kw)
+    """Checked where the config is built, before any stream is synthesized. The
+    corpus's sample_rate_hz and harmonics are constants, so only the scenario sets them."""
+    if kw.keys() <= {f.name for f in dataclasses.fields(CorpusConfig)}:
+        with pytest.raises(InvalidArgumentError, match=message):
+            corpus_cfg(**kw)
     if "duration_s" not in kw:
         with pytest.raises(InvalidArgumentError, match=message):
             small_scenario(**kw)
+
+
+@pytest.mark.parametrize("name", ["sample_rate_hz", "harmonics", "shift_s"])
+def test_corpus_refuses_its_constants_as_keywords(name):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        corpus_cfg(**{name: getattr(CorpusConfig, name)})
+    assert CorpusConfig.shift_s == DetectorConfig().shift_s
 
 
 def test_an_snr_of_plus_inf_is_noiseless_not_rejected():

@@ -258,6 +258,16 @@ def test_play_round_seeds_validator_v_with_seed_then_v(monkeypatch, seed):
         assert got.enf_vector.tobytes() == want.enf_vector.tobytes()
 
 
+def test_play_round_takes_an_int_seed_as_a_one_entry_list():
+    cfg = CommitteeConfig(K=5, f=1, d=4)
+    observers, bases = [Honest()] * 5, [np.full(4, 60.0)] * 5
+    got = play_round(observers, bases, cfg, 0, 5)
+    want = play_round(observers, bases, cfg, 0, [5])
+    assert got.scores == want.scores
+    assert got.ground_truth_id == want.ground_truth_id
+    assert got.ground_truth_enf.values_hz.tobytes() == want.ground_truth_enf.values_hz.tobytes()
+
+
 def _no_draws(*args):
     raise AssertionError("a proof was built before the inputs were checked")
 
@@ -268,8 +278,9 @@ def _no_draws(*args):
         ([np.full(1, 60.0)] * CFG.K, [9, 2], r"bases\[0\] must be 1-D of length d=4"),
         ([np.full(CFG.d, 60.0)] * (CFG.K - 1), [9, 2], "need exactly K=5 bases, got 4"),
         ([np.full(CFG.d, 60.0)] * CFG.K, [9, -2], "seed must be >= 0"),
+        ([np.full(CFG.d, 60.0)] * CFG.K, -5, "seed must be >= 0"),
     ],
-    ids=["length-1 base", "K-1 bases", "negative seed entry"],
+    ids=["length-1 base", "K-1 bases", "negative seed entry", "negative int seed"],
 )
 def test_play_round_rejects_bad_inputs_before_any_draw(monkeypatch, bases, seed, match):
     """A base numpy would broadcast, a missing base and a seed numpy rejects all
