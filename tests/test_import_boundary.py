@@ -1,5 +1,5 @@
-"""The package imports numpy only: scipy, of which enfnet uses scipy.spatial
-alone, loads on the first consensus scoring. Each test runs in a fresh child
+"""enfnet runs on numpy alone: no import, estimate, score or CLI command loads
+scipy, which only the tests use, as an oracle. Each test runs in a fresh child
 interpreter, since this one has long since loaded scipy."""
 
 import json
@@ -70,16 +70,49 @@ mark("cli estimate")
     assert loaded == {"estimate_enf": [], "cli estimate": []}
 
 
-def test_scoring_loads_scipy_spatial_on_first_use():
+# a small conference: 5 participants, one 30 s round scored by a committee of 5
+_SCENARIO = {"participants": 5, "deepfaked_participants": [4],
+             "committee": {"K": 5, "f": 1, "d": 20, "round_duration_s": 30.0}, "rounds": 1}
+
+
+def test_scoring_loads_no_scipy(tmp_path):
+    (tmp_path / "scen.json").write_text(json.dumps(_SCENARIO))
     loaded = _loaded_after_each_step("""
+import os
 import numpy as np
-from enfnet import CommitteeConfig
+from enfnet import CommitteeConfig, cli
 from enfnet.poenf_consensus import EnfTransaction, TransactionPool, compute_scores
 pool = TransactionPool(round=0)
 for v in range(5):
     pool.insert(EnfTransaction(v, 0, np.full(8, 60.0 + v)))
-mark("build a pool")
 compute_scores(pool, CommitteeConfig(K=5, f=1, d=8))
 mark("compute_scores")
-""")
-    assert loaded == {"build a pool": [], "compute_scores": ["scipy", "scipy.spatial"]}
+assert cli.main(["consensus-sim", "--rounds", "3", "--out", os.path.join(sys.argv[1], "sim")]) == 0
+mark("consensus-sim")
+assert cli.main(["scenario", "--config", os.path.join(sys.argv[1], "scen.json"),
+                 "--out", os.path.join(sys.argv[1], "scen")]) == 0
+mark("scenario")
+""", str(tmp_path))
+    assert loaded == {"compute_scores": [], "consensus-sim": [], "scenario": []}
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    """With scipy unimportable, as where it is not installed, every command that
+    synthesises, estimates or scores exits 0."""
+    (tmp_path / "scen.json").write_text(json.dumps(_SCENARIO))
+    loaded = _loaded_after_each_step("""
+import os
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises ImportError
+from enfnet import cli
+out = lambda name: os.path.join(sys.argv[1], name)
+codes = [
+    cli.main(["consensus-sim", "--rounds", "3", "--out", out("sim")]),
+    cli.main(["scenario", "--config", out("scen.json"), "--out", out("scen")]),
+    cli.main(["generate", "--duration", "30", "--sample-rate", "44100", "--seed", "1",
+              "--out", out("gen")]),
+    cli.main(["estimate", "--stream", os.path.join(out("gen"), "stream.json"),
+              "--out", out("est")]),
+]
+print(json.dumps(["exit codes", codes]))
+""", str(tmp_path))
+    assert loaded == {"exit codes": [0, 0, 0, 0]}

@@ -3,6 +3,10 @@ admission-control ordering, quorum bounds, and byzantine-resilience
 properties over seeded rounds."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,71 @@ def test_scores_permutation_invariance(perm):
     table = compute_scores(pool, CFG)
     for vid, src in enumerate(perm):
         assert table[vid] == pytest.approx(base[src], abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [8, 60, 720])
+def test_scores_match_cdist_within_ulps_of_the_norms(d):
+    """Against scipy's cdist, imported only here: random proofs over +-1 Hz, honest
+    ones around +0.5 Hz, copies of the honest proofs' mean and colluding clones. Each
+    distance may move by d ulps of n_i + n_j (the squared norms about nominal),
+    the rounding scale of a d-term sum, so a score moves by at most m of those
+    plus the rounding of its own m-term sum. The copies of the honest mean are
+    the most central proofs, score alike and tie to the lowest of their ids."""
+    from scipy.spatial.distance import cdist
+
+    cfg = CommitteeConfig(K=30, f=13, d=d)  # m = 15: the 17 central proofs
+    rng = np.random.default_rng(d)
+    truth = 60.5 + rng.normal(0.0, 0.01, d)
+    honest = [make_transaction(Honest(), truth, v, 0, rng, cfg).enf_vector for v in range(13)]
+    random = [make_transaction(RandomVector(), truth, v, 0, rng, cfg).enf_vector for v in range(8)]
+    clone = make_transaction(ColludingClone(60.2), truth, 0, 0, rng, cfg).enf_vector
+    mean = np.mean(honest, axis=0)
+    copy_ids = [3, 11, 20, 27]
+    rest = iter(honest + random + [clone] * 5)
+    vecs = np.array([mean if v in copy_ids else next(rest) for v in range(cfg.K)])
+    pool = pool_from(vecs)
+    table = compute_scores(pool, cfg)
+
+    m = cfg.K - cfg.f - 2
+    dist = cdist(vecs, vecs, "sqeuclidean")
+    np.fill_diagonal(dist, np.inf)
+    want = np.sort(dist, axis=1)[:, :m].sum(axis=1)
+    norms = np.sum((vecs - cfg.nominal_hz) ** 2, axis=1)
+    pair = norms[:, None] + norms[None, :]
+    np.fill_diagonal(pair, 0.0)
+    eps = np.finfo(float).eps
+    tol = m * d * eps * pair.max(axis=1) + 2 * m * eps * want
+    got = np.array([table[v] for v in range(cfg.K)])
+    assert np.all(np.abs(got - want) <= tol)
+    for group in (copy_ids, [v for v in range(cfg.K) if vecs[v].tobytes() == clone.tobytes()]):
+        assert len({table[v] for v in group}) == 1
+    assert select_ground_truth(table, pool)[0] == copy_ids[0]
+
+
+def test_score_bytes_do_not_depend_on_blas_threads():
+    script = (
+        "import hashlib, numpy as np\n"
+        "from enfnet import CommitteeConfig\n"
+        "from enfnet.poenf_consensus import EnfTransaction, TransactionPool, compute_scores\n"
+        "rng = np.random.default_rng(3)\n"
+        "pool = TransactionPool(round=0)\n"
+        "for v in range(200):\n"
+        "    pool.insert(EnfTransaction(v, 0, rng.uniform(59.0, 61.0, 1440)))\n"
+        "scores = compute_scores(pool, CommitteeConfig(K=200, f=60, d=1440))\n"
+        "print(hashlib.sha256(np.array(list(scores.values())).tobytes()).hexdigest())\n"
+    )
+    src = str(Path(poenf_consensus.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert len(digests[0].split()) == 1
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
