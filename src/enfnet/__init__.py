@@ -59,7 +59,6 @@ from .poenf_consensus import (
     ValidationResult,
     compute_scores,
     consensus_round,
-    make_transaction,
     parse_behavior,
     play_round,
     run_round,

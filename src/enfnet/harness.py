@@ -141,6 +141,8 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         )
 
     n_honest = com.K - cfg.byzantine
+    # Honest(0.0) proofs are their bases exactly, so an honest E* does not depend on
+    # the round's draws
     observers = [Honest(0.0)] * n_honest + [OffsetVector(1.0)] * cfg.byzantine
     step = com.round_duration_s / com.d
     rounds: List[RoundResult] = []

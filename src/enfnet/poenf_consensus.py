@@ -9,7 +9,6 @@ whole round driver is deterministic in its seed.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Container
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -198,20 +197,24 @@ class Silent:
     pass
 
 
-def make_transaction(behavior, truth_vals, validator_id, round_no, rng, cfg):
-    """Produce (or withhold) one transaction per the validator's behavior."""
+def make_transaction(behavior, base, validator_id, round_no, normal, uniform, cfg):
+    """Produce (or withhold) one transaction per the validator's behavior.
+
+    normal and uniform are the validator's own d-rows of standard-normal and
+    [0, 1) draws; a behavior reads the one it needs.
+    """
     if isinstance(behavior, Silent):
         return None
-    # the arithmetic runs in place on the drawn array: a + b is b + a, bit for bit
+    # the arithmetic runs in place on a fresh product: a + b is b + a, bit for bit
     if isinstance(behavior, Honest):
-        vec = rng.normal(0.0, behavior.noise_std, size=cfg.d)
-        vec += truth_vals
+        vec = behavior.noise_std * normal
+        vec += base
     elif isinstance(behavior, OffsetVector):
-        vec = rng.normal(0.0, 0.005, size=cfg.d)
-        vec += truth_vals
+        vec = 0.005 * normal
+        vec += base
         vec += behavior.delta_hz
-    elif isinstance(behavior, RandomVector):
-        vec = rng.uniform(cfg.vector_lo, cfg.vector_hi, size=cfg.d)
+    elif isinstance(behavior, RandomVector):  # Generator.uniform's rule
+        vec = cfg.vector_lo + (cfg.vector_hi - cfg.vector_lo) * uniform
     elif isinstance(behavior, ColludingClone):
         target = behavior.target_hz
         vec = np.full(cfg.d, cfg.nominal_hz + 0.9 if target is None else float(target))
@@ -277,77 +280,6 @@ def consensus_round(
     return RoundResult(round_no, winner, estar, scores, agreement)
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx); numpy keeps them
-# fixed, since every seed must keep its stream
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-@functools.cache
-def _known_state():
-    """An ISeedSequence that hands over state words computed beforehand (made on first
-    use: numpy.random loads only when a round is played)."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KnownState(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words  # PCG64 asks for its four 64-bit words
-
-    return KnownState
-
-
-def _generators(seed: Sequence[int], K: int) -> list:
-    """default_rng([*seed, v]) for v in 0..K-1, byte for byte, without K SeedSequences.
-
-    Entropy word i of validator v is column i: the 32-bit words, lowest first, that
-    SeedSequence makes of each entry of [*seed, v]. SeedSequence's pool mixing and
-    state generation then run in numpy's order on whole columns, and each validator's
-    PCG64 seeds itself from its four 64-bit words, as it would from a SeedSequence.
-    """
-    u32 = np.uint32
-    entropy = []
-    for s in seed:
-        entropy.append(np.full(K, s & 0xFFFFFFFF, dtype=u32))
-        while s := s >> 32:
-            entropy.append(np.full(K, s & 0xFFFFFFFF, dtype=u32))
-    entropy.append(np.arange(K, dtype=u32))  # K < 2**32: every v is one word
-    const = _INIT_A
-
-    def hashmix(x):
-        nonlocal const
-        x = x ^ u32(const)
-        const = const * _MULT_A & 0xFFFFFFFF
-        x *= u32(const)
-        return x ^ (x >> u32(16))
-
-    def mix(x, y):
-        r = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
-        return r ^ (r >> u32(16))
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(K, dtype=u32))
-            for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for x in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(x))
-    state = np.empty((K, 8), dtype="<u4")
-    const = _INIT_B
-    for i in range(8):
-        x = pool[i % 4] ^ u32(const)
-        const = const * _MULT_B & 0xFFFFFFFF
-        x *= u32(const)
-        state[:, i] = x ^ (x >> u32(16))
-    known = _known_state()  # 64-bit words pair the 32-bit ones little-endian, as numpy's do
-    return [np.random.Generator(np.random.PCG64(known(words)))
-            for words in state.view("<u8").astype(np.uint64)]
-
-
 def play_round(
     observers: Sequence,
     bases: Sequence[np.ndarray],
@@ -359,13 +291,16 @@ def play_round(
 
     observers[v] is validator v's behavior; bases[v] is the d-vector it
     measured for the round, read on the round's own clock (the times E*
-    reports). v's transaction draws from default_rng([*seed, v]), an int seed s
-    standing for [s]; the round seeds all K generators at once from the 32-bit
-    words numpy's SeedSequence makes of those lists (:func:`_generators`), byte
-    for byte. The honest validators are those whose behavior is :class:`Honest`,
-    and the round is decided by :func:`consensus_round` under full delivery. K
-    observers, K bases each 1-D of length d, and a seed of whole numbers >= 0
-    are required; anything else raises InvalidArgumentError before any draw.
+    reports). The round makes one generator, default_rng(seed), and draws a
+    (K, d) standard-normal block and then a (K, d) uniform block from it, in
+    full whatever the behaviors; row v of each is validator v's noise
+    (:func:`make_transaction`), so a proof depends only on the seed, its
+    validator's index, behavior and base. The honest validators are those
+    whose behavior is :class:`Honest`, and the round is decided by
+    :func:`consensus_round` under full delivery. K observers, K bases each
+    1-D of length d, and a seed as numpy takes it (a whole number >= 0 or a
+    non-empty list of them) are required; anything else raises
+    InvalidArgumentError before any draw.
     """
     if len(observers) != cfg.K:
         raise InvalidArgumentError(f"need exactly K={cfg.K} observers, got {len(observers)}")
@@ -375,15 +310,20 @@ def play_round(
         if np.shape(base) != (cfg.d,):
             raise InvalidArgumentError(f"bases[{v}] must be 1-D of length d={cfg.d}, "
                                        f"got shape {np.shape(base)}")
-    seed = _seed(seed if isinstance(seed, (list, tuple)) else [seed])
+    seed = _seed(seed)
     honest_ids = [v for v, b in enumerate(observers) if isinstance(b, Honest)]
     n_byz = cfg.K - len(honest_ids)
     if n_byz > cfg.f:
         raise InvalidArgumentError(f"{n_byz} byzantine observers exceed f={cfg.f}")
-    txs = [
-        make_transaction(b, bases[v], v, round_no, rng, cfg)
-        for v, (b, rng) in enumerate(zip(observers, _generators(seed, cfg.K)))
-    ]
+    # both blocks in one buffer: as two arrays, glibc handed their pages back to the
+    # OS at the end of each round and the next round faulted them in again (417
+    # minor page faults a round at K=100, d=720 on x86-64 Linux; one buffer, none)
+    normal, uniform = np.empty((2, cfg.K, cfg.d))
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(out=normal)
+    rng.random(out=uniform)
+    txs = [make_transaction(b, bases[v], v, round_no, normal[v], uniform[v], cfg)
+           for v, b in enumerate(observers)]
     return consensus_round([t for t in txs if t is not None], cfg, round_no, honest_ids)
 
 
@@ -398,15 +338,18 @@ def run_round(
 
     The truth is :func:`gen_enf_truth` of grid reseeded with [seed, round_no],
     d steps over the round, and every validator's view of it is that truth:
-    :func:`play_round` with seed [seed, round_no]. Under full delivery every
-    honest validator receives the shared pool, so the pool is scored exactly
-    once and honest_agreement compares each honest selection with E*.
+    :func:`play_round` with seed [seed, round_no, 1]. numpy pads a short seed
+    with zeros, so [seed, round_no, 0] would draw the truth's own normals; the
+    trailing 1 keeps the proofs' noise independent of the truth. Under full
+    delivery every honest validator receives the shared pool, so the pool is
+    scored exactly once and honest_agreement compares each honest selection
+    with E*.
     """
     _same_nominal(grid=grid, committee=cfg)
     round_seed = [_whole(seed, "seed", 0), _whole(round_no, "round_no", 0)]
     step = cfg.round_duration_s / cfg.d
     truth = gen_enf_truth(replace(grid, seed=round_seed), cfg.round_duration_s, step)
-    return play_round(observers, [truth.values_hz] * cfg.K, cfg, round_no, round_seed)
+    return play_round(observers, [truth.values_hz] * cfg.K, cfg, round_no, [*round_seed, 1])
 
 
 def round_rates(results: Sequence[RoundResult], honest_ids: Container[int]) -> dict:

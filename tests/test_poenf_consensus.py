@@ -29,7 +29,6 @@ from enfnet import (
     compute_scores,
     consensus_round,
     gen_enf_truth,
-    make_transaction,
     parse_behavior,
     play_round,
     run_round,
@@ -37,6 +36,7 @@ from enfnet import (
     simulate_rounds,
     validate_transaction,
 )
+from enfnet.poenf_consensus import make_transaction
 
 CFG = CommitteeConfig(K=5, f=1, d=4, round_duration_s=60.0)
 
@@ -202,9 +202,14 @@ def test_scores_match_cdist_within_ulps_of_the_norms(d):
     cfg = CommitteeConfig(K=30, f=13, d=d)  # m = 15: the 17 central proofs
     rng = np.random.default_rng(d)
     truth = 60.5 + rng.normal(0.0, 0.01, d)
-    honest = [make_transaction(Honest(), truth, v, 0, rng, cfg).enf_vector for v in range(13)]
-    random = [make_transaction(RandomVector(), truth, v, 0, rng, cfg).enf_vector for v in range(8)]
-    clone = make_transaction(ColludingClone(60.2), truth, 0, 0, rng, cfg).enf_vector
+    normal, uniform = rng.standard_normal((22, d)), rng.random((22, d))
+
+    def proof(behavior, v):
+        return make_transaction(behavior, truth, v, 0, normal[v], uniform[v], cfg).enf_vector
+
+    honest = [proof(Honest(), v) for v in range(13)]
+    random = [proof(RandomVector(), v) for v in range(13, 21)]
+    clone = proof(ColludingClone(60.2), 21)
     mean = np.mean(honest, axis=0)
     copy_ids = [3, 11, 20, 27]
     rest = iter(honest + random + [clone] * 5)
@@ -300,15 +305,8 @@ def test_play_round_selects_the_central_view():
     assert rr.scores[4] < min(others)  # a strict winner, not a tie broken by id
 
 
-@pytest.mark.parametrize("seed", [[9, 2], [0, 0], [2**32 - 1, 7], [2**32 + 5, 3],
-                                  [2**70 + 12345, 1]])
-def test_play_round_seeds_validator_v_with_seed_then_v(monkeypatch, seed):
-    """Every proof play_round builds is, byte for byte, make_transaction with
-    default_rng([*seed, v]): seeds of one word, of two and of three, and all five
-    behaviours."""
-    cfg = CommitteeConfig(K=12, f=4, d=6, round_duration_s=60.0)  # 11 proofs: a quorum
-    observers = [Honest()] * 8 + [OffsetVector(0.3), RandomVector(), ColludingClone(), Silent()]
-    bases = [np.linspace(59.9, 60.1, cfg.d) + 0.001 * v for v in range(cfg.K)]
+def _submitted(monkeypatch):
+    """The transactions play_round hands consensus_round, in a list filled as rounds run."""
     submitted = []
     kernel = poenf_consensus.consensus_round
 
@@ -317,14 +315,59 @@ def test_play_round_seeds_validator_v_with_seed_then_v(monkeypatch, seed):
         return kernel(txs, *args)
 
     monkeypatch.setattr(poenf_consensus, "consensus_round", capture)
+    return submitted
+
+
+@pytest.mark.parametrize("seed", [[9, 2], [0, 0], [2**32 - 1, 7], [2**32 + 5, 3],
+                                  [2**70 + 12345, 1]])
+def test_play_round_draws_row_v_of_one_generator(monkeypatch, seed):
+    """Every proof play_round builds is, byte for byte, validator v's rule on row v of
+    default_rng(seed)'s (K, d) standard-normal block and then its (K, d) uniform block:
+    seeds of one word, of two and of three, and all five behaviours. Changing one
+    validator's behaviour leaves every other validator's proof bytes as they were."""
+    cfg = CommitteeConfig(K=12, f=4, d=6, round_duration_s=60.0)  # 11 proofs: a quorum
+    lo, hi = cfg.vector_lo, cfg.vector_hi
+    observers = [Honest()] * 7 + [Honest(0.02), OffsetVector(0.3), RandomVector(),
+                                  ColludingClone(), Silent()]
+    bases = [np.linspace(59.9, 60.1, cfg.d) + 0.001 * v for v in range(cfg.K)]
+    submitted = _submitted(monkeypatch)
     play_round(observers, bases, cfg, round_no=3, seed=seed)
-    expected = [make_transaction(b, bases[v], v, 3, np.random.default_rng([*seed, v]), cfg)
-                for v, b in enumerate(observers)]
-    expected = [t for t in expected if t is not None]
-    assert [t.validator_id for t in submitted] == [t.validator_id for t in expected] == list(range(11))
+
+    rng = np.random.default_rng(seed)
+    normal = rng.standard_normal((cfg.K, cfg.d))
+    uniform = rng.uniform(lo, hi, (cfg.K, cfg.d))  # the uniform block, through Generator.uniform
+    expected = [normal[v] * 0.005 + bases[v] for v in range(7)]
+    expected += [normal[7] * 0.02 + bases[7], normal[8] * 0.005 + bases[8] + 0.3,
+                 uniform[9], np.full(cfg.d, 60.9)]
+    assert [t.validator_id for t in submitted] == list(range(11))
     for got, want in zip(submitted, expected):
-        assert got.round == want.round == 3
-        assert got.enf_vector.tobytes() == want.enf_vector.tobytes()
+        assert got.round == 3
+        assert got.enf_vector.tobytes() == np.clip(want, lo, hi).tobytes()
+
+    changed = observers[:8] + [RandomVector()] + observers[9:]  # validator 8: offset -> random
+    first = {t.validator_id: t.enf_vector.tobytes() for t in submitted}
+    submitted.clear()
+    play_round(changed, bases, cfg, round_no=3, seed=seed)
+    again = {t.validator_id: t.enf_vector.tobytes() for t in submitted}
+    assert again.keys() == first.keys()
+    assert [v for v in first if again[v] != first[v]] == [8]
+
+
+@pytest.mark.parametrize("seed, round_no", [(7, 0), (7, 3), (123, 1)])
+def test_round_proof_noise_does_not_follow_the_truth(monkeypatch, seed, round_no):
+    """No honest proof's noise (proof - truth) correlates with the truth's own
+    increments, the first normal(size=d) draw of default_rng([seed, round_no])."""
+    cfg = CommitteeConfig(K=5, f=1, d=360, round_duration_s=360.0)
+    grid = GridConfig()
+    submitted = _submitted(monkeypatch)
+    run_round(grid, [Honest(0.005)] * cfg.K, cfg, seed=seed, round_no=round_no)
+    truth = gen_enf_truth(dataclasses.replace(grid, seed=[seed, round_no]),
+                          cfg.round_duration_s, cfg.round_duration_s / cfg.d)
+    increments = np.random.default_rng([seed, round_no]).normal(size=cfg.d)
+    assert len(submitted) == cfg.K
+    for t in submitted:
+        r = np.corrcoef(t.enf_vector - truth.values_hz, increments)[0, 1]
+        assert abs(r) <= 0.3, (t.validator_id, r)
 
 
 def test_play_round_takes_an_int_seed_as_a_one_entry_list():
@@ -338,7 +381,7 @@ def test_play_round_takes_an_int_seed_as_a_one_entry_list():
 
 
 def _no_draws(*args):
-    raise AssertionError("a proof was built before the inputs were checked")
+    raise AssertionError("a generator was made before the inputs were checked")
 
 
 @pytest.mark.parametrize(
@@ -353,8 +396,8 @@ def _no_draws(*args):
 )
 def test_play_round_rejects_bad_inputs_before_any_draw(monkeypatch, bases, seed, match):
     """A base numpy would broadcast, a missing base and a seed numpy rejects all
-    raise InvalidArgumentError before a proof is built."""
-    monkeypatch.setattr(poenf_consensus, "make_transaction", _no_draws)
+    raise InvalidArgumentError before the round's generator is made."""
+    monkeypatch.setattr(np.random, "default_rng", _no_draws)
     with pytest.raises(InvalidArgumentError, match=match):
         play_round([Honest()] * CFG.K, bases, CFG, round_no=0, seed=seed)
 
@@ -405,7 +448,8 @@ def test_round_rejects_a_grid_of_another_nominal():
 def test_random_vector_is_clamped_and_never_wins():
     cfg = CommitteeConfig(K=5, f=1, d=16, round_duration_s=60.0)
     rng = np.random.default_rng(2)
-    t = make_transaction(RandomVector(), np.full(16, 60.0), 4, 0, rng, cfg)
+    t = make_transaction(RandomVector(), np.full(16, 60.0), 4, 0, rng.standard_normal(16),
+                         rng.random(16), cfg)
     assert np.all(t.enf_vector >= cfg.vector_lo) and np.all(t.enf_vector <= cfg.vector_hi)
     wins = 0
     for seed in range(200):
@@ -426,7 +470,8 @@ def test_colluding_clone_never_selected():
 def test_offset_transaction_is_clamped_not_rejected():
     cfg = CommitteeConfig(K=5, f=1, d=8, round_duration_s=60.0)
     rng = np.random.default_rng(0)
-    t = make_transaction(OffsetVector(1.0), np.full(8, 60.02), 1, 0, rng, cfg)
+    t = make_transaction(OffsetVector(1.0), np.full(8, 60.02), 1, 0, rng.standard_normal(8),
+                         rng.random(8), cfg)
     assert np.all(t.enf_vector <= cfg.vector_hi)
     res = validate_transaction(t, TransactionPool(round=0), cfg)
     assert res.accepted
@@ -554,10 +599,11 @@ def test_parse_behavior_specs():
 def test_clone_scalar_target_broadcasts():
     cfg = CommitteeConfig(K=5, f=1, d=8, round_duration_s=60.0)
     rng = np.random.default_rng(0)
-    t = make_transaction(parse_behavior("clone:60.9"), np.zeros(8), 3, 0, rng, cfg)
+    normal, uniform = rng.standard_normal(8), rng.random(8)
+    t = make_transaction(parse_behavior("clone:60.9"), np.zeros(8), 3, 0, normal, uniform, cfg)
     np.testing.assert_array_equal(t.enf_vector, np.full(8, 60.9))
     with pytest.raises(InvalidArgumentError, match="unknown behavior"):
-        make_transaction("clone", np.zeros(8), 3, 0, rng, cfg)
+        make_transaction("clone", np.zeros(8), 3, 0, normal, uniform, cfg)
 
 
 def test_committee_and_behaviors_reject_numbers_of_the_wrong_kind():
