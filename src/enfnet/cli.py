@@ -107,13 +107,11 @@ def _round_record(rr, **extra):
 
 
 def cmd_generate(args):
-    grid = GridConfig(**_given(args, GridConfig))
-    truth = gen_enf_truth(grid, args.duration, args.truth_step)
+    truth = gen_enf_truth(GridConfig(**_given(args, GridConfig)), args.duration, args.truth_step)
     if args.kind == "audio":
-        stream = embed_audio(truth, args.sample_rate, args.harmonics, args.snr,
-                             seed=args.seed + 1, grid=grid)
+        stream = embed_audio(truth, args.sample_rate, args.harmonics, args.snr, seed=args.seed + 1)
     else:
-        stream = embed_video(truth, args.fps, args.height, args.snr, seed=args.seed + 1, grid=grid)
+        stream = embed_video(truth, args.fps, args.height, args.snr, seed=args.seed + 1)
     # one call per mode, in order of first mention: StripEnf draws are numbered
     # per segment and ReplaceEnf resynthesizes once
     for mode in dict.fromkeys(mode for _, _, mode in args.forge):

@@ -55,9 +55,9 @@ def _check_hum(cfg) -> None:
     _harmonic_spec(cfg.harmonics)
 
 
-def _estimate_stream(cfg, truth, grid, seed, splice, forge_seed) -> EnfSeries:
+def _estimate_stream(cfg, truth, seed, splice, forge_seed) -> EnfSeries:
     """Embed truth's hum as cfg sets it, replace its ENF over splice unless None, estimate."""
-    stream = embed_audio(truth, cfg.sample_rate_hz, cfg.harmonics, cfg.snr_db, seed=seed, grid=grid)
+    stream = embed_audio(truth, cfg.sample_rate_hz, cfg.harmonics, cfg.snr_db, seed=seed)
     if splice is not None:
         stream = forge_segments(stream, [splice], ForgeryMode.ReplaceEnf, seed=forge_seed)
     return estimate_enf(stream, cfg.estimator)
@@ -124,8 +124,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     "summary": {...}} with a stream-level confusion count in the summary.
     """
     com = cfg.committee
-    grid = dataclasses.replace(cfg.grid, seed=[cfg.seed, 0])
-    truth = gen_enf_truth(grid, cfg.duration_s, step_s=1.0)
+    truth = gen_enf_truth(dataclasses.replace(cfg.grid, seed=[cfg.seed, 0]), cfg.duration_s, 1.0)
 
     forged_at: Dict[int, Tuple[float, float]] = {}
     estimates: Dict[int, EnfSeries] = {}
@@ -137,7 +136,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
             a = float(lo + (hi - lo) * rng.random())
             forged_at[p] = (a, a + flen)
         estimates[p] = _estimate_stream(
-            cfg, truth, grid, [cfg.seed, 1, p], forged_at.get(p), cfg.seed * 1000 + p
+            cfg, truth, [cfg.seed, 1, p], forged_at.get(p), cfg.seed * 1000 + p
         )
 
     n_honest = com.K - cfg.byzantine
@@ -293,8 +292,7 @@ class CorpusEntry:
 
 def _corpus_entry(cc: CorpusConfig, i: int, forged: bool) -> CorpusEntry:
     """Stream i of cc, genuine or with one ReplaceEnf splice, seeded by cc.seed and i alone."""
-    grid = dataclasses.replace(cc.grid, seed=[cc.seed, i])
-    truth = gen_enf_truth(grid, cc.duration_s, step_s=1.0)
+    truth = gen_enf_truth(dataclasses.replace(cc.grid, seed=[cc.seed, i]), cc.duration_s, 1.0)
     injected = None
     if forged:
         rng = np.random.default_rng([cc.seed, i, 2])
@@ -302,7 +300,7 @@ def _corpus_entry(cc: CorpusConfig, i: int, forged: bool) -> CorpusEntry:
         flen = float(rng.integers(int(flo), int(fhi) + 1))
         a = float(rng.integers(20, int(cc.duration_s - 20 - flen)))
         injected = (a, a + flen)
-    est = _estimate_stream(cc, truth, grid, [cc.seed, i, 1], injected, cc.seed * 100003 + i)
+    est = _estimate_stream(cc, truth, [cc.seed, i, 1], injected, cc.seed * 100003 + i)
     ref = EnfSeries(est.start_time_s, est.step_s, truth.at(est.times()))
     return CorpusEntry(local=est, reference=ref, injected=injected)
 

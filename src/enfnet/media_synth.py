@@ -81,11 +81,14 @@ def _same_nominal(**configs) -> None:
 
 @dataclass
 class EnfSeries:
-    """Timestamped sequence of instantaneous frequency estimates in Hz."""
+    """Timestamped sequence of instantaneous frequency estimates in Hz. grid is the
+    GridConfig that drew the series, which only gen_enf_truth sets; estimates,
+    references, loaded and hand-built series hold None."""
 
     start_time_s: float
     step_s: float
     values_hz: np.ndarray
+    grid: GridConfig | None = None
 
     def __post_init__(self):
         self.values_hz = np.asarray(self.values_hz, dtype=float)
@@ -187,7 +190,7 @@ def gen_enf_truth(cfg: GridConfig, duration_s: float, step_s: float) -> EnfSerie
     rng = np.random.default_rng(cfg.seed)
     incr = rng.normal(0.0, cfg.drift_std_hz * np.sqrt(step_s), size=n)
     dev = np.clip(np.cumsum(incr), -cfg.max_dev_hz, cfg.max_dev_hz)
-    return EnfSeries(start_time_s=0.0, step_s=step_s, values_hz=cfg.nominal_hz + dev)
+    return EnfSeries(start_time_s=0.0, step_s=step_s, values_hz=cfg.nominal_hz + dev, grid=cfg)
 
 
 # values synthesized per block: work arrays hold this many, not a whole stream. At
@@ -311,10 +314,11 @@ _F32_MAX = float(np.finfo(np.float32).max)
 _GRID_KEYS = tuple(f.name for f in fields(GridConfig) if f.name != "seed")
 
 
-def _provenance(grid: GridConfig | None, snr_db: float, seed, **kind_keys) -> dict:
-    """A stream's meta: the generating grid, snr_db, seed and the kind-specific keys."""
-    g = grid if grid is not None else GridConfig()
-    meta = {k: getattr(g, k) for k in _GRID_KEYS}
+def _provenance(truth: EnfSeries, snr_db: float, seed, **kind_keys) -> dict:
+    """A stream's meta: the _GRID_KEYS of the grid that drew truth, as floats (none if
+    no grid drew it), snr_db, seed and the kind-specific keys."""
+    grid = truth.grid
+    meta = {} if grid is None else {k: float(getattr(grid, k)) for k in _GRID_KEYS}
     meta.update(snr_db=float(snr_db), seed=seed, **kind_keys)
     return meta
 
@@ -350,7 +354,6 @@ def embed_audio(
     harmonics: Sequence[Tuple[int, float]],
     snr_db: float,
     seed: int = 0,
-    grid: GridConfig | None = None,
 ) -> AudioStream:
     """Embed the truth trace as a sum of hum harmonics plus white noise.
 
@@ -359,7 +362,7 @@ def embed_audio(
     offset) is evaluated in float32 at the float32 phase _synthesize passes, the
     fraction of a cycle the integral of the interpolated truth has reached.
     Distinct orders make the hum's power sum(amplitude**2 / 2), which sets the noise.
-    grid (optional) records the generating process so forgeries can
+    meta records the grid that drew truth (_provenance), so that ReplaceEnf can
     re-synthesize matching content.
     """
     seed = _seed(seed)
@@ -379,7 +382,7 @@ def embed_audio(
         lambda phase: sum(a * np.sin(k * phase + u) for k, a, u in terms),
         power, snr_db, rng,
     )
-    meta = _provenance(grid, snr_db, seed, harmonics=[(k, float(a)) for k, a in zip(orders, amps)])
+    meta = _provenance(truth, snr_db, seed, harmonics=[(k, float(a)) for k, a in zip(orders, amps)])
     return AudioStream(float(sample_rate_hz), sig, truth, meta=meta)
 
 
@@ -389,7 +392,6 @@ def embed_video(
     frame_height: int,
     snr_db: float,
     seed: int = 0,
-    grid: GridConfig | None = None,
 ) -> VideoLumaStream:
     """Embed illumination flicker at 2*f(t) into per-row mean luminance.
 
@@ -398,7 +400,8 @@ def embed_video(
     turn, one flicker sample per row at rate fps * frame_height, around a
     mean luma of _BASE_LUMA at amplitude _FLICKER_AMP. The flicker is evaluated
     in float32 and added to _BASE_LUMA in float64: float32 holds luma near 100
-    only to steps of 7.6e-6.
+    only to steps of 7.6e-6. meta records the grid that drew truth, as in
+    embed_audio.
     """
     seed = _seed(seed)
     n_frames = _span(truth, fps, "fps")
@@ -410,7 +413,7 @@ def embed_video(
 
     flat = _synthesize(truth, fps * frame_height, n_frames * frame_height, luma,
                        _FLICKER_AMP**2 / 2.0, snr_db, np.random.default_rng(seed))
-    meta = _provenance(grid, snr_db, seed)
+    meta = _provenance(truth, snr_db, seed)
     return VideoLumaStream(float(fps), flat.reshape(n_frames, frame_height), truth, meta=meta)
 
 
@@ -463,10 +466,9 @@ def _resynthesize(stream, seed) -> np.ndarray:
     alt_truth = gen_enf_truth(grid, stream.truth.duration_s, stream.truth.step_s)
     if audio:
         alt = embed_audio(alt_truth, stream.sample_rate_hz, meta["harmonics"], meta["snr_db"],
-                          seed=seed + 1, grid=grid)
+                          seed=seed + 1)
     else:
-        alt = embed_video(alt_truth, stream.fps, stream.frame_height, meta["snr_db"],
-                          seed=seed + 1, grid=grid)
+        alt = embed_video(alt_truth, stream.fps, stream.frame_height, meta["snr_db"], seed=seed + 1)
     return sample_view(alt)[0]
 
 

@@ -36,10 +36,11 @@ def _payload_path(header_path: str) -> str:
 
 
 def dump_json(obj, path: str):
-    """Write obj as deterministic JSON: sorted keys, 2-space indent, trailing newline."""
+    """Write obj as deterministic JSON: sorted keys, 2-space indent, trailing newline. obj
+    is serialized before the file is opened, so an obj json cannot hold writes no file."""
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def save_jsonl(path: str, records):

@@ -104,14 +104,13 @@ def test_criterion_5_estimator_accuracy():
     est = estimate_enf(clean)
     noiseless_err = float(np.max(np.abs(est.values_hz - 60.0)))
 
-    grid = GridConfig(seed=99)
-    truth = gen_enf_truth(grid, 300.0, 1.0)
-    noisy = embed_audio(truth, 1000.0, DEFAULT_HARMONICS, 20.0, seed=99, grid=grid)
+    truth = gen_enf_truth(GridConfig(seed=99), 300.0, 1.0)
+    noisy = embed_audio(truth, 1000.0, DEFAULT_HARMONICS, 20.0, seed=99)
     est = estimate_enf(noisy)
     ref = np.interp(est.times(), truth.times(), truth.values_hz)
     rmse = float(np.sqrt(np.mean((est.values_hz - ref) ** 2)))
 
-    video = embed_video(truth, 25.0, 120, 20.0, seed=99, grid=grid)
+    video = embed_video(truth, 25.0, 120, 20.0, seed=99)
     sig, _ = video_row_signal(video)
 
     print(
@@ -124,10 +123,9 @@ def test_criterion_5_estimator_accuracy():
 
 
 def test_criterion_6_cross_modal_consistency():
-    grid = GridConfig(seed=55)
-    truth = gen_enf_truth(grid, 300.0, 1.0)
-    audio = embed_audio(truth, 1000.0, DEFAULT_HARMONICS, 20.0, seed=55, grid=grid)
-    video = embed_video(truth, 25.0, 120, 20.0, seed=56, grid=grid)
+    truth = gen_enf_truth(GridConfig(seed=55), 300.0, 1.0)
+    audio = embed_audio(truth, 1000.0, DEFAULT_HARMONICS, 20.0, seed=55)
+    video = embed_video(truth, 25.0, 120, 20.0, seed=56)
     ea = estimate_enf(audio)
     ev = estimate_enf(video)
     n = min(len(ea), len(ev))

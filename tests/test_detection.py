@@ -300,9 +300,8 @@ def test_detector_config_validation():
 
 
 def test_localize_replace_enf_within_one_shift():
-    grid = GridConfig(seed=1234)
-    truth = gen_enf_truth(grid, 300.0, 1.0)
-    stream = embed_audio(truth, 1000.0, DEFAULT_HARMONICS, 20.0, seed=1234, grid=grid)
+    truth = gen_enf_truth(GridConfig(seed=1234), 300.0, 1.0)
+    stream = embed_audio(truth, 1000.0, DEFAULT_HARMONICS, 20.0, seed=1234)
     stream = forge_segments(stream, [(60.0, 90.0)], ForgeryMode.ReplaceEnf, seed=77)
     est_cfg = EstimatorConfig(stft_window_s=4.0, stft_overlap_frac=0.75)
     est = estimate_enf(stream, est_cfg)

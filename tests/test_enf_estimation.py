@@ -124,8 +124,7 @@ def test_resampled_bytes_do_not_depend_on_blas_threads():
 
 
 def test_estimate_of_a_2997_fps_video_holds_a_small_multiple_of_the_stream():
-    grid = GridConfig(seed=5)
-    v = embed_video(gen_enf_truth(grid, 120.0, 1.0), 29.97, 360, 20.0, seed=5, grid=grid)
+    v = embed_video(gen_enf_truth(GridConfig(seed=5), 120.0, 1.0), 29.97, 360, 20.0, seed=5)
     tracemalloc.start()
     try:
         estimate_enf(v)
@@ -155,12 +154,13 @@ def test_estimate_of_a_2997_fps_video_holds_a_small_multiple_of_the_stream():
 def test_working_rate(monkeypatch, kind, rate, harmonics, nominal_hz, expected):
     """estimate_enf reads the lowest 500 * 2**j Hz whose Nyquist holds every
     band edge, or the stream's own rate when that is slower."""
-    grid, truth = GridConfig(nominal_hz=nominal_hz), const_truth(nominal_hz, duration_s=20)
+    # a constant truth that a grid at nominal_hz drew, so the stream records that nominal
+    truth = gen_enf_truth(GridConfig(nominal_hz=nominal_hz, drift_std_hz=0.0), 20.0, 1.0)
     if kind == "audio":
         orders = [(k, 1.0) for k in harmonics or (1, 2, 3)]
-        stream = embed_audio(truth, rate, orders, 20.0, seed=1, grid=grid)
+        stream = embed_audio(truth, rate, orders, 20.0, seed=1)
     else:
-        stream = embed_video(truth, 25.0, rate, 20.0, seed=1, grid=grid)
+        stream = embed_video(truth, 25.0, rate, 20.0, seed=1)
     cfg = enf_estimation.default_config_for(stream)
     if harmonics:
         cfg = dataclasses.replace(cfg, harmonics=harmonics)
@@ -197,7 +197,7 @@ def test_config_rejects_empty_non_positive_or_repeated_harmonics(harmonics):
 def test_estimate_rejects_a_nominal_other_than_the_streams():
     grid = GridConfig(nominal_hz=50.0, seed=3, max_dev_hz=0.5)
     stream = embed_audio(gen_enf_truth(grid, 120.0, 1.0), 1000.0, ((1, 1.0), (2, 0.5)), 20.0,
-                         seed=3, grid=grid)
+                         seed=3)
     with pytest.raises(InvalidArgumentError, match=r"nominal_hz 60\.0 .* recorded 50\.0 Hz"):
         estimate_enf(stream, EstimatorConfig())
     # a stream that records no nominal is read at the estimator's
@@ -386,15 +386,14 @@ def test_spectrogram_memory_is_its_output_plus_one_block():
 
 
 def test_estimate_equals_full_matrix_pipeline():
-    grid = GridConfig(seed=17)
-    truth = gen_enf_truth(grid, 120.0, 1.0)
-    a = embed_audio(truth, 1000.0, HARMONICS_123, 10.0, seed=17, grid=grid)
+    truth = gen_enf_truth(GridConfig(seed=17), 120.0, 1.0)
+    a = embed_audio(truth, 1000.0, HARMONICS_123, 10.0, seed=17)
     cfg = EstimatorConfig(**CORPUS)
     x, rate = preprocess_audio(a, cfg)
     assert rate == 500.0
     cases = [(a, cfg, x)]
     # 25 fps x 20 rows: the row signal is already at the 500 Hz working rate
-    v = embed_video(truth, 25.0, 20, 20.0, seed=17, grid=grid)
+    v = embed_video(truth, 25.0, 20, 20.0, seed=17)
     cases.append((v, EstimatorConfig(harmonics=(2,)), video_row_signal(v)[0]))
     for stream, cfg, x in cases:
         full = full_spectrogram(x, 500.0, cfg)
@@ -542,9 +541,8 @@ def test_track_offset_tone_shift_equivariance():
 
 
 def test_track_random_walk_rmse():
-    grid = GridConfig(seed=17)
-    truth = gen_enf_truth(grid, 120.0, 1.0)
-    a = embed_audio(truth, 1000.0, HARMONICS_123, 20.0, seed=17, grid=grid)
+    truth = gen_enf_truth(GridConfig(seed=17), 120.0, 1.0)
+    a = embed_audio(truth, 1000.0, HARMONICS_123, 20.0, seed=17)
     est = estimate_enf(a)
     ref = np.interp(est.times(), truth.times(), truth.values_hz)
     rmse = np.sqrt(np.mean((est.values_hz - ref) ** 2))
@@ -667,9 +665,8 @@ def test_combine_rejects_mismatched_weights():
 
 
 def test_video_estimate_tracks_truth():
-    grid = GridConfig(seed=23)
-    truth = gen_enf_truth(grid, 120.0, 1.0)
-    v = embed_video(truth, 25.0, 120, 20.0, seed=23, grid=grid)
+    truth = gen_enf_truth(GridConfig(seed=23), 120.0, 1.0)
+    v = embed_video(truth, 25.0, 120, 20.0, seed=23)
     est = estimate_enf(v)  # defaults to the 120 Hz band, reported at base
     ref = np.interp(est.times(), truth.times(), truth.values_hz)
     rmse = np.sqrt(np.mean((est.values_hz - ref) ** 2))

@@ -128,7 +128,7 @@ def test_scenario_estar_is_the_winners_estimate_on_its_own_clock():
     for rr in run_scenario(cfg)["rounds"]:
         stream = embed_audio(
             truth, cfg.sample_rate_hz, cfg.harmonics, cfg.snr_db,
-            seed=[cfg.seed, 1, rr.ground_truth_id], grid=grid,
+            seed=[cfg.seed, 1, rr.ground_truth_id],
         )
         est = estimate_enf(stream, cfg.estimator)
         estar = rr.ground_truth_enf

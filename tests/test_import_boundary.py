@@ -55,10 +55,9 @@ def test_estimates_that_resample_load_no_scipy(tmp_path):
     loaded = _loaded_after_each_step("""
 import os
 from enfnet import GridConfig, cli, embed_audio, embed_video, estimate_enf, gen_enf_truth
-grid = GridConfig(seed=1)
-truth = gen_enf_truth(grid, 30.0, 1.0)
-estimate_enf(embed_audio(truth, 44_100.0, [(1, 1.0)], 30.0, grid=grid))
-estimate_enf(embed_video(truth, 25.0, 360, 30.0, grid=grid))
+truth = gen_enf_truth(GridConfig(seed=1), 30.0, 1.0)
+estimate_enf(embed_audio(truth, 44_100.0, [(1, 1.0)], 30.0))
+estimate_enf(embed_video(truth, 25.0, 360, 30.0))
 mark("estimate_enf")
 for kind in (["--sample-rate", "44100"], ["--kind", "video", "--fps", "25", "--height", "360"]):
     gen, est = os.path.join(sys.argv[1], "gen" + kind[1]), os.path.join(sys.argv[1], "est" + kind[1])
@@ -112,7 +111,12 @@ codes = [
               "--out", out("gen")]),
     cli.main(["estimate", "--stream", os.path.join(out("gen"), "stream.json"),
               "--out", out("est")]),
+    # ReplaceEnf rebuilds a 50 Hz grid from the stream's provenance
+    cli.main(["generate", "--nominal", "50", "--duration", "30", "--sample-rate", "44100",
+              "--seed", "1", "--forge", "10:20:ReplaceEnf", "--out", out("gen50")]),
+    cli.main(["estimate", "--stream", os.path.join(out("gen50"), "stream.json"),
+              "--out", out("est50")]),
 ]
 print(json.dumps(["exit codes", codes]))
 """, str(tmp_path))
-    assert loaded == {"exit codes": [0, 0, 0, 0]}
+    assert loaded == {"exit codes": [0, 0, 0, 0, 0, 0]}

@@ -230,8 +230,7 @@ def test_numpy_integer_seeds_synthesize_as_ints():
 
 @pytest.mark.parametrize("mode", list(ForgeryMode))
 def test_forge_segments_rejects_a_seed_that_is_not_whole(mode):
-    grid = GridConfig(seed=2)
-    stream = embed_audio(gen_enf_truth(grid, 10.0, 1.0), 1000.0, [(1, 1.0)], 20.0, grid=grid)
+    stream = embed_audio(gen_enf_truth(GridConfig(seed=2), 10.0, 1.0), 1000.0, [(1, 1.0)], 20.0)
     for seed in (2.7, -1, "2"):
         with pytest.raises(InvalidArgumentError, match="seed must be"):
             forge_segments(stream, [(2.0, 4.0)], mode, seed=seed)
@@ -291,9 +290,8 @@ def test_snr_just_inside_float64_range_embeds():
 
 
 def _audio_for_forgery(seed=0, snr_db=np.inf, duration_s=60.0):
-    grid = GridConfig(seed=seed)
-    truth = gen_enf_truth(grid, duration_s, 1.0)
-    return embed_audio(truth, 1000.0, HARMONICS_123, snr_db, seed=seed, grid=grid)
+    truth = gen_enf_truth(GridConfig(seed=seed), duration_s, 1.0)
+    return embed_audio(truth, 1000.0, HARMONICS_123, snr_db, seed=seed)
 
 
 def test_replace_enf_touches_only_the_segment():
@@ -359,11 +357,10 @@ KINDS = ("audio", "video")
 
 
 def _stream_of(kind, seed=3):
-    grid = GridConfig(seed=seed)
-    truth = gen_enf_truth(grid, 20.0, 1.0)
+    truth = gen_enf_truth(GridConfig(seed=seed), 20.0, 1.0)
     if kind == "audio":
-        return embed_audio(truth, 1000.0, HARMONICS_123, 20.0, seed=seed, grid=grid)
-    return embed_video(truth, 10.0, 16, 20.0, seed=seed, grid=grid)
+        return embed_audio(truth, 1000.0, HARMONICS_123, 20.0, seed=seed)
+    return embed_video(truth, 10.0, 16, 20.0, seed=seed)
 
 
 def _values(stream):
@@ -433,12 +430,11 @@ def test_replace_enf_of_an_int16_record_writes_the_replacement_as_float64(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_estimate_of_a_float32_built_record_is_that_of_its_float64_copy(kind):
-    grid = GridConfig(seed=3)
-    truth = gen_enf_truth(grid, 20.0, 1.0)
+    truth = gen_enf_truth(GridConfig(seed=3), 20.0, 1.0)
     if kind == "audio":
-        stream = embed_audio(truth, 1000.0, HARMONICS_123, 20.0, seed=3, grid=grid)
+        stream = embed_audio(truth, 1000.0, HARMONICS_123, 20.0, seed=3)
     else:
-        stream = embed_video(truth, 25.0, 48, 20.0, seed=3, grid=grid)
+        stream = embed_video(truth, 25.0, 48, 20.0, seed=3)
     f32 = getattr(stream, _FIELD[kind]).astype(np.float32)
     a = estimate_enf(dataclasses.replace(stream, **{_FIELD[kind]: f32}))
     b = estimate_enf(dataclasses.replace(stream, **{_FIELD[kind]: f32.astype(float)}))
@@ -505,10 +501,52 @@ def test_replace_enf_needs_the_recorded_provenance(kind):
     assert not np.array_equal(_values(stripped), _values(stream))
 
 
+def _embed_kind(kind, truth, seed=3):
+    if kind == "audio":
+        return embed_audio(truth, 1000.0, HARMONICS_123, 20.0, seed=seed)
+    return embed_video(truth, 25.0, 120, 20.0, seed=seed)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_stream_records_the_grid_that_drew_its_truth(kind):
+    """A 50 Hz truth embedded with no other argument records 50 Hz, so its estimate
+    is read around 50 Hz and not around GridConfig()'s 60 Hz."""
+    grid = GridConfig(nominal_hz=50, seed=3)
+    truth = gen_enf_truth(grid, 120.0, 1.0)
+    stream = _embed_kind(kind, truth)
+    assert stream.meta["nominal_hz"] == 50
+    est = estimate_enf(stream)
+    assert abs(np.mean(est.values_hz) - np.mean(truth.values_hz)) < 0.02
+    assert truth.grid is grid and est.grid is None
+
+
+def test_replace_enf_of_a_50_hz_stream_splices_in_a_50_hz_hum():
+    stream = embed_audio(gen_enf_truth(GridConfig(nominal_hz=50, seed=3), 60.0, 1.0), 1000.0,
+                         [(1, 1.0)], 20.0, seed=3)
+    forged = forge_segments(stream, [(20.0, 40.0)], ForgeryMode.ReplaceEnf, seed=5)
+    span = forged.samples[20_000:40_000]
+    peak_hz = np.argmax(np.abs(np.fft.rfft(span))) * 1000.0 / len(span)
+    assert abs(peak_hz - 50.0) <= 0.1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_truth_no_grid_drew_claims_no_grid(kind):
+    """A hand-built truth records no grid: ReplaceEnf has none to rebuild, while
+    StripEnf and estimation, which read no grid, still run."""
+    stream = _embed_kind(kind, const_truth(60.0, duration_s=20.0))
+    kind_keys = {"harmonics"} if kind == "audio" else set()
+    assert set(stream.meta) == {"snr_db", "seed"} | kind_keys
+    with pytest.raises(InvalidArgumentError, match=r"meta lacks \['nominal_hz', "):
+        forge_segments(stream, [(4.0, 8.0)], ForgeryMode.ReplaceEnf)
+    stripped = forge_segments(stream, [(4.0, 8.0)], ForgeryMode.StripEnf, seed=1)
+    assert stripped.forged_intervals == [(4.0, 8.0)]
+    est = estimate_enf(stream)  # read at EstimatorConfig()'s 60 Hz
+    assert np.all(np.abs(est.values_hz - 60.0) <= 0.02)
+
+
 def test_video_forgery_rolling_replace():
-    grid = GridConfig(seed=8)
-    truth = gen_enf_truth(grid, 30.0, 1.0)
-    stream = embed_video(truth, 25.0, 40, 25.0, seed=8, grid=grid)
+    truth = gen_enf_truth(GridConfig(seed=8), 30.0, 1.0)
+    stream = embed_video(truth, 25.0, 40, 25.0, seed=8)
     forged = forge_segments(stream, [(10.0, 20.0)], ForgeryMode.ReplaceEnf, seed=2)
     flat0 = stream.frames.reshape(-1)
     flat1 = forged.frames.reshape(-1)
@@ -546,19 +584,19 @@ def test_replace_enf_equals_copy_then_splice(kind, segments):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_replace_enf_synthesizes_on_the_grid_it_rebuilt(kind, monkeypatch):
-    """The replacement is embedded with the grid rebuilt from the stream's meta,
-    so its own provenance is that grid and not GridConfig() defaults."""
+    """The replacement is embedded from a truth that the grid rebuilt from the stream's
+    meta drew, so its own provenance is that grid and not GridConfig() defaults."""
     grid = GridConfig(nominal_hz=50.0, drift_std_hz=0.01, max_dev_hz=0.5, seed=3)
     truth = gen_enf_truth(grid, 20.0, 1.0)
     if kind == "audio":
-        stream = embed_audio(truth, 1000.0, HARMONICS_123, 20.0, seed=3, grid=grid)
+        stream = embed_audio(truth, 1000.0, HARMONICS_123, 20.0, seed=3)
     else:
-        stream = embed_video(truth, 10.0, 16, 20.0, seed=3, grid=grid)
+        stream = embed_video(truth, 10.0, 16, 20.0, seed=3)
     name = f"embed_{kind}"
     real, grids = getattr(media_synth, name), []
 
     def spy(*args, **kwargs):
-        grids.append(kwargs.get("grid"))
+        grids.append(args[0].grid)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(media_synth, name, spy)
@@ -661,11 +699,10 @@ def _oracle_of(kind, truth, snr_db, seed):
     return _video_oracle(truth, VIDEO_FPS, int(BLOCK_RATE / VIDEO_FPS), snr_db, seed)
 
 
-def _embed(kind, truth, snr_db, seed, grid=None):
+def _embed(kind, truth, snr_db, seed):
     if kind == "audio":
-        return embed_audio(truth, BLOCK_RATE, HARMONICS_123, snr_db, seed=seed, grid=grid)
-    return embed_video(truth, VIDEO_FPS, int(BLOCK_RATE / VIDEO_FPS), snr_db, seed=seed,
-                       grid=grid)
+        return embed_audio(truth, BLOCK_RATE, HARMONICS_123, snr_db, seed=seed)
+    return embed_video(truth, VIDEO_FPS, int(BLOCK_RATE / VIDEO_FPS), snr_db, seed=seed)
 
 
 @pytest.mark.parametrize("snr_db", [20.0, np.inf])
@@ -683,7 +720,7 @@ def test_blockwise_synthesis_equals_whole_array_formula(kind, length, snr_db):
 def test_forgery_across_a_block_boundary_equals_whole_array_formula(kind, mode):
     grid = GridConfig(max_dev_hz=0.5, seed=12)
     truth = gen_enf_truth(grid, LENGTHS_S["ragged"], 1.0)
-    stream = _embed(kind, truth, 20.0, seed=12, grid=grid)
+    stream = _embed(kind, truth, 20.0, seed=12)
     a, b = 3.1, 9.7  # crosses the ends of the first and the second block
     forged = forge_segments(stream, [(a, b)], mode, seed=9)
     expect = _values(stream).copy()
@@ -812,7 +849,7 @@ def test_synthesis_memory_stays_within_a_multiple_of_its_output():
     grid = GridConfig(seed=13)
     truth = gen_enf_truth(grid, 60.0, 1.0)
     audio, peak = _traced_peak(
-        lambda: embed_audio(truth, 44100.0, HARMONICS_123, 20.0, seed=13, grid=grid))
+        lambda: embed_audio(truth, 44100.0, HARMONICS_123, 20.0, seed=13))
     assert peak <= 1.5 * audio.samples.nbytes
     forged, peak = _traced_peak(
         lambda: forge_segments(audio, [(10.0, 30.0)], ForgeryMode.ReplaceEnf, seed=2))

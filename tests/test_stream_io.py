@@ -24,9 +24,8 @@ from enfnet.stream_io import (
 
 
 def test_audio_stream_roundtrip(tmp_path):
-    grid = GridConfig(seed=1)
-    truth = gen_enf_truth(grid, 20.0, 1.0)
-    stream = embed_audio(truth, 1000.0, ((1, 1.0), (2, 0.5)), 20.0, seed=1, grid=grid)
+    truth = gen_enf_truth(GridConfig(seed=1), 20.0, 1.0)
+    stream = embed_audio(truth, 1000.0, ((1, 1.0), (2, 0.5)), 20.0, seed=1)
     stream = forge_segments(stream, [(5.0, 9.0)], ForgeryMode.StripEnf, seed=2)
     path = tmp_path / "a.json"
     save_stream(stream, str(path))
@@ -42,9 +41,8 @@ def test_audio_stream_roundtrip(tmp_path):
 
 
 def test_video_stream_roundtrip(tmp_path):
-    grid = GridConfig(seed=2)
-    truth = gen_enf_truth(grid, 10.0, 1.0)
-    stream = embed_video(truth, 25.0, 32, 25.0, seed=2, grid=grid)
+    truth = gen_enf_truth(GridConfig(seed=2), 10.0, 1.0)
+    stream = embed_video(truth, 25.0, 32, 25.0, seed=2)
     stream = forge_segments(stream, [(2.01, 4.5)], ForgeryMode.StripEnf, seed=3)
     path = tmp_path / "v.json"
     save_stream(stream, str(path))
@@ -78,12 +76,23 @@ def test_load_stream_reads_only_rolling_shutter_video(tmp_path, shutter, loads):
 
 
 def test_save_rejects_values_float32_cannot_hold(tmp_path):
-    grid = GridConfig(seed=1)
-    stream = embed_audio(gen_enf_truth(grid, 5.0, 1.0), 1000.0, [(1, 1.0)], 20.0, grid=grid)
+    stream = embed_audio(gen_enf_truth(GridConfig(seed=1), 5.0, 1.0), 1000.0, [(1, 1.0)], 20.0)
     stream.samples[7] = 1e40  # finite as float64, inf as float32
     with pytest.raises(InvalidArgumentError, match="1 of 5000 values"):
         save_stream(stream, str(tmp_path / "big.json"))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_grid_of_numpy_scalars_saves_and_a_meta_json_cannot_hold_writes_no_file(tmp_path):
+    grid = GridConfig(nominal_hz=np.float32(60), seed=1)
+    stream = embed_audio(gen_enf_truth(grid, 10.0, 1.0), 1000.0, [(1, 1.0)], 20.0, seed=1)
+    save_stream(stream, str(tmp_path / "s.json"))
+    back = load_stream(str(tmp_path / "s.json"))
+    assert back.meta["nominal_hz"] == 60.0 and type(back.meta["nominal_hz"]) is float
+    stream.meta["unsaved"] = object()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_stream(stream, str(tmp_path / "t.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.f32", "s.json"]
 
 
 def test_save_stream_rejects_unknown(tmp_path):
@@ -152,8 +161,7 @@ def test_enf_csv_header_only_raises_without_a_warning(tmp_path):
          "interval-of-three"],
 )
 def test_load_stream_reads_the_header_by_the_package_rules(tmp_path, edit, message):
-    grid = GridConfig(seed=1)
-    stream = embed_audio(gen_enf_truth(grid, 5.0, 1.0), 1000.0, [(1, 1.0)], 20.0, grid=grid)
+    stream = embed_audio(gen_enf_truth(GridConfig(seed=1), 5.0, 1.0), 1000.0, [(1, 1.0)], 20.0)
     path = tmp_path / "a.json"
     save_stream(stream, str(path))
     path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
@@ -162,8 +170,7 @@ def test_load_stream_reads_the_header_by_the_package_rules(tmp_path, edit, messa
 
 
 def test_load_stream_defaults_the_optional_keys(tmp_path):
-    grid = GridConfig(seed=1)
-    stream = embed_audio(gen_enf_truth(grid, 5.0, 1.0), 1000.0, [(1, 1.0)], 20.0, grid=grid)
+    stream = embed_audio(gen_enf_truth(GridConfig(seed=1), 5.0, 1.0), 1000.0, [(1, 1.0)], 20.0)
     path = tmp_path / "a.json"
     save_stream(stream, str(path))
     header = json.loads(path.read_text())
@@ -174,9 +181,8 @@ def test_load_stream_defaults_the_optional_keys(tmp_path):
 
 
 def test_load_stream_rejects_truncated_audio_payload(tmp_path):
-    grid = GridConfig(seed=1)
-    truth = gen_enf_truth(grid, 30.0, 1.0)
-    stream = embed_audio(truth, 1000.0, ((1, 1.0),), 20.0, seed=1, grid=grid)
+    truth = gen_enf_truth(GridConfig(seed=1), 30.0, 1.0)
+    stream = embed_audio(truth, 1000.0, ((1, 1.0),), 20.0, seed=1)
     path = tmp_path / "a.json"
     save_stream(stream, str(path))
     payload = tmp_path / "a.f32"
@@ -186,9 +192,8 @@ def test_load_stream_rejects_truncated_audio_payload(tmp_path):
 
 
 def test_load_stream_rejects_truncated_video_payload(tmp_path):
-    grid = GridConfig(seed=2)
-    truth = gen_enf_truth(grid, 4.0, 1.0)
-    stream = embed_video(truth, 25.0, 16, 25.0, seed=2, grid=grid)
+    truth = gen_enf_truth(GridConfig(seed=2), 4.0, 1.0)
+    stream = embed_video(truth, 25.0, 16, 25.0, seed=2)
     path = tmp_path / "v.json"
     save_stream(stream, str(path))
     payload = tmp_path / "v.f32"
@@ -231,9 +236,8 @@ def test_enf_json_roundtrip(tmp_path):
 
 
 def test_save_is_byte_deterministic(tmp_path):
-    grid = GridConfig(seed=5)
-    truth = gen_enf_truth(grid, 10.0, 1.0)
-    stream = embed_audio(truth, 1000.0, ((1, 1.0),), 20.0, seed=5, grid=grid)
+    truth = gen_enf_truth(GridConfig(seed=5), 10.0, 1.0)
+    stream = embed_audio(truth, 1000.0, ((1, 1.0),), 20.0, seed=5)
     save_stream(stream, str(tmp_path / "x.json"))
     save_stream(stream, str(tmp_path / "y.json"))
     a = (tmp_path / "x.json").read_text().replace("x.f32", "z.f32")
